@@ -17,6 +17,7 @@ functions, so everything is safe to evaluate in parallel.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -121,12 +122,10 @@ class IntegerMatrix:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntegerMatrix(self.rows, other.cols, tuple(
+            sum(map(operator.mul, self.row(i), column))
+            for i in range(self.rows) for column in columns))
 
     __matmul__ = mul
 
@@ -135,8 +134,7 @@ class IntegerMatrix:
         vector = tuple(vector)
         if len(vector) != self.cols:
             raise DimensionMismatchError("vector length does not match columns")
-        return tuple(sum(self.row(i)[k] * vector[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows))
 
     def transpose(self):
         return IntegerMatrix(self.cols, self.rows, tuple(
@@ -189,6 +187,140 @@ class SmithDecomposition:
     def rank(self):
         return sum(1 for x in self.diagonal() if x != 0)
 
+    def solve(self, b) -> tuple | None:
+        """One integer solution x of M @ x = b, or None."""
+        y = self._span_coordinates(b)
+        if y is None:
+            return None
+        return self.v.apply(y + [0] * (self.v.rows - len(y)))
+
+    def _span_coordinates(self, b):
+        """Coordinates of b in the basis d_i * (column i of U^-1), i < rank,
+        of the column span of M, or None when b lies outside that span."""
+        b = tuple(b)
+        if len(b) != self.u.rows:
+            raise DimensionMismatchError("vector length does not match rows")
+        ub = self.u.apply(b)
+        y = []
+        for t, d in zip(ub, self.diagonal()):
+            if not d:
+                break
+            if t % d:
+                return None
+            y.append(t // d)
+        if any(ub[len(y):]):
+            return None
+        return y
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _smith(m: IntegerMatrix, track: bool):
+    """The elimination behind every Smith normal form in this module.
+
+    Returns the nonzero diagonal entries, and with `track` the rows of U
+    and the columns of V (both None without it).  Tracking changes no step:
+    the pivot rule is the one `smith_normal_form` documents.
+
+    `a` holds only the active block, rows and columns k.. of the work
+    matrix: everything outside it is zero except the diagonal found so far.
+    """
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    u = _identity_rows(rows) if track else None
+    v = _identity_rows(cols) if track else None  # columns of V
+    diag = []
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            if track:
+                u[k + i], u[k + j] = u[k + j], u[k + i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in a:
+                r[i], r[j] = r[j], r[i]
+            if track:
+                v[k + i], v[k + j] = v[k + j], v[k + i]
+
+    def add_row(dst, src, q):  # row dst += q * row src
+        if q:
+            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+            if track:
+                u[k + dst] = [x + q * y for x, y in zip(u[k + dst], u[k + src])]
+
+    def negate_pivot_row():
+        a[0] = [-x for x in a[0]]
+        if track:
+            u[k] = [-x for x in u[k]]
+
+    def pick_pivot():
+        best = 0
+        for i, r in enumerate(a):
+            low = min(map(abs, filter(None, r)), default=0)
+            if low and (not best or low < best):
+                best, row = low, i
+        if not best:
+            return None
+        return row, next(j for j, x in enumerate(a[row]) if abs(x) == best)
+
+    def first_smallest(values):
+        cand = None
+        for i, x in enumerate(values):
+            if i and x and (cand is None or abs(x) < abs(values[cand])):
+                cand = i
+        return cand
+
+    k = 0
+    limit = min(rows, cols)
+    while k < limit:
+        best = pick_pivot()
+        if best is None:
+            break
+        swap_rows(0, best[0])
+        swap_cols(0, best[1])
+        if a[0][0] < 0:
+            negate_pivot_row()
+        while True:
+            p = a[0][0]
+            for i in range(1, len(a)):
+                add_row(i, 0, -(a[i][0] // p))
+            cand = first_smallest([r[0] for r in a])
+            if cand is not None:
+                swap_rows(0, cand)
+                if a[0][0] < 0:
+                    negate_pivot_row()
+                continue
+            # column 0 is now zero below the pivot, so a column operation
+            # changes only the pivot row of the block
+            pivot_row = a[0]
+            for j in range(1, len(pivot_row)):
+                q = -(pivot_row[j] // p)
+                if q:
+                    pivot_row[j] += q * p
+                    if track:
+                        v[k + j] = [x + q * y for x, y in zip(v[k + j], v[k])]
+            cand = first_smallest(pivot_row)
+            if cand is not None:
+                swap_cols(0, cand)
+                if a[0][0] < 0:
+                    negate_pivot_row()
+                continue
+            # pivot must divide the remaining block for the divisor chain
+            p = a[0][0]
+            bad = None if p == 1 else next(
+                (i for i in range(1, len(a)) if any(map(p.__rmod__, a[i]))), None)
+            if bad is None:
+                break
+            add_row(0, bad, 1)
+        diag.append(a[0][0])
+        a = [r[1:] for r in a[1:]]
+        k += 1
+    return diag, u, v
+
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Diagonalize by unimodular row and column operations.
@@ -197,104 +329,18 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     value in the remaining block, ties broken by lowest (row, col).
     Diagonal entries come out nonnegative with each dividing the next.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntegerMatrix.identity(rows).to_rows()
-    v = IntegerMatrix.identity(cols).to_rows()
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in a:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):  # row dst += q * row src
-        if q:
-            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):  # col dst += q * col src
-        if q:
-            for r in a:
-                r[dst] += q * r[src]
-            for r in v:
-                r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def pick_pivot(k):
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                val = abs(a[i][j])
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-        return best
-
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        best = pick_pivot(k)
-        if best is None:
-            break
-        swap_rows(k, best[1])
-        swap_cols(k, best[2])
-        if a[k][k] < 0:
-            negate_row(k)
-        while True:
-            p = a[k][k]
-            for i in range(rows):
-                if i != k and a[i][k]:
-                    add_row(i, k, -(a[i][k] // p))
-            cand = None
-            for i in range(rows):
-                if i != k and a[i][k] and (cand is None or abs(a[i][k]) < abs(a[cand][k])):
-                    cand = i
-            if cand is not None:
-                swap_rows(k, cand)
-                if a[k][k] < 0:
-                    negate_row(k)
-                continue
-            for j in range(cols):
-                if j != k and a[k][j]:
-                    add_col(j, k, -(a[k][j] // p))
-            cand = None
-            for j in range(cols):
-                if j != k and a[k][j] and (cand is None or abs(a[k][j]) < abs(a[k][cand])):
-                    cand = j
-            if cand is not None:
-                swap_cols(k, cand)
-                if a[k][k] < 0:
-                    negate_row(k)
-                continue
-            # pivot must divide the remaining block for the divisor chain
-            p = a[k][k]
-            bad = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(k, bad, 1)
-        k += 1
-
+    diag, u, v = _smith(m, track=True)
     return SmithDecomposition(
-        IntegerMatrix.from_rows(u, cols=rows),
-        IntegerMatrix.from_rows(a, cols=cols),
-        IntegerMatrix.from_rows(v, cols=cols),
+        IntegerMatrix.from_rows(u, cols=m.rows),
+        IntegerMatrix.diagonal(diag, m.rows, m.cols),
+        IntegerMatrix.from_columns(v, rows=m.cols),
     )
+
+
+def smith_diagonal(m: IntegerMatrix) -> list:
+    """`smith_normal_form(m).diagonal()`, computed without U and V."""
+    diag, _, _ = _smith(m, track=False)
+    return diag + [0] * (min(m.rows, m.cols) - len(diag))
 
 
 def inverse_unimodular(m: IntegerMatrix) -> IntegerMatrix:
@@ -314,24 +360,7 @@ def inverse_unimodular(m: IntegerMatrix) -> IntegerMatrix:
 
 def solve(m: IntegerMatrix, b) -> tuple | None:
     """One integer solution x of m @ x = b, or None."""
-    b = tuple(b)
-    if len(b) != m.rows:
-        raise DimensionMismatchError("vector length does not match rows")
-    s = smith_normal_form(m)
-    ub = s.u.apply(b)
-    diag = s.diagonal()
-    y = [0] * m.cols
-    for i in range(m.rows):
-        t = ub[i]
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if t % d:
-                return None
-            if i < m.cols:
-                y[i] = t // d
-        elif t:
-            return None
-    return s.v.apply(y)
+    return smith_normal_form(m).solve(b)
 
 
 def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
@@ -358,7 +387,8 @@ def lattice_contains(lattice: IntegerMatrix, vector) -> bool:
 
 
 def lattice_subset(inner: IntegerMatrix, outer: IntegerMatrix) -> bool:
-    return all(lattice_contains(outer, inner.column(j)) for j in range(inner.cols))
+    s = smith_normal_form(outer)
+    return all(s.solve(column) is not None for column in inner.columns())
 
 
 def lattices_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
@@ -377,15 +407,14 @@ def preimage_lattice(m: IntegerMatrix, lattice: IntegerMatrix) -> IntegerMatrix:
 
 def subquotient_group(big: IntegerMatrix, small: IntegerMatrix) -> "FGAbelianGroup":
     """Isomorphism class of (span big) / (span small); small must lie in big."""
-    basis = column_span_basis(big)
+    s = smith_normal_form(big)
     coords = []
-    for j in range(small.cols):
-        x = solve(basis, small.column(j))
-        if x is None:
+    for column in small.columns():
+        y = s._span_coordinates(column)
+        if y is None:
             raise ValueError("small lattice is not contained in the big one")
-        coords.append(x)
-    rel = IntegerMatrix.from_columns(coords, rows=basis.cols)
-    return cokernel(rel)
+        coords.append(y)
+    return cokernel(IntegerMatrix.from_columns(coords, rows=s.rank()))
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +484,7 @@ class FGAbelianGroup:
 
 def cokernel(m: IntegerMatrix) -> FGAbelianGroup:
     """Z^rows modulo the column span of m, in canonical invariant-factor form."""
-    s = smith_normal_form(m)
-    diag = s.diagonal()
+    diag = smith_diagonal(m)
     torsion = [d for d in diag if d not in (0, 1)]
     free = m.rows - sum(1 for d in diag if d != 0)
     return FGAbelianGroup(tuple(torsion) + (0,) * free)
@@ -555,14 +583,15 @@ class RModule:
             raise DimensionMismatchError("relations live in the wrong rank")
         if (self.action.rows, self.action.cols) != (self.rank, self.rank):
             raise DimensionMismatchError("action matrix must be square of the rank")
-        for j in range(self.relations.cols):
-            if not lattice_contains(self.relations, self.action.apply(self.relations.column(j))):
+        lattice = smith_normal_form(self.relations)
+        for column in self.relations.columns():
+            if lattice.solve(self.action.apply(column)) is None:
                 raise ValueError("action does not preserve the relations")
         square = self.action @ self.action
         ident = IntegerMatrix.identity(self.rank)
         for j in range(self.rank):
             diff = tuple(a - b for a, b in zip(square.column(j), ident.column(j)))
-            if not lattice_contains(self.relations, diff):
+            if lattice.solve(diff) is None:
                 raise ValueError("action is not an involution modulo the relations")
 
     @classmethod

@@ -68,6 +68,10 @@ class NoCandidateError(RuntimeError):
     """No clutching candidate reproduces the recorded tables."""
 
 
+class InvariantError(RuntimeError):
+    """A computed object fails a property its construction guarantees."""
+
+
 BASE_NAMES = ("point", "circle_trivial")
 _BASE_RING = {"point": "hh_point", "circle_trivial": "hh_circle_trivial"}
 
@@ -165,7 +169,7 @@ class TotalSpaceH3:
         for j in range(data.kernel_relations.cols):
             x = solve(self._kernel_span, data.kernel_relations.column(j))
             if x is None:
-                raise AssertionError("slice relations escaped the kernel span")
+                raise InvariantError("slice relations escaped the kernel span")
             coords.append(x)
         self.kernels = QuotientPresentation(
             self._kernel_span.cols,
@@ -393,15 +397,18 @@ def tdual(pair: Pair) -> TDualResult:
         correspondence = "computed-on-product-model"
 
     dual_h = orbit_representative(chosen)
+    pushed = dual_total.pushforward(dual_h)
+    if pushed != chern:
+        raise InvariantError(
+            f"the dual class pushes forward to {pushed}, not to the Chern class {chern}")
     dual_pair = Pair(dual_bundle, dual_h)
     certificate = (
         ("chern_of_dual", str(dual_chern)),
         ("correspondence", correspondence),
         ("cup_product", str(cup)),
-        ("pushforward_of_dual_class", str(dual_total.pushforward(dual_h))),
+        ("pushforward_of_dual_class", str(pushed)),
         ("pushforward_of_class", str(dual_chern)),
     )
-    assert dual_total.pushforward(dual_h) == chern
     return TDualResult(dual_pair, certificate)
 
 
@@ -448,7 +455,7 @@ def enumerate_pair_classes(base_name) -> list:
                              rep.label(), result.dual.label()))
     for cls in out:
         if out[cls.dual_index].dual_index != cls.index:
-            raise AssertionError("duality is not an involution on classes")
+            raise InvariantError("duality is not an involution on classes")
     return out
 
 
@@ -574,7 +581,7 @@ def _kernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
         image = action.apply(basis.column(j))
         x = solve(basis, image)
         if x is None:
-            raise AssertionError("module action does not preserve the kernel")
+            raise InvariantError("module action does not preserve the kernel")
         cols.append(x)
     module = RModule(basis.cols, IntegerMatrix.zeros(basis.cols, 0),
                      IntegerMatrix.from_columns(cols, rows=basis.cols))

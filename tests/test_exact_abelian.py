@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
@@ -15,6 +16,7 @@ from kdual.exact_abelian import (
     QuotientPresentation,
     RModule,
     cokernel,
+    column_span_basis,
     exactness_check,
     indecomposable,
     inverse_unimodular,
@@ -23,6 +25,7 @@ from kdual.exact_abelian import (
     preimage_lattice,
     rmodule_classify,
     rmodule_from_multiset,
+    smith_diagonal,
     smith_normal_form,
     solve,
     subquotient_group,
@@ -167,6 +170,48 @@ def test_snf_large_entries():
         assert smith_normal_form(s.u).diagonal() == [1] * m.rows
 
 
+# SHA-256 of every U, D and V and every solve() result over golden_batch().
+# Report coordinates (tduality, QuotientPresentation) are read off U, so an
+# elimination change that moves this digest can change report bytes.
+GOLDEN_TRANSFORMS_SHA256 = "32a69c9d6797528209444322cb8005c5a7da02ede559b77c01556215f9824237"
+
+
+def golden_batch():
+    """Every shape from 0x0 to 12x12 with entries in {+-1, +-2, +-9}, about a
+    third with a zero row and a third with a zero column, each paired with a
+    solvable right-hand side and a random one."""
+    rng = random.Random(1979)
+    for rows in range(13):
+        for cols in range(13):
+            entries = [[rng.choice((-9, -2, -1, 1, 2, 9)) for _ in range(cols)]
+                       for _ in range(rows)]
+            if rows and rng.random() < 0.3:
+                entries[rng.randrange(rows)] = [0] * cols
+            if cols and rng.random() < 0.3:
+                j = rng.randrange(cols)
+                for row in entries:
+                    row[j] = 0
+            m = IntegerMatrix.from_rows(entries, cols=cols)
+            x = [rng.randint(-3, 3) for _ in range(cols)]
+            b = [rng.randint(-3, 3) for _ in range(rows)]
+            yield m, (m.apply(x), b)
+
+
+def golden_transforms_digest():
+    digest = hashlib.sha256()
+    for m, rhs in golden_batch():
+        s = smith_normal_form(m)
+        for part in (s.u, s.d, s.v):
+            digest.update(repr((part.rows, part.cols, part.entries)).encode())
+        for b in rhs:
+            digest.update(repr(solve(m, b)).encode())
+    return digest.hexdigest()
+
+
+def test_snf_and_solve_golden_digest():
+    assert golden_transforms_digest() == GOLDEN_TRANSFORMS_SHA256
+
+
 # --- cokernels ---------------------------------------------------------------
 
 
@@ -205,6 +250,31 @@ def test_cokernel_invariant_under_unimodular_changes():
         u = random_unimodular(rng, 3)
         v = random_unimodular(rng, 3)
         assert cokernel(m) == cokernel(u @ m @ v)
+
+
+def test_cokernel_reads_the_smith_diagonal():
+    rng = random.Random(404)
+    batch = [m for m, _ in golden_batch()]
+    batch += [random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(100)]
+    for m in batch:
+        diag = smith_normal_form(m).diagonal()
+        assert smith_diagonal(m) == diag
+        rank = sum(1 for d in diag if d)
+        expected = tuple(d for d in diag if d > 1) + (0,) * (m.rows - rank)
+        assert cokernel(m) == FGAbelianGroup(expected)
+
+
+def test_cokernel_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(1987)
+    for _ in range(80):
+        m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+        factors = [abs(int(f)) for f in invariant_factors(
+            sympy.Matrix(m.rows, m.cols, list(m.entries)), domain=sympy.ZZ)]
+        rank = sum(1 for f in factors if f)
+        expected = tuple(sorted(f for f in factors if f > 1)) + (0,) * (m.rows - rank)
+        assert cokernel(m) == FGAbelianGroup(expected), m
 
 
 def test_group_canonicalization():
@@ -320,6 +390,15 @@ def test_classify_sign_action():
 def test_action_must_be_involution():
     with pytest.raises(ValueError):
         RModule.from_group(FGAbelianGroup((0,)), IntegerMatrix.from_rows([[2]]))
+    # preserves the relation (2, 0) but squares to diag(1, 4)
+    with pytest.raises(ValueError, match="not an involution"):
+        RModule(2, IntegerMatrix.from_rows([[2], [0]]), IntegerMatrix.from_rows([[1, 0], [0, 2]]))
+
+
+def test_action_must_preserve_relations():
+    # the swap sends the relation (2, 0) to (0, 2), outside span{(2, 0)}
+    with pytest.raises(ValueError, match="does not preserve"):
+        RModule(2, IntegerMatrix.from_rows([[2], [0]]), IntegerMatrix.from_rows([[0, 1], [1, 0]]))
 
 
 def test_classification_failure_detected():
@@ -360,12 +439,62 @@ def test_classify_invariant_under_base_change():
         assert rmodule_classify(changed) == +multiset
 
 
+def _subquotient_via_span_basis(big, small):
+    """(span big) / (span small) by the route that first picks an independent
+    basis of span(big) and solves for each column of small against it."""
+    basis = column_span_basis(big)
+    coords = []
+    for column in small.columns():
+        x = solve(basis, column)
+        if x is None:
+            raise ValueError("small lattice is not contained in the big one")
+        coords.append(x)
+    return cokernel(IntegerMatrix.from_columns(coords, rows=basis.cols))
+
+
+def test_subquotient_matches_span_basis_route():
+    rng = random.Random(8446)
+    for _ in range(150):
+        rows, cols, sub = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 5)
+        big = random_matrix(rng, rows, cols, bound=4)
+        small = big @ random_matrix(rng, cols, sub, bound=3)
+        assert subquotient_group(big, small) == _subquotient_via_span_basis(big, small)
+
+
+def test_subquotient_rejects_small_outside_big():
+    big = IntegerMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
+    for column in ((1, 0, 0), (0, 3, 1), (2, 1, 0)):
+        small = IntegerMatrix.from_columns([(4, 0, 0), column])
+        with pytest.raises(ValueError):
+            _subquotient_via_span_basis(big, small)
+        with pytest.raises(ValueError, match="not contained"):
+            subquotient_group(big, small)
+
+
 def test_subquotient_and_preimage():
     # kernel of multiplication by 2 on Z/4: the subgroup 2Z/4 = Z/2
     op = IntegerMatrix.from_rows([[2]])
     lattice = IntegerMatrix.from_rows([[4]])
     pre = preimage_lattice(op, lattice)
     assert subquotient_group(pre, lattice) == FGAbelianGroup((2,))
+
+
+def test_products_match_triple_loop():
+    rng = random.Random(31)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for n, k, p in shapes:
+        a = random_matrix(rng, n, k, bound=10 ** 12)
+        b = random_matrix(rng, k, p, bound=10 ** 12)
+        naive = tuple(sum(a.entry(i, t) * b.entry(t, j) for t in range(k))
+                      for i in range(n) for j in range(p))
+        assert a.mul(b) == IntegerMatrix(n, p, naive)
+        for j in range(p):
+            assert a.apply(b.column(j)) == tuple(naive[i * p + j] for i in range(n))
+    with pytest.raises(DimensionMismatchError):
+        IntegerMatrix.zeros(2, 3).mul(IntegerMatrix.zeros(2, 3))
+    with pytest.raises(DimensionMismatchError):
+        IntegerMatrix.zeros(2, 3).apply((1, 2))
 
 
 def test_matrix_serialization_round_trip():

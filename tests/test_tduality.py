@@ -4,10 +4,12 @@ import pytest
 
 from collections import Counter
 
+from kdual.exact_abelian import IntegerMatrix
 from kdual.graded_algebra import EQ, PM
 from kdual import tduality
 from kdual.tduality import (
     PRINTED_MV_TABLES,
+    InvariantError,
     Pair,
     TwistedKTable,
     canonical_pair,
@@ -24,6 +26,9 @@ from kdual.tduality import (
     twisted_k_mv,
     verify_shift_equivariance,
     verify_theorem_T,
+    TDualResult,
+    TotalSpaceH3,
+    _kernel_module,
     _total_space,
     _twist_invariants,
 )
@@ -125,6 +130,45 @@ def test_certificate_identities():
             dual_total = result.dual.total()
             assert str(dual_total.pushforward(result.dual.h)) == str(pair.bundle.chern())
             assert str(pair.total().pushforward(pair.h)) == cert["chern_of_dual"]
+
+
+# --- invariant checks (named errors, so that they survive python -O) --------------
+
+
+def test_tdual_checks_pushforward_of_the_dual_class(monkeypatch):
+    pair = pair_from_expressions("circle_trivial", "0", "0", "t12*e")
+    original = TotalSpaceH3.pushforward
+
+    def skewed(total, element):
+        # the dual bundle is twisted, so only the final check sees this
+        pushed = original(total, element)
+        return pushed if total.bundle == pair.bundle else pushed + total.bundle.chern()
+
+    monkeypatch.setattr(TotalSpaceH3, "pushforward", skewed)
+    with pytest.raises(InvariantError, match="not to the Chern class"):
+        tdual(pair)
+
+
+def test_total_space_checks_relations_lie_in_kernel_span(monkeypatch):
+    bundle = pair_from_expressions("circle_trivial", "0").bundle
+    monkeypatch.setattr(tduality, "solve", lambda m, b: None)
+    with pytest.raises(InvariantError, match="escaped the kernel span"):
+        TotalSpaceH3(bundle)
+
+
+def test_kernel_module_checks_action_preserves_kernel(monkeypatch):
+    monkeypatch.setattr(tduality, "solve", lambda m, b: None)
+    delta = IntegerMatrix.from_rows([[1, -1]])
+    action = IntegerMatrix.from_rows([[0, 1], [1, 0]])
+    with pytest.raises(InvariantError, match="does not preserve the kernel"):
+        _kernel_module(delta, action)
+
+
+def test_enumeration_checks_duality_is_an_involution(monkeypatch):
+    zero = pair_from_expressions("circle_trivial", "0")
+    monkeypatch.setattr(tduality, "tdual", lambda pair: TDualResult(zero, ()))
+    with pytest.raises(InvariantError, match="not an involution"):
+        enumerate_pair_classes("circle_trivial")
 
 
 def test_enumeration_and_involution():
