@@ -1,6 +1,8 @@
 """kdual: exact computations in involutive equivariant cohomology and
 K-theory, including the T-duality transform for Real circle bundles."""
 
+from importlib import import_module
+
 from .exact_abelian import (
     ClassificationError,
     FGAbelianGroup,
@@ -35,28 +37,27 @@ from .paper_rings import (
     verify_relation_via_oracle,
 )
 from .expressions import ParseError, parse_expression
-from .transforms import (
-    GradedGroupTable,
-    ModuleMap,
-    group_cohomology_z2,
-    gysin_cohomology,
-    kunneth_split,
-    pushforward_torus2,
-    t_power_table,
-    t_transform,
-)
-from .tduality import (
-    Pair,
-    RealCircleBundle,
-    TDualResult,
-    TwistedKTable,
-    enumerate_pair_classes,
-    gauge_orbit,
-    tdual,
-    twisted_k_mv,
-    verify_theorem_T,
-)
-from .suites import Report, run_suite
+
+# Names from the heavier modules resolve on first use (PEP 562), so that
+# `import kdual` loads only the rings, the oracle and the linear algebra.
+_LAZY = {
+    "transforms": ("GradedGroupTable", "ModuleMap", "group_cohomology_z2",
+                   "gysin_cohomology", "kunneth_split", "pushforward_torus2",
+                   "t_power_table", "t_transform"),
+    "tduality": ("Pair", "RealCircleBundle", "TDualResult", "TwistedKTable",
+                 "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv",
+                 "verify_theorem_T"),
+    "suites": ("Report", "run_suite"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 

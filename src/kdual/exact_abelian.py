@@ -44,15 +44,31 @@ class IntegerMatrix:
     entries: tuple
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
+        self._check_shape()
         for e in self.entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError("entries must be plain ints")
 
+    def _check_shape(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match dimensions")
+
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """Matrix of a tuple of ints that this module computed itself from
+        checked matrices: the shape is checked, the type of each entry is
+        not.  Entries that come from a caller go through the public
+        constructor, `from_rows` or `from_columns`."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "entries", entries)
+        matrix._check_shape()
+        return matrix
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -81,11 +97,11 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls._trusted(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag, rows=None, cols=None):
@@ -123,7 +139,7 @@ class IntegerMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         columns = [other.entries[j::other.cols] for j in range(other.cols)]
-        return IntegerMatrix(self.rows, other.cols, tuple(
+        return IntegerMatrix._trusted(self.rows, other.cols, tuple(
             sum(map(operator.mul, self.row(i), column))
             for i in range(self.rows) for column in columns))
 
@@ -137,7 +153,7 @@ class IntegerMatrix:
         return tuple(sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows))
 
     def transpose(self):
-        return IntegerMatrix(self.cols, self.rows, tuple(
+        return IntegerMatrix._trusted(self.cols, self.rows, tuple(
             self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def hstack(self, other):
@@ -147,15 +163,16 @@ class IntegerMatrix:
         for i in range(self.rows):
             out.extend(self.row(i))
             out.extend(other.row(i))
-        return IntegerMatrix(self.rows, self.cols + other.cols, tuple(out))
+        return IntegerMatrix._trusted(self.rows, self.cols + other.cols, tuple(out))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack needs equal column counts")
-        return IntegerMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return IntegerMatrix._trusted(self.rows + other.rows, self.cols,
+                                      self.entries + other.entries)
 
     def neg(self):
-        return IntegerMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return IntegerMatrix._trusted(self.rows, self.cols, tuple(-e for e in self.entries))
 
     # -- serialization -------------------------------------------------------
 
@@ -189,72 +206,86 @@ class SmithDecomposition:
 
     def solve(self, b) -> tuple | None:
         """One integer solution x of M @ x = b, or None."""
-        y = self._span_coordinates(b)
+        y = _span_coordinates(self.u, self.diagonal(), b)
         if y is None:
             return None
         return self.v.apply(y + [0] * (self.v.rows - len(y)))
 
-    def _span_coordinates(self, b):
-        """Coordinates of b in the basis d_i * (column i of U^-1), i < rank,
-        of the column span of M, or None when b lies outside that span."""
-        b = tuple(b)
-        if len(b) != self.u.rows:
-            raise DimensionMismatchError("vector length does not match rows")
-        ub = self.u.apply(b)
-        y = []
-        for t, d in zip(ub, self.diagonal()):
-            if not d:
-                break
-            if t % d:
-                return None
-            y.append(t // d)
-        if any(ub[len(y):]):
+
+def _span_coordinates(u: IntegerMatrix, diag, b):
+    """Coordinates of b in the basis d_i * (column i of U^-1), i < rank,
+    of the column span of M, or None when b lies outside that span; U and
+    the diagonal are those of the Smith normal form of M."""
+    b = tuple(b)
+    if len(b) != u.rows:
+        raise DimensionMismatchError("vector length does not match rows")
+    ub = u.apply(b)
+    y = []
+    for t, d in zip(ub, diag):
+        if not d:
+            break
+        if t % d:
             return None
-        return y
+        y.append(t // d)
+    if any(ub[len(y):]):
+        return None
+    return y
 
 
 def _identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _smith(m: IntegerMatrix, track: bool):
+def _rows_matrix(rows, cols):
+    """IntegerMatrix of int rows computed here (see IntegerMatrix._trusted)."""
+    return IntegerMatrix._trusted(len(rows), cols, tuple(x for r in rows for x in r))
+
+
+def _columns_matrix(columns, rows):
+    """IntegerMatrix of int columns computed here (see IntegerMatrix._trusted)."""
+    return IntegerMatrix._trusted(rows, len(columns),
+                                  tuple(x for r in zip(*columns) for x in r))
+
+
+def _smith(m: IntegerMatrix, track_u=False, track_v=False):
     """The elimination behind every Smith normal form in this module.
 
-    Returns the nonzero diagonal entries, and with `track` the rows of U
-    and the columns of V (both None without it).  Tracking changes no step:
-    the pivot rule is the one `smith_normal_form` documents.
+    Returns the nonzero diagonal entries, the rows of U with `track_u` and
+    the columns of V with `track_v` (None without).  Tracking changes no
+    step: the pivot rule is the one `smith_normal_form` documents, so U
+    and V are the same whether they are built together or apart.
 
     `a` holds only the active block, rows and columns k.. of the work
     matrix: everything outside it is zero except the diagonal found so far.
     """
     rows, cols = m.rows, m.cols
     a = m.to_rows()
-    u = _identity_rows(rows) if track else None
-    v = _identity_rows(cols) if track else None  # columns of V
+    u = _identity_rows(rows) if track_u else None
+    v = _identity_rows(cols) if track_v else None  # columns of V
     diag = []
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            if track:
+            if track_u:
                 u[k + i], u[k + j] = u[k + j], u[k + i]
 
     def swap_cols(i, j):
         if i != j:
             for r in a:
                 r[i], r[j] = r[j], r[i]
-            if track:
+            if track_v:
                 v[k + i], v[k + j] = v[k + j], v[k + i]
 
     def add_row(dst, src, q):  # row dst += q * row src
         if q:
             a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-            if track:
+            if track_u:
                 u[k + dst] = [x + q * y for x, y in zip(u[k + dst], u[k + src])]
 
     def negate_pivot_row():
         a[0] = [-x for x in a[0]]
-        if track:
+        if track_u:
             u[k] = [-x for x in u[k]]
 
     def pick_pivot():
@@ -301,7 +332,7 @@ def _smith(m: IntegerMatrix, track: bool):
                 q = -(pivot_row[j] // p)
                 if q:
                     pivot_row[j] += q * p
-                    if track:
+                    if track_v:
                         v[k + j] = [x + q * y for x, y in zip(v[k + j], v[k])]
             cand = first_smallest(pivot_row)
             if cand is not None:
@@ -329,17 +360,17 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     value in the remaining block, ties broken by lowest (row, col).
     Diagonal entries come out nonnegative with each dividing the next.
     """
-    diag, u, v = _smith(m, track=True)
+    diag, u, v = _smith(m, track_u=True, track_v=True)
     return SmithDecomposition(
-        IntegerMatrix.from_rows(u, cols=m.rows),
+        _rows_matrix(u, m.rows),
         IntegerMatrix.diagonal(diag, m.rows, m.cols),
-        IntegerMatrix.from_columns(v, rows=m.cols),
+        _columns_matrix(v, m.cols),
     )
 
 
 def smith_diagonal(m: IntegerMatrix) -> list:
     """`smith_normal_form(m).diagonal()`, computed without U and V."""
-    diag, _, _ = _smith(m, track=False)
+    diag, _, _ = _smith(m)
     return diag + [0] * (min(m.rows, m.cols) - len(diag))
 
 
@@ -365,10 +396,8 @@ def solve(m: IntegerMatrix, b) -> tuple | None:
 
 def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Columns spanning {x : m @ x = 0}."""
-    s = smith_normal_form(m)
-    diag = s.diagonal()
-    free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    return IntegerMatrix.from_columns([s.v.column(j) for j in free], rows=m.cols)
+    diag, _, v = _smith(m, track_v=True)
+    return _columns_matrix(v[len(diag):], m.cols)
 
 
 def column_span_basis(m: IntegerMatrix) -> IntegerMatrix:
@@ -402,19 +431,20 @@ def preimage_lattice(m: IntegerMatrix, lattice: IntegerMatrix) -> IntegerMatrix:
     stacked = m.hstack(lattice.neg())
     ker = kernel_basis(stacked)
     cols = [ker.column(j)[:m.cols] for j in range(ker.cols)]
-    return IntegerMatrix.from_columns(cols, rows=m.cols)
+    return _columns_matrix(cols, m.cols)
 
 
 def subquotient_group(big: IntegerMatrix, small: IntegerMatrix) -> "FGAbelianGroup":
     """Isomorphism class of (span big) / (span small); small must lie in big."""
-    s = smith_normal_form(big)
+    diag, u, _ = _smith(big, track_u=True)
+    u = _rows_matrix(u, big.rows)
     coords = []
     for column in small.columns():
-        y = s._span_coordinates(column)
+        y = _span_coordinates(u, diag, column)
         if y is None:
             raise ValueError("small lattice is not contained in the big one")
         coords.append(y)
-    return cokernel(IntegerMatrix.from_columns(coords, rows=s.rank()))
+    return cokernel(_columns_matrix(coords, len(diag)))
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +648,7 @@ class RModule:
                 rows.append(list(a.row(i)) + [0] * b.cols)
             for i in range(m):
                 rows.append([0] * a.cols + list(b.row(i)))
-            return IntegerMatrix.from_rows(rows, cols=a.cols + b.cols)
+            return _rows_matrix(rows, a.cols + b.cols)
 
         return RModule(n + m, block(self.relations, other.relations),
                        block(self.action, other.action))
@@ -669,9 +699,9 @@ def rmodule_classify(module: RModule) -> Counter:
     of them raises ClassificationError.
     """
     ident = IntegerMatrix.identity(module.rank)
-    one_minus = IntegerMatrix(module.rank, module.rank, tuple(
+    one_minus = IntegerMatrix._trusted(module.rank, module.rank, tuple(
         a - b for a, b in zip(ident.entries, module.action.entries)))
-    one_plus = IntegerMatrix(module.rank, module.rank, tuple(
+    one_plus = IntegerMatrix._trusted(module.rank, module.rank, tuple(
         a + b for a, b in zip(ident.entries, module.action.entries)))
 
     under = module.underlying_group()

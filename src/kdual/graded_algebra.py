@@ -10,9 +10,13 @@ monomial.
 
 Rewriting terminates because every rule strictly decreases the
 (total exponent, reverse-lexicographic) monomial order; this is checked
-at construction time.  Confluence is not assumed: the ring constructors
-in `paper_rings` certify it empirically and refuse to hand out a ring
-that fails certification.
+at construction time.  Construction also decides local confluence by the
+Knuth-Bendix critical-pair test: every overlap of two rules, and every
+overlap of a rule with the torsion relation 2*g = 0 of an order-2
+generator g, must reduce to one normal form both ways.  By Newman's
+lemma the two checks together prove that every element has a unique
+normal form, so a presentation that is not confluent is rejected with
+ConfluenceError before any element is built.
 
 Degrees add componentwise; the variant flag adds modulo two (two "pm"
 factors multiply into "eq").  Rings of K-type carry `period = 2` and
@@ -35,6 +39,10 @@ GENERATOR_ORDER = ("t", "t12", "sigma", "chi", "chi1", "chi2",
 
 class UnknownGeneratorError(KeyError):
     """An expression mentions a generator the ring does not have."""
+
+
+class ConfluenceError(ValueError):
+    """Two rewrites of one overlap reach different normal forms."""
 
 
 class InstabilityError(ValueError):
@@ -82,18 +90,11 @@ def _generator_rank(name):
 class PresentedRing:
     """Commutative ring with generators, coefficient orders and rewrites.
 
-    Use :meth:`define` to build one; it sorts the generators into the
-    global order, validates that every rewrite is degree-homogeneous and
-    strictly decreasing, and freezes the result.
+    :meth:`define` is the only constructor; it sorts the generators into
+    the global order, validates that every rewrite is degree-homogeneous
+    and strictly decreasing, proves the rules confluent, and freezes the
+    result.
     """
-
-    def __init__(self, name, generators, rules, period):
-        self.name = name
-        self.generators = tuple(generators)
-        self.period = period
-        self._index = {g.name: i for i, g in enumerate(self.generators)}
-        self.rules = tuple(rules)  # (lhs exponent tuple, ((exps, coeff), ...))
-        self._validate_rules()
 
     # -- construction --------------------------------------------------------
 
@@ -116,8 +117,9 @@ class PresentedRing:
         for lhs, rhs in rules:
             packed.append((ring._exps_from_dict(lhs),
                            tuple((ring._exps_from_dict(m), int(c)) for m, c in rhs)))
-        ring.rules = tuple(packed)
+        ring.rules = tuple(packed)  # (lhs exponent tuple, ((exps, coeff), ...))
         ring._validate_rules()
+        ring._check_confluence()
         return ring
 
     def _exps_from_dict(self, monomial):
@@ -141,6 +143,45 @@ class PresentedRing:
                 if self.monomial_degree(mono) != lhs_deg:
                     raise ValueError(
                         f"rule for {self.monomial_str(lhs)} is not degree-homogeneous")
+
+    def _check_confluence(self):
+        """Knuth-Bendix critical-pair test; raises ConfluenceError.
+
+        Overlaps of two rules whose left-hand sides share a generator are
+        reduced from lcm(lhs_i, lhs_j) by each rule.  Overlaps with the
+        torsion relation 2*g = 0 reduce 2*lcm(g, lhs) to 0 one way, so the
+        other way, 2 * (lcm / lhs) * rhs, must reduce to 0 too.  Rules
+        with disjoint left-hand sides always commute.
+        """
+        def shifted(lhs, rhs, m, scale=1):
+            quotient = tuple(a - b for a, b in zip(m, lhs))
+            out = {}
+            for mono, c in rhs:
+                new = tuple(a + b for a, b in zip(quotient, mono))
+                out[new] = out.get(new, 0) + scale * c
+            return self.element(out)
+
+        for i, (lhs_i, rhs_i) in enumerate(self.rules):
+            for lhs_j, rhs_j in self.rules[i + 1:]:
+                if not any(a and b for a, b in zip(lhs_i, lhs_j)):
+                    continue
+                m = tuple(map(max, lhs_i, lhs_j))
+                one, other = shifted(lhs_i, rhs_i, m), shifted(lhs_j, rhs_j, m)
+                if one != other:
+                    raise ConfluenceError(
+                        f"{self.name}: rules for {self.monomial_str(lhs_i)} and "
+                        f"{self.monomial_str(lhs_j)} reduce the overlap "
+                        f"{self.monomial_str(m)} to {one} and to {other}")
+            for k, g in enumerate(self.generators):
+                if g.additive_order != 2:
+                    continue
+                m = tuple(max(e, int(k == idx)) for idx, e in enumerate(lhs_i))
+                left = shifted(lhs_i, rhs_i, m, scale=2)
+                if not left.is_zero():
+                    raise ConfluenceError(
+                        f"{self.name}: 2*{self.monomial_str(m)} is 0 by the torsion "
+                        f"of {g.name}, but the rule for {self.monomial_str(lhs_i)} "
+                        f"reduces it to {left}")
 
     def readable_rules(self):
         """Rules as (lhs monomial dict, [(rhs monomial dict, coeff), ...])."""

@@ -52,7 +52,7 @@ from .exact_abelian import (
 )
 from .expressions import parse_expression
 from .graded_algebra import EQ, PM, Degree, PresentedRing, degree_component
-from .paper_rings import build_ring, golden_path, kk_flip_substitution
+from .paper_rings import build_ring, golden_path, kk_flip_substitution, per_golden_dir
 from .transforms import gysin_degree_data, k_table_of_ring, split_table
 
 
@@ -663,7 +663,7 @@ def search_clutchings() -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@per_golden_dir
 def golden_clutchings() -> dict:
     data = json.loads(golden_path("clutchings.json").read_text())
     out = {}

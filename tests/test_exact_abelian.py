@@ -497,6 +497,27 @@ def test_products_match_triple_loop():
         IntegerMatrix.zeros(2, 3).apply((1, 2))
 
 
+def test_public_construction_rejects_non_int_entries():
+    for bad in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="plain ints"):
+            IntegerMatrix(1, 2, (1, bad))
+        with pytest.raises(ValueError, match="plain ints"):
+            IntegerMatrix.from_rows([[1, bad]])
+        with pytest.raises(ValueError, match="plain ints"):
+            IntegerMatrix.from_columns([[1], [bad]])
+
+
+def test_kernel_basis_is_the_snf_kernel_columns():
+    rng = random.Random(11)
+    for _ in range(40):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = IntegerMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)], cols=cols)
+        s = smith_normal_form(m)
+        expected = [s.v.column(j) for j in range(s.rank(), m.cols)]
+        assert kernel_basis(m) == IntegerMatrix.from_columns(expected, rows=m.cols)
+
+
 def test_matrix_serialization_round_trip():
     m = IntegerMatrix.from_rows([[1, -2], [3, 4]])
     assert IntegerMatrix.from_json(m.to_json()) == m

@@ -7,6 +7,7 @@ from kdual.expressions import ParseError, parse_expression
 from kdual.graded_algebra import (
     EQ,
     PM,
+    ConfluenceError,
     Degree,
     InstabilityError,
     PresentedRing,
@@ -21,6 +22,7 @@ from kdual.graded_algebra import (
 )
 from kdual.paper_rings import (
     RING_NAMES,
+    _define,
     build_ring,
     forget_variant_degree,
     forgetful_images,
@@ -301,3 +303,30 @@ def test_rules_must_be_homogeneous():
     with pytest.raises(ValueError):
         PresentedRing.define("bad2", [("x", 1, EQ, 0), ("y", 2, EQ, 0)],
                              [({"y": 1}, [({"x": 1}, 1)])])
+
+
+# --- confluence --------------------------------------------------------------------
+
+
+def test_confluence_rejects_rule_overlap():
+    # x*y^2 reduces to x^3 by the first rule and to 0 by the second
+    with pytest.raises(ConfluenceError, match=r"overlap x\*y\^2 to x\^3 and to 0"):
+        PresentedRing.define("overlap", [("x", 1, EQ, 0), ("y", 1, EQ, 0)],
+                             [({"y": 2}, [({"x": 2}, 1)]), ({"x": 1, "y": 1}, [])])
+
+
+def test_confluence_rejects_torsion_overlap():
+    # 2*y = 0 forces 2*x^2 = 2*y^2 = 0, but x^2 is a free normal monomial
+    with pytest.raises(ConfluenceError, match=r"2\*y\^2 is 0 by the torsion of y"):
+        PresentedRing.define("torsion", [("x", 1, EQ, 0), ("y", 1, EQ, 2)],
+                             [({"y": 2}, [({"x": 2}, 1)])])
+
+
+def test_shipped_presentations_are_confluent():
+    from kdual.tduality import _BASE_RING, _product_ring
+    for name in RING_NAMES:
+        _define(name)
+    for name in ("h_point", "h_circle", "h_cp_infty"):
+        nonequivariant_ring(name)
+    for base in _BASE_RING.values():
+        assert _product_ring(base).name == f"{base}_x_torus"

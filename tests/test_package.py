@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kdual
+
+SRC = str(Path(kdual.__file__).resolve().parent.parent)
+
+
+def test_import_loads_only_what_the_caller_uses():
+    code = ("import sys, kdual\n"
+            "print(' '.join(m for m in ('kdual.tduality', 'kdual.suites', "
+            "'kdual.transforms', 'kdual.cli', 'hashlib') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
+
+
+def test_every_public_name_resolves():
+    for name in kdual.__all__:
+        assert getattr(kdual, name) is not None
+    namespace = {}
+    exec("from kdual import *", namespace)
+    assert set(kdual.__all__) <= set(namespace)
+    assert namespace["tdual"] is kdual.tduality.tdual
+    assert namespace["run_suite"] is kdual.suites.run_suite
+    with pytest.raises(AttributeError):
+        kdual.no_such_name

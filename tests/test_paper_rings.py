@@ -1,10 +1,14 @@
 import hashlib
+import json
+import shutil
 
 import pytest
 
 from kdual.expressions import parse_expression
 from kdual.graded_algebra import Degree, EQ, apply_ring_hom, degree_component, verify_ring_hom
 from kdual.paper_rings import (
+    GOLDEN_DIR_ENV,
+    CertificationError,
     EVEN_EMBEDDING_2,
     ExteriorKClass,
     ODD_EMBEDDING_2,
@@ -17,6 +21,7 @@ from kdual.paper_rings import (
     dictionary,
     f_oracle,
     f_oracle_unit,
+    golden_path,
     kk_flip_substitution,
     nu_substitution,
     oracle_table,
@@ -90,6 +95,31 @@ def test_flat_torus_relation_holds_automatically():
 def test_all_rings_certify():
     for name in RING_NAMES:
         build_ring(name)
+
+
+def test_golden_dir_switch_reaches_every_cache(tmp_path, monkeypatch):
+    from kdual.tduality import golden_clutchings
+    for name in ("tables.json", "clutchings.json"):
+        shutil.copy(golden_path(name), tmp_path / name)
+    tables = json.loads((tmp_path / "tables.json").read_text())
+    tables["2"]["rows"]["H"]["fixed"][1] = [0, 0]  # H is no longer a unit there
+    (tmp_path / "tables.json").write_text(json.dumps(tables))
+    clutchings = json.loads((tmp_path / "clutchings.json").read_text())
+    clutchings["circle_trivial"][0]["multiplier"] = "t"
+    (tmp_path / "clutchings.json").write_text(json.dumps(clutchings))
+
+    shipped_ring = build_ring("kk_torus2")
+    shipped_h = oracle_table(2)["rows"]["H"]
+    assert golden_clutchings()[(False, 0, 0)] == "1"
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    with pytest.raises(CertificationError):
+        build_ring("kk_torus2")
+    assert oracle_table(2)["rows"]["H"] != shipped_h
+    assert golden_clutchings()[(False, 0, 0)] == "t"
+    monkeypatch.delenv(GOLDEN_DIR_ENV)
+    assert build_ring("kk_torus2") is shipped_ring
+    assert oracle_table(2)["rows"]["H"] == shipped_h
+    assert golden_clutchings()[(False, 0, 0)] == "1"
 
 
 def test_presentations():
