@@ -31,6 +31,10 @@ class ClassificationError(ValueError):
     """Module invariants match no direct sum of R, R/I, R/J, I/2I."""
 
 
+class InvariantError(RuntimeError):
+    """A computed object fails a property its construction guarantees."""
+
+
 # ---------------------------------------------------------------------------
 # integer matrices
 
@@ -111,6 +115,19 @@ class IntegerMatrix:
         return cls(rows, cols, tuple(
             diag[i] if i == j and i < len(diag) else 0
             for i in range(rows) for j in range(cols)))
+
+    @classmethod
+    def block_diagonal(cls, *blocks):
+        """The blocks down the diagonal, in order, and zeros elsewhere."""
+        width = sum(b.cols for b in blocks)
+        entries, left = [], 0
+        for b in blocks:
+            for i in range(b.rows):
+                entries.extend((0,) * left)
+                entries.extend(b.row(i))
+                entries.extend((0,) * (width - left - b.cols))
+            left += b.cols
+        return cls._trusted(sum(b.rows for b in blocks), width, tuple(entries))
 
     # -- access --------------------------------------------------------------
 
@@ -520,15 +537,14 @@ def cokernel(m: IntegerMatrix) -> FGAbelianGroup:
     return FGAbelianGroup(tuple(torsion) + (0,) * free)
 
 
-def _orders_lattice(group: FGAbelianGroup) -> IntegerMatrix:
-    """Relation lattice of the canonical presentation (one column per torsion
-    generator)."""
-    n = len(group.invariant_factors)
-    cols = []
-    for i, f in enumerate(group.invariant_factors):
-        if f:
-            cols.append(tuple(f if i == j else 0 for j in range(n)))
-    return IntegerMatrix.from_columns(cols, rows=n)
+def relation_lattice(orders) -> IntegerMatrix:
+    """Relations of the product of cyclic groups Z/order (0 meaning Z): one
+    column order * e_i per nonzero order, in Z^len(orders)."""
+    orders = tuple(orders)
+    n = len(orders)
+    return IntegerMatrix.from_columns(
+        [tuple(f if i == j else 0 for j in range(n)) for i, f in enumerate(orders) if f],
+        rows=n)
 
 
 # ---------------------------------------------------------------------------
@@ -562,26 +578,21 @@ class GroupHom:
                 if (ft and val % ft) or (not ft and val):
                     raise ValueError("matrix does not respect the relations")
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        if inner.target != self.source:
-            raise DimensionMismatchError("composition shapes do not match")
-        return GroupHom(inner.source, self.target, self.matrix @ inner.matrix)
-
     def kernel_group(self) -> FGAbelianGroup:
-        pre = preimage_lattice(self.matrix, _orders_lattice(self.target))
-        return subquotient_group(pre, _orders_lattice(self.source))
+        pre = preimage_lattice(self.matrix, relation_lattice(self.target.invariant_factors))
+        return subquotient_group(pre, relation_lattice(self.source.invariant_factors))
 
     def cokernel_group(self) -> FGAbelianGroup:
-        return cokernel(_orders_lattice(self.target).hstack(self.matrix))
+        return cokernel(relation_lattice(self.target.invariant_factors).hstack(self.matrix))
 
 
 def exactness_check(f: GroupHom, g: GroupHom) -> bool:
     """True iff image(f) = kernel(g) inside the middle group."""
     if f.target != g.source:
         raise DimensionMismatchError("maps are not composable")
-    mid = _orders_lattice(f.target)
+    mid = relation_lattice(f.target.invariant_factors)
     image = f.matrix.hstack(mid)
-    kernel = preimage_lattice(g.matrix, _orders_lattice(g.target))
+    kernel = preimage_lattice(g.matrix, relation_lattice(g.target.invariant_factors))
     return lattices_equal(image, kernel)
 
 
@@ -626,7 +637,8 @@ class RModule:
 
     @classmethod
     def from_group(cls, group: FGAbelianGroup, action: IntegerMatrix) -> "RModule":
-        return cls(len(group.invariant_factors), _orders_lattice(group), action)
+        orders = group.invariant_factors
+        return cls(len(orders), relation_lattice(orders), action)
 
     def underlying_group(self) -> FGAbelianGroup:
         return cokernel(self.relations)
@@ -640,18 +652,9 @@ class RModule:
         return subquotient_group(pre, self.relations)
 
     def direct_sum(self, other: "RModule") -> "RModule":
-        n, m = self.rank, other.rank
-
-        def block(a, b):
-            rows = []
-            for i in range(n):
-                rows.append(list(a.row(i)) + [0] * b.cols)
-            for i in range(m):
-                rows.append([0] * a.cols + list(b.row(i)))
-            return _rows_matrix(rows, a.cols + b.cols)
-
-        return RModule(n + m, block(self.relations, other.relations),
-                       block(self.action, other.action))
+        return RModule(self.rank + other.rank,
+                       IntegerMatrix.block_diagonal(self.relations, other.relations),
+                       IntegerMatrix.block_diagonal(self.action, other.action))
 
 
 def indecomposable(name: str) -> RModule:
@@ -669,15 +672,13 @@ def indecomposable(name: str) -> RModule:
 
 
 def rmodule_from_multiset(multiset) -> RModule:
+    counts = Counter(multiset)
     mods = []
     for name in INDECOMPOSABLES:
-        mods.extend([indecomposable(name)] * Counter(multiset)[name])
-    if not mods:
-        return RModule(0, IntegerMatrix.zeros(0, 0), IntegerMatrix.zeros(0, 0))
-    out = mods[0]
-    for m in mods[1:]:
-        out = out.direct_sum(m)
-    return out
+        mods.extend([indecomposable(name)] * counts[name])
+    return RModule(sum(m.rank for m in mods),
+                   IntegerMatrix.block_diagonal(*(m.relations for m in mods)),
+                   IntegerMatrix.block_diagonal(*(m.action for m in mods)))
 
 
 def _two_torsion_count(group: FGAbelianGroup):

@@ -1,4 +1,4 @@
-"""Tiny recursive-descent parser for ring expressions.
+"""Tiny recursive-descent evaluator for ring expressions.
 
 Grammar (integers, names, +, -, *, ^ and parentheses):
 
@@ -7,10 +7,11 @@ Grammar (integers, names, +, -, *, ^ and parentheses):
     factor := '-'* atom ('^' INT)?
     atom   := INT | NAME | '(' expr ')'
 
-The parser is generic: it produces values through an adapter that knows
-how to build constants, resolve names, add, negate, multiply and raise to
-a power.  The same grammar therefore serves the presented rings and the
-fixed-point oracle algebra.
+:func:`evaluate` applies +, unary -, * and ** directly to the values, so
+it serves any ring whose elements support them: the presented rings
+(through :func:`parse_expression`) and the fixed-point oracle algebra.
+The caller supplies the unit (an integer literal n evaluates to one * n)
+and a function that resolves a name at its position or raises ParseError.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, adapter):
+    def __init__(self, tokens, atom, one):
         self.tokens = tokens
         self.pos = 0
-        self.adapter = adapter
+        self.atom = atom
+        self.one = one
 
     def peek(self):
         return self.tokens[self.pos]
@@ -86,9 +88,7 @@ class _Parser:
             if kind == "op" and op in ("+", "-"):
                 self.take()
                 rhs = self.parse_term()
-                if op == "-":
-                    rhs = self.adapter.neg(rhs)
-                value = self.adapter.add(value, rhs)
+                value = value + rhs if op == "+" else value - rhs
             else:
                 return value
 
@@ -98,7 +98,7 @@ class _Parser:
             kind, op, _ = self.peek()
             if kind == "op" and op == "*":
                 self.take()
-                value = self.adapter.mul(value, self.parse_factor())
+                value = value * self.parse_factor()
             else:
                 return value
 
@@ -118,17 +118,17 @@ class _Parser:
             kind, exponent, position = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", position)
-            value = self.adapter.power(value, exponent)
+            value = value ** exponent
         if negations % 2:
-            value = self.adapter.neg(value)
+            value = -value
         return value
 
     def parse_atom(self):
         kind, value, position = self.take()
         if kind == "int":
-            return self.adapter.const(value)
+            return self.one * value
         if kind == "name":
-            return self.adapter.atom(value, position)
+            return self.atom(value, position)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -136,8 +136,9 @@ class _Parser:
         raise ParseError("expected a number, name or parenthesis", position)
 
 
-def evaluate(text, adapter):
-    parser = _Parser(_tokenize(text), adapter)
+def evaluate(text, atom, one):
+    """Value of the expression text; atom(name, position) resolves a name."""
+    parser = _Parser(_tokenize(text), atom, one)
     value = parser.parse_expr()
     kind, _, position = parser.peek()
     if kind != "end":
@@ -145,46 +146,22 @@ def evaluate(text, adapter):
     return value
 
 
-class RingAdapter:
-    """Adapter evaluating expressions inside a PresentedRing.
+def parse_expression(ring, text):
+    """Parse text into a normalized element of the ring.
 
-    Extra aliases map additional names to elements; in H-type rings the
-    name `t` is accepted for the square of the degree-one torsion class.
+    In H-type rings the name `t` is accepted for the square of the
+    degree-one torsion class `t12`.
     """
+    names = {g.name for g in ring.generators}
+    t_alias = "t" not in names and "t12" in names
 
-    def __init__(self, ring, aliases=None):
-        self.ring = ring
-        self.aliases = dict(aliases or {})
-
-    def const(self, value):
-        return value * self.ring.one()
-
-    def atom(self, name, position):
-        if name in self.aliases:
-            return self.aliases[name]
+    def atom(name, position):
+        if name == "t" and t_alias:
+            return ring.gen("t12") ** 2
         try:
-            return self.ring.gen(name)
+            return ring.gen(name)
         except KeyError:
-            raise ParseError(f"unknown generator {name!r} in ring {self.ring.name}",
+            raise ParseError(f"unknown generator {name!r} in ring {ring.name}",
                              position) from None
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def power(self, a, k):
-        return a ** k
-
-
-def parse_expression(ring, text):
-    """Parse text into a normalized element of the ring."""
-    aliases = {}
-    names = {g.name for g in ring.generators}
-    if "t" not in names and "t12" in names:
-        aliases["t"] = ring.gen("t12") ** 2
-    return evaluate(text, RingAdapter(ring, aliases))
+    return evaluate(text, atom, ring.one())

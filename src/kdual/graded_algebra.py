@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_abelian import FGAbelianGroup
+from .exact_abelian import FGAbelianGroup, IntegerMatrix
 
 EQ = "eq"
 PM = "pm"
@@ -508,15 +508,14 @@ class Slice:
     def reduce_coords(self, coords):
         return tuple(c % o if o else c for c, o in zip(coords, self.orders))
 
-    def elements(self):
-        """All elements of a finite slice, as ring elements."""
-        from itertools import product as iproduct
-        if any(o == 0 for o in self.orders):
-            raise ValueError("slice is infinite")
-        out = []
-        for coords in iproduct(*(range(o) for o in self.orders)):
-            out.append(self.element(coords))
-        return out
+    def matrix(self, fn, target=None) -> IntegerMatrix:
+        """Matrix of the additive map fn from this slice to target (this
+        slice by default): column j holds the target coordinates of fn
+        applied to the j-th basis monomial."""
+        target = self if target is None else target
+        return IntegerMatrix.from_columns(
+            [target.coords(fn(self.ring.element({m: 1}))) for m in self.monomials],
+            rows=target.dim)
 
 
 def normal_monomials(ring: PresentedRing, bound: int):

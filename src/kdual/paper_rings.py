@@ -61,54 +61,45 @@ class CertificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # ring definitions
 
-RING_NAMES = ("hh_point", "hh_circle_trivial", "hh_circle_flip", "hh_cp_infty",
-              "hh_universal_base", "kk_point", "kk_circle_flip", "kk_torus2",
-              "k0_equiv_circle")
-
 _KK_BASE_RULES = [
     ({"t": 2}, [({}, 1)]),
     ({"t": 1, "sigma": 1}, [({"sigma": 1}, -1)]),
     ({"sigma": 2}, [({}, 1), ({"t": 1}, -1)]),
 ]
 
+# name -> (generators, rewrite rules, period), as PresentedRing.define takes them
+PRESENTATIONS = {
+    "hh_point": ([("t12", 1, PM, 2)], [], None),
+    "hh_circle_trivial": ([("t12", 1, PM, 2), ("e", 1, EQ, 0)],
+                          [({"e": 2}, [])], None),
+    "hh_circle_flip": ([("t12", 1, PM, 2), ("chi", 1, PM, 0)],
+                       [({"chi": 2}, [({"t12": 1, "chi": 1}, 1)])], None),
+    "hh_cp_infty": ([("t12", 1, PM, 2), ("c", 2, PM, 0)], [], None),
+    "hh_universal_base": ([("t12", 1, PM, 2), ("c", 2, PM, 0), ("chat", 2, PM, 0)],
+                          [({"c": 1, "chat": 1}, [])], None),
+    "kk_point": ([("t", 0, EQ, 0), ("sigma", 1, PM, 0)], _KK_BASE_RULES, 2),
+    "kk_circle_flip": (
+        [("t", 0, EQ, 0), ("sigma", 1, PM, 0), ("chi", 1, PM, 0)],
+        _KK_BASE_RULES + [({"chi": 2}, [({"sigma": 1, "chi": 1}, 1)])], 2),
+    "kk_torus2": (
+        [("t", 0, EQ, 0), ("sigma", 1, PM, 0), ("chi1", 1, PM, 0), ("chi2", 1, PM, 0)],
+        _KK_BASE_RULES + [({"chi1": 2}, [({"sigma": 1, "chi1": 1}, 1)]),
+                          ({"chi2": 2}, [({"sigma": 1, "chi2": 1}, 1)])], 2),
+    "k0_equiv_circle": (
+        [("t", 0, EQ, 0), ("ell", 0, EQ, 0)],
+        [({"t": 2}, [({}, 1)]),
+         ({"t": 1, "ell": 1}, [({"ell": 1}, -1)]),
+         ({"ell": 2}, [({"ell": 1}, 2)])], 2),
+}
+
+RING_NAMES = tuple(PRESENTATIONS)
+
 
 def _define(name):
-    if name == "hh_point":
-        return PresentedRing.define(name, [("t12", 1, PM, 2)])
-    if name == "hh_circle_trivial":
-        return PresentedRing.define(
-            name, [("t12", 1, PM, 2), ("e", 1, EQ, 0)],
-            [({"e": 2}, [])])
-    if name == "hh_circle_flip":
-        return PresentedRing.define(
-            name, [("t12", 1, PM, 2), ("chi", 1, PM, 0)],
-            [({"chi": 2}, [({"t12": 1, "chi": 1}, 1)])])
-    if name == "hh_cp_infty":
-        return PresentedRing.define(name, [("t12", 1, PM, 2), ("c", 2, PM, 0)])
-    if name == "hh_universal_base":
-        return PresentedRing.define(
-            name, [("t12", 1, PM, 2), ("c", 2, PM, 0), ("chat", 2, PM, 0)],
-            [({"c": 1, "chat": 1}, [])])
-    if name == "kk_point":
-        return PresentedRing.define(
-            name, [("t", 0, EQ, 0), ("sigma", 1, PM, 0)], _KK_BASE_RULES, period=2)
-    if name == "kk_circle_flip":
-        return PresentedRing.define(
-            name, [("t", 0, EQ, 0), ("sigma", 1, PM, 0), ("chi", 1, PM, 0)],
-            _KK_BASE_RULES + [({"chi": 2}, [({"sigma": 1, "chi": 1}, 1)])], period=2)
-    if name == "kk_torus2":
-        return PresentedRing.define(
-            name,
-            [("t", 0, EQ, 0), ("sigma", 1, PM, 0), ("chi1", 1, PM, 0), ("chi2", 1, PM, 0)],
-            _KK_BASE_RULES + [({"chi1": 2}, [({"sigma": 1, "chi1": 1}, 1)]),
-                              ({"chi2": 2}, [({"sigma": 1, "chi2": 1}, 1)])], period=2)
-    if name == "k0_equiv_circle":
-        return PresentedRing.define(
-            name, [("t", 0, EQ, 0), ("ell", 0, EQ, 0)],
-            [({"t": 2}, [({}, 1)]),
-             ({"t": 1, "ell": 1}, [({"ell": 1}, -1)]),
-             ({"ell": 2}, [({"ell": 1}, 2)])], period=2)
-    raise ValueError(f"unknown ring name {name!r}")
+    if name not in PRESENTATIONS:
+        raise ValueError(f"unknown ring name {name!r}")
+    generators, rules, period = PRESENTATIONS[name]
+    return PresentedRing.define(name, generators, rules, period)
 
 
 # auxiliary non-equivariant rings (targets of the forgetful maps)
@@ -337,10 +328,10 @@ def per_golden_dir(fn):
     certified against one set of golden files is never handed out while
     another set is in force.  A lookup reads the variable, but resolves
     no path; `cache_info` and `cache_clear` act on the one cache."""
-    cached = lru_cache(maxsize=None)(lambda golden, *args: fn(*args))
+    cached = lru_cache(maxsize=None)(lambda golden, *args, **kwargs: fn(*args, **kwargs))
 
-    def lookup(*args):
-        return cached(os.environ.get(GOLDEN_DIR_ENV), *args)
+    def lookup(*args, **kwargs):
+        return cached(os.environ.get(GOLDEN_DIR_ENV), *args, **kwargs)
 
     update_wrapper(lookup, fn)
     lookup.cache_info = cached.cache_info
@@ -400,33 +391,6 @@ def f_oracle_unit(n) -> FOracleImage:
     return FOracleImage(n, ExteriorKClass.unit(n), tuple(R_ONE for _ in range(2 ** n)))
 
 
-class _OracleAdapter:
-    def __init__(self, n):
-        self.n = n
-        self.rows = oracle_table(n)["rows"]
-
-    def const(self, value):
-        return f_oracle_unit(self.n) * value
-
-    def atom(self, name, position):
-        if name not in self.rows:
-            raise expressions.ParseError(
-                f"unknown generator {name!r} on the {self.n}-torus", position)
-        return self.rows[name]
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def power(self, a, k):
-        return a ** k
-
-
 def f_oracle(n, element) -> FOracleImage:
     """Oracle value of an element written in the table generators.
 
@@ -437,7 +401,27 @@ def f_oracle(n, element) -> FOracleImage:
         if element.n != n:
             raise ValueError("oracle image of a different torus")
         return element
-    return expressions.evaluate(element, _OracleAdapter(n))
+    rows = oracle_table(n)["rows"]
+
+    def atom(name, position):
+        if name not in rows:
+            raise expressions.ParseError(f"unknown generator {name!r} on the {n}-torus",
+                                         position)
+        return rows[name]
+
+    return expressions.evaluate(element, atom, f_oracle_unit(n))
+
+
+def embed_in_oracle(n, embedding, element) -> FOracleImage:
+    """Oracle image on the n-torus of a ring element, through an embedding
+    that maps the label of each basis monomial to an oracle expression."""
+    out = f_oracle_unit(n) * 0
+    for exps, coeff in element.terms:
+        label = element.ring.monomial_str(exps)
+        if label not in embedding:
+            raise ValueError(f"{label} is not in the embedded basis")
+        out = out + coeff * f_oracle(n, embedding[label])
+    return out
 
 
 def verify_relation_via_oracle(n, lhs, rhs) -> bool:
@@ -501,41 +485,32 @@ class Dictionary:
     def as_dict(self):
         return dict(self.entries)
 
-    def oracle_image(self, label) -> FOracleImage:
-        return f_oracle(self.torus_dim, self.as_dict()[label])
-
     def push(self, element) -> FOracleImage:
         """Oracle image of a degree-(0, eq) ring element."""
-        ring = element.ring
-        if ring.name != self.ring_name:
-            raise ValueError(f"dictionary is for {self.ring_name}, not {ring.name}")
-        table = self.as_dict()
-        out = f_oracle_unit(self.torus_dim) * 0
-        for exps, coeff in element.terms:
-            label = ring.monomial_str(exps)
-            if label not in table:
-                raise ValueError(f"{label} is not in the degree-zero basis")
-            out = out + coeff * self.oracle_image(label)
-        return out
+        if element.ring.name != self.ring_name:
+            raise ValueError(f"dictionary is for {self.ring_name}, not {element.ring.name}")
+        return embed_in_oracle(self.torus_dim, self.as_dict(), element)
+
+
+DICTIONARIES = {
+    "circle": Dictionary("kk_circle_flip", 1, (
+        ("1", "C0"), ("t", "C1"), ("sigma*chi", "C0 - L"))),
+    "torus2": Dictionary("kk_torus2", 2, (
+        ("1", "C0"), ("t", "C1"),
+        ("chi1*chi2", "C0 - H"), ("t*chi1*chi2", "C1*(C0 - H)"),
+        ("sigma*chi1", "C0 - L1"), ("sigma*chi2", "C0 - L2"))),
+    "equiv_circle": Dictionary("k0_equiv_circle", 1, (
+        ("1", "C0"), ("t", "C1"), ("ell", "C0 - L"))),
+}
 
 
 def dictionary(name) -> Dictionary:
-    if name == "circle":
-        return Dictionary("kk_circle_flip", 1, (
-            ("1", "C0"), ("t", "C1"), ("sigma*chi", "C0 - L")))
-    if name == "torus2":
-        return Dictionary("kk_torus2", 2, (
-            ("1", "C0"), ("t", "C1"),
-            ("chi1*chi2", "C0 - H"), ("t*chi1*chi2", "C1*(C0 - H)"),
-            ("sigma*chi1", "C0 - L1"), ("sigma*chi2", "C0 - L2")))
-    if name == "equiv_circle":
-        return Dictionary("k0_equiv_circle", 1, (
-            ("1", "C0"), ("t", "C1"), ("ell", "C0 - L")))
-    raise ValueError(f"no dictionary named {name!r}")
+    if name not in DICTIONARIES:
+        raise ValueError(f"no dictionary named {name!r}")
+    return DICTIONARIES[name]
 
 
-_DICTIONARY_FOR_RING = {"kk_circle_flip": "circle", "kk_torus2": "torus2",
-                        "k0_equiv_circle": "equiv_circle"}
+_DICTIONARY_FOR_RING = {d.ring_name: name for name, d in DICTIONARIES.items()}
 
 # Suspension embedding of the odd part of the flip-circle ring into the
 # 3-torus oracle: j_k maps along the (1, k) coordinates, and the class
@@ -546,8 +521,9 @@ SUSPENSION_EMBEDDINGS = {
 }
 SUSPENSION_THOM = "C0 - H23"
 
-# Embedding of the odd part into the 2-torus oracle (suspension on the
-# second coordinate), used for the module-structure certification.
+# Embeddings of the odd part into the 2-torus oracle (suspension on the
+# second coordinate), used for the module-structure certification, and of
+# the even part, which serves the 3-torus as well.
 ODD_EMBEDDING_2 = {"chi": "C0 - H", "t*chi": "C1*(C0 - H)", "sigma": "C0 - L2"}
 EVEN_EMBEDDING_2 = {"1": "C0", "t": "C1", "sigma*chi": "C0 - L1"}
 
@@ -593,21 +569,14 @@ def _certify_against_oracle(ring):
 def _certify_circle_odd_products(ring):
     """Products involving the odd classes of the flip circle, certified on
     the 2- and 3-torus tables through the suspension embeddings."""
-    def embed(embedding, n, element):
-        out = f_oracle_unit(n) * 0
-        for exps, coeff in element.terms:
-            out = out + coeff * f_oracle(n, embedding[ring.monomial_str(exps)])
-        return out
-
     odd = [expressions.parse_expression(ring, label)
            for label in ("chi", "t*chi", "sigma")]
-    even_embed_3 = {"1": "C0", "t": "C1", "sigma*chi": "C0 - L1"}
     thom = f_oracle(3, SUSPENSION_THOM)
     for u in odd:
         for v in odd:
-            lhs = (embed(SUSPENSION_EMBEDDINGS["j12"], 3, u)
-                   * embed(SUSPENSION_EMBEDDINGS["j13"], 3, v))
-            rhs = embed(even_embed_3, 3, u * v) * thom
+            lhs = (embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j12"], u)
+                   * embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j13"], v))
+            rhs = embed_in_oracle(3, EVEN_EMBEDDING_2, u * v) * thom
             if lhs != rhs:
                 raise CertificationError(
                     f"{ring.name}: odd product {u} * {v} fails the 3-torus check")
@@ -615,8 +584,9 @@ def _certify_circle_odd_products(ring):
             for label in ("1", "t", "sigma*chi")]
     for u in even:
         for v in odd:
-            lhs = embed(EVEN_EMBEDDING_2, 2, u) * embed(ODD_EMBEDDING_2, 2, v)
-            rhs = embed(ODD_EMBEDDING_2, 2, u * v)
+            lhs = (embed_in_oracle(2, EVEN_EMBEDDING_2, u)
+                   * embed_in_oracle(2, ODD_EMBEDDING_2, v))
+            rhs = embed_in_oracle(2, ODD_EMBEDDING_2, u * v)
             if lhs != rhs:
                 raise CertificationError(
                     f"{ring.name}: mixed product {u} * {v} fails the 2-torus check")
@@ -700,17 +670,10 @@ def verify_kk_flip_via_oracle() -> bool:
     from .graded_algebra import apply_ring_hom
     images = kk_flip_substitution()
     j12 = SUSPENSION_EMBEDDINGS["j12"]
-
-    def embed(element):
-        out = f_oracle_unit(3) * 0
-        for exps, coeff in element.terms:
-            label = ring.monomial_str(exps)
-            out = out + coeff * f_oracle(3, j12[label])
-        return out
-
     for label in ("chi", "t*chi", "sigma"):
         original = expressions.parse_expression(ring, label)
         flipped = apply_ring_hom(ring, ring, images, original)
-        if embed(flipped) != _swap_first_coordinate(embed(original)):
+        if (embed_in_oracle(3, j12, flipped)
+                != _swap_first_coordinate(embed_in_oracle(3, j12, original))):
             return False
     return True

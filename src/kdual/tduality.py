@@ -38,11 +38,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exact_abelian import (
     FGAbelianGroup,
     IntegerMatrix,
+    InvariantError,
     QuotientPresentation,
     RModule,
     column_span_basis,
@@ -66,10 +66,6 @@ class AmbiguityError(RuntimeError):
 
 class NoCandidateError(RuntimeError):
     """No clutching candidate reproduces the recorded tables."""
-
-
-class InvariantError(RuntimeError):
-    """A computed object fails a property its construction guarantees."""
 
 
 BASE_NAMES = ("point", "circle_trivial")
@@ -103,7 +99,7 @@ class BaseSpace:
         return hash(("BaseSpace", self.name))
 
 
-@lru_cache(maxsize=None)
+@per_golden_dir
 def get_base(name) -> BaseSpace:
     return BaseSpace(name)
 
@@ -235,7 +231,7 @@ class H3Element:
     k: tuple  # canonical kernel coordinates
 
 
-@lru_cache(maxsize=None)
+@per_golden_dir
 def _total_space(bundle: RealCircleBundle) -> TotalSpaceH3:
     return TotalSpaceH3(bundle)
 
@@ -316,7 +312,7 @@ class TDualResult:
         return dict(self.certificate)
 
 
-@lru_cache(maxsize=None)
+@per_golden_dir
 def _product_ring(base_ring_name) -> PresentedRing:
     """Base ring extended by the classes of two trivial flip-circle factors."""
     base = build_ring(base_ring_name)
@@ -514,7 +510,7 @@ def dual_pair_report(base_name) -> dict:
 MULTIPLIER_NAMES = ("1", "t", "L", "t*L")
 
 
-@lru_cache(maxsize=None)
+@per_golden_dir
 def _kk_slices():
     ring = build_ring("kk_circle_flip")
     return (ring, degree_component(ring, Degree(0, EQ)), degree_component(ring, Degree(1, PM)))
@@ -531,14 +527,6 @@ def _multiplier_element(name):
     return table[name]
 
 
-def _slice_operator(slice_, fn) -> IntegerMatrix:
-    cols = []
-    for j in range(slice_.dim):
-        basis_elem = slice_.element(tuple(1 if i == j else 0 for i in range(slice_.dim)))
-        cols.append(slice_.coords(fn(basis_elem)))
-    return IntegerMatrix.from_columns(cols, rows=slice_.dim)
-
-
 def _clutching_matrices(flip: bool, multiplier: str):
     """Action of the overlap comparison on the even and odd slices."""
     from .graded_algebra import apply_ring_hom
@@ -551,18 +539,9 @@ def _clutching_matrices(flip: bool, multiplier: str):
             element = apply_ring_hom(ring, ring, images, element)
         return mult * element
 
-    return (_slice_operator(even, comparison), _slice_operator(odd, comparison),
-            _slice_operator(even, lambda e: ring.gen("t") * e),
-            _slice_operator(odd, lambda e: ring.gen("t") * e))
-
-
-def _block(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    rows = []
-    for i in range(a.rows):
-        rows.append(list(a.row(i)) + [0] * b.cols)
-    for i in range(b.rows):
-        rows.append([0] * a.cols + list(b.row(i)))
-    return IntegerMatrix.from_rows(rows, cols=a.cols + b.cols)
+    return (even.matrix(comparison), odd.matrix(comparison),
+            even.matrix(lambda e: ring.gen("t") * e),
+            odd.matrix(lambda e: ring.gen("t") * e))
 
 
 def _difference_map(g: IntegerMatrix) -> IntegerMatrix:
@@ -593,15 +572,15 @@ def _cokernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
     return rmodule_classify(module)
 
 
-@lru_cache(maxsize=None)
+@per_golden_dir
 def mv_k_groups(flip: bool, multiplier: str):
     """The four twisted K-groups of the circle bundle with the given
     clutching, as module multisets keyed by (degree, side)."""
     g_even, g_odd, t_even, t_odd = _clutching_matrices(flip, multiplier)
     delta_even = _difference_map(g_even)
     delta_odd = _difference_map(g_odd)
-    act_even = _block(t_even, t_even)
-    act_odd = _block(t_odd, t_odd)
+    act_even = IntegerMatrix.block_diagonal(t_even, t_even)
+    act_odd = IntegerMatrix.block_diagonal(t_odd, t_odd)
     return {
         (0, EQ): _kernel_module(delta_even, act_even),
         (1, EQ): _cokernel_module(delta_even, act_even),

@@ -23,9 +23,11 @@ from .exact_abelian import (
     FGAbelianGroup,
     GroupHom,
     IntegerMatrix,
+    InvariantError,
     QuotientPresentation,
     RModule,
     preimage_lattice,
+    relation_lattice,
     rmodule_classify,
     subquotient_group,
 )
@@ -76,7 +78,7 @@ def pushforward_torus2(axis: int, element: RingElement) -> RingElement:
         if exps[fiber_idx] == 0:
             continue
         if exps[fiber_idx] != 1:
-            raise AssertionError("normalized monomial has a square of a circle class")
+            raise InvariantError("normalized monomial has a square of a circle class")
         mono = {g.name: e for g, e in zip(torus.generators, exps) if e}
         mono.pop(fiber)
         renamed = {}
@@ -184,25 +186,18 @@ class GradedGroupTable:
         }
 
 
-def _slice_rmodule(ring, slice_: Slice) -> RModule:
-    """Module structure of a ring slice under multiplication by t."""
-    t_elem = ring.gen("t")
-    columns = [slice_.coords(t_elem * slice_.element(
-        tuple(1 if i == j else 0 for i in range(slice_.dim))))
-        for j in range(slice_.dim)]
-    action = IntegerMatrix.from_columns(columns, rows=slice_.dim)
-    return RModule.from_group(slice_.group, action)
-
-
 def k_table_of_ring(name: str) -> GradedGroupTable:
     """Module-refined table of a K-type built-in ring, from its slices."""
     ring = build_ring(name)
+    t = ring.gen("t")
     entries = {}
     for level in (0, 1):
         for variant in (EQ, PM):
             slice_ = degree_component(ring, Degree(level, variant))
             if slice_.dim:
-                modules = rmodule_classify(_slice_rmodule(ring, slice_))
+                module = RModule(slice_.dim, relation_lattice(slice_.orders),
+                                 slice_.matrix(lambda e: t * e))
+                modules = rmodule_classify(module)
                 entries[(level, variant)] = TableEntry.from_counter(modules)
             else:
                 entries[(level, variant)] = TableEntry(FGAbelianGroup(), ())
@@ -313,10 +308,7 @@ class GysinDegreeData:
         return self.pushout.group()
 
     def kernel_group(self) -> FGAbelianGroup:
-        return subquotient_group(self.kernel_vectors, self._kernel_lattice())
-
-    def _kernel_lattice(self):
-        return self.kernel_relations
+        return subquotient_group(self.kernel_vectors, self.kernel_relations)
 
     def total_group(self) -> FGAbelianGroup:
         return self.cokernel_group().direct_sum(self.kernel_group())
@@ -331,22 +323,6 @@ class GysinDegreeData:
         return bool(ker.torsion_orders)
 
 
-def _euler_matrix(ring, euler, src: Slice, dst: Slice) -> IntegerMatrix:
-    columns = []
-    for j in range(src.dim):
-        image = euler * src.element(tuple(1 if i == j else 0 for i in range(src.dim)))
-        columns.append(dst.coords(image))
-    return IntegerMatrix.from_columns(columns, rows=dst.dim)
-
-
-def _orders_matrix(slice_: Slice) -> IntegerMatrix:
-    cols = []
-    for i, order in enumerate(slice_.orders):
-        if order:
-            cols.append(tuple(order if i == j else 0 for j in range(slice_.dim)))
-    return IntegerMatrix.from_columns(cols, rows=slice_.dim)
-
-
 def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str,
                       bound=None) -> GysinDegreeData:
     flipped = PM if variant == EQ else EQ
@@ -355,17 +331,17 @@ def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str,
     two_below = degree_component(base_ring, Degree(level - 2, flipped), bound)
     above = degree_component(base_ring, Degree(level + 1, variant), bound)
 
-    into = _euler_matrix(base_ring, euler, two_below, here)
-    out = _euler_matrix(base_ring, euler, below, above)
+    into = two_below.matrix(lambda e: euler * e, here)
+    out = below.matrix(lambda e: euler * e, above)
 
-    pushout = QuotientPresentation(here.dim, _orders_matrix(here).hstack(into))
-    kernel_vectors = preimage_lattice(out, _orders_matrix(above))
+    pushout = QuotientPresentation(here.dim, relation_lattice(here.orders).hstack(into))
+    kernel_vectors = preimage_lattice(out, relation_lattice(above.orders))
     return GysinDegreeData(
         base_slice=here,
         pushout=pushout,
         kernel_slice=below,
         kernel_vectors=kernel_vectors,
-        kernel_relations=_orders_matrix(below),
+        kernel_relations=relation_lattice(below.orders),
         split_certified=euler.is_zero(),
     )
 
@@ -408,9 +384,6 @@ class ModuleMap:
     level_shift: int
     variant_flip: bool
     images: tuple  # ((basis label, image element), ...)
-
-    def image_table(self):
-        return dict(self.images)
 
     def apply(self, element: RingElement) -> RingElement:
         table = dict(self.images)

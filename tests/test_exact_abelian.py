@@ -1,7 +1,7 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -23,6 +23,7 @@ from kdual.exact_abelian import (
     kernel_basis,
     lattice_contains,
     preimage_lattice,
+    relation_lattice,
     rmodule_classify,
     rmodule_from_multiset,
     smith_diagonal,
@@ -425,6 +426,18 @@ def test_classify_direct_sum_is_multiset_union():
         assert rmodule_classify(total) == +(left + right)
 
 
+def test_multiset_module_is_the_sum_of_its_summands():
+    for mults in product(range(3), repeat=len(INDECOMPOSABLES)):
+        multiset = Counter(dict(zip(INDECOMPOSABLES, mults)))
+        module = rmodule_from_multiset(multiset)
+        chained = RModule(0, IntegerMatrix.zeros(0, 0), IntegerMatrix.zeros(0, 0))
+        for name in INDECOMPOSABLES:
+            for _ in range(multiset[name]):
+                chained = chained.direct_sum(indecomposable(name))
+        assert module == chained, multiset
+        assert rmodule_classify(module) == +multiset, multiset
+
+
 def test_classify_invariant_under_base_change():
     rng = random.Random(17)
     for _ in range(40):
@@ -523,3 +536,26 @@ def test_matrix_serialization_round_trip():
     assert IntegerMatrix.from_json(m.to_json()) == m
     g = FGAbelianGroup((2, 4, 0))
     assert FGAbelianGroup.from_json(g.to_json()) == g
+
+
+def test_block_diagonal():
+    assert IntegerMatrix.block_diagonal() == IntegerMatrix.zeros(0, 0)
+    a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    b = IntegerMatrix.from_rows([[5], [6], [7]])
+    assert IntegerMatrix.block_diagonal(a, b) == IntegerMatrix.from_rows(
+        [[1, 2, 0], [3, 4, 0], [0, 0, 5], [0, 0, 6], [0, 0, 7]])
+    # a 0xk block adds k zero columns, a kx0 block k zero rows
+    blocks = (IntegerMatrix.zeros(0, 2), a, IntegerMatrix.zeros(2, 0), IntegerMatrix.zeros(0, 1))
+    assert IntegerMatrix.block_diagonal(*blocks) == IntegerMatrix.from_rows(
+        [[0, 0, 1, 2, 0], [0, 0, 3, 4, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]])
+    assert IntegerMatrix.block_diagonal(IntegerMatrix.zeros(0, 3)) == IntegerMatrix.zeros(0, 3)
+    assert IntegerMatrix.block_diagonal(IntegerMatrix.zeros(3, 0)) == IntegerMatrix.zeros(3, 0)
+
+
+def test_relation_lattice():
+    assert relation_lattice(()) == IntegerMatrix.zeros(0, 0)
+    assert relation_lattice((0, 0)) == IntegerMatrix.zeros(2, 0)
+    assert relation_lattice((2, 0, 3, 0)) == IntegerMatrix.from_columns(
+        [(2, 0, 0, 0), (0, 0, 3, 0)], rows=4)
+    orders = (0, 4, 0, 2)
+    assert cokernel(relation_lattice(orders)) == FGAbelianGroup.from_orders(orders)

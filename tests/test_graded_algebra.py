@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kdual.exact_abelian import FGAbelianGroup
+from kdual.exact_abelian import FGAbelianGroup, IntegerMatrix
 from kdual.expressions import ParseError, parse_expression
 from kdual.graded_algebra import (
     EQ,
@@ -21,6 +21,7 @@ from kdual.graded_algebra import (
     verify_ring_hom,
 )
 from kdual.paper_rings import (
+    PRESENTATIONS,
     RING_NAMES,
     _define,
     build_ring,
@@ -215,6 +216,34 @@ def test_kk_point_slices():
     assert odd.group == FGAbelianGroup((0,))
 
 
+def test_slice_matrix_between_two_slices():
+    hh = build_ring("hh_circle_trivial")
+    source = degree_component(hh, Degree(1, PM))
+    target = degree_component(hh, Degree(3, EQ))
+    assert (source.labels, target.labels) == (("t12",), ("t12^2*e",))
+    cup = parse_expression(hh, "t12*e")
+    assert source.matrix(lambda x: cup * x, target) == IntegerMatrix.from_rows([[1]])
+
+    base = build_ring("hh_universal_base")
+    source = degree_component(base, Degree(2, PM))
+    target = degree_component(base, Degree(4, EQ))
+    assert (source.labels, target.labels) == (("c", "chat"), ("c^2", "chat^2", "t12^4"))
+    cup = parse_expression(base, "c - chat")
+    assert source.matrix(lambda x: cup * x, target) == IntegerMatrix.from_rows(
+        [[1, 0], [0, -1], [0, 0]])
+    with pytest.raises(ValueError, match="outside the slice"):
+        source.matrix(lambda x: cup * x)
+
+
+def test_slice_matrix_defaults_to_an_operator_on_the_slice():
+    kk = build_ring("kk_circle_flip")
+    even = degree_component(kk, Degree(0, EQ))
+    assert even.labels == ("1", "t", "sigma*chi")
+    t = kk.gen("t")
+    assert even.matrix(lambda x: t * x) == IntegerMatrix.from_rows(
+        [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+
+
 # --- ring homomorphisms -------------------------------------------------------------
 
 
@@ -282,6 +311,9 @@ def test_parse_error_position():
     assert err.value.position == 8
     with pytest.raises(ParseError):
         parse_expression(kk, "nope")
+    with pytest.raises(ParseError, match="unknown generator 'nope'") as err:
+        parse_expression(kk, "1 + nope")
+    assert err.value.position == 4
 
 
 def test_element_serialization_round_trip():
@@ -330,3 +362,18 @@ def test_shipped_presentations_are_confluent():
         nonequivariant_ring(name)
     for base in _BASE_RING.values():
         assert _product_ring(base).name == f"{base}_x_torus"
+
+
+def test_presentations_are_data():
+    # the order is the order of the `--ring` choices on the command line
+    assert RING_NAMES == tuple(PRESENTATIONS) == (
+        "hh_point", "hh_circle_trivial", "hh_circle_flip", "hh_cp_infty",
+        "hh_universal_base", "kk_point", "kk_circle_flip", "kk_torus2",
+        "k0_equiv_circle")
+    for name, (generators, rules, period) in PRESENTATIONS.items():
+        ring = _define(name)
+        assert (ring.name, ring.period) == (name, period)
+        assert sorted(ring.generator_data()) == sorted(generators)
+        assert len(ring.rules) == len(rules)
+    with pytest.raises(ValueError, match="unknown ring name"):
+        _define("hh_nowhere")

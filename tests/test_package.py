@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +31,13 @@ def test_every_public_name_resolves():
     assert namespace["run_suite"] is kdual.suites.run_suite
     with pytest.raises(AttributeError):
         kdual.no_such_name
+
+
+def test_library_checks_survive_python_O():
+    # `python -O` strips assert statements, so invariants raise named errors
+    package = Path(kdual.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), \
+                f"{path.name}:{node.lineno}"

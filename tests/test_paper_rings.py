@@ -17,6 +17,7 @@ from kdual.paper_rings import (
     SUSPENSION_EMBEDDINGS,
     SUSPENSION_THOM,
     TABLES_SHA256,
+    _DICTIONARY_FOR_RING,
     build_ring,
     dictionary,
     f_oracle,
@@ -186,6 +187,18 @@ def test_dictionary_values():
     assert d2.as_dict()["sigma*chi1"] == "C0 - L1"
 
 
+def test_dictionaries_are_data():
+    assert _DICTIONARY_FOR_RING == {"kk_circle_flip": "circle", "kk_torus2": "torus2",
+                                    "k0_equiv_circle": "equiv_circle"}
+    with pytest.raises(ValueError, match="no dictionary named"):
+        dictionary("sphere")
+    circle = dictionary("circle")
+    with pytest.raises(ValueError, match="chi is not in the embedded basis"):
+        circle.push(build_ring("kk_circle_flip").gen("chi"))
+    with pytest.raises(ValueError, match="dictionary is for kk_circle_flip"):
+        circle.push(build_ring("kk_point").one())
+
+
 def _embed_odd(ring, embedding, n, element):
     out = f_oracle_unit(n) * 0
     for exps, coeff in element.terms:
@@ -294,6 +307,9 @@ def test_oracle_unknown_generator():
     from kdual.expressions import ParseError
     with pytest.raises(ParseError):
         f_oracle(1, "H12")
+    with pytest.raises(ParseError, match="unknown generator 'H12' on the 1-torus") as err:
+        f_oracle(1, "C0 + H12")
+    assert err.value.position == 5
 
 
 def test_oracle_tables_shape():

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -7,6 +8,7 @@ from collections import Counter
 from kdual.exact_abelian import IntegerMatrix
 from kdual.graded_algebra import EQ, PM
 from kdual import tduality
+from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual.tduality import (
     PRINTED_MV_TABLES,
     InvariantError,
@@ -288,6 +290,33 @@ def test_derived_tables_match_printed_at_group_level():
         derived = mv_k_groups(key[0], golden[key])
         for slot in printed:
             assert _group_of(printed[slot]) == _group_of(derived[slot]), (key, slot)
+
+
+def test_golden_dir_switch_reaches_the_tduality_caches(tmp_path, monkeypatch):
+    for name in ("tables.json", "clutchings.json"):
+        shutil.copy(golden_path(name), tmp_path / name)
+    tables = json.loads((tmp_path / "tables.json").read_text())
+    tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]  # L is no longer a unit there
+    (tmp_path / "tables.json").write_text(json.dumps(tables))
+
+    shipped = mv_k_groups(False, "L")
+    shipped_base = get_base("circle_trivial")
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    with pytest.raises(CertificationError):
+        build_ring("kk_circle_flip")
+    with pytest.raises(CertificationError):
+        mv_k_groups(False, "L")
+    with pytest.raises(CertificationError):
+        tduality._kk_slices()
+    # rings that the oracle does not certify are rebuilt too, and every
+    # cache hands out the ring build_ring now returns
+    assert get_base("circle_trivial").ring is build_ring("hh_circle_trivial")
+    bundle = enumerate_bundles(get_base("circle_trivial"))[0]
+    assert _total_space(bundle).base_slice.ring is build_ring("hh_circle_trivial")
+    monkeypatch.delenv(GOLDEN_DIR_ENV)
+    assert mv_k_groups(False, "L") is shipped
+    assert mv_k_groups(flip=False, multiplier="L") == shipped
+    assert get_base("circle_trivial") is shipped_base
 
 
 def test_module_count_statuses():

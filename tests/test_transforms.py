@@ -1,7 +1,8 @@
 import pytest
 
+from kdual.exact_abelian import InvariantError
 from kdual.expressions import parse_expression
-from kdual.graded_algebra import Degree, EQ, PM, normal_monomials
+from kdual.graded_algebra import Degree, EQ, PM, RingElement, normal_monomials
 from kdual.paper_rings import build_ring
 from kdual.transforms import (
     delta_map,
@@ -32,6 +33,14 @@ def test_pushforward_kills_pullbacks():
 def test_pushforward_fiber_class_is_one():
     torus = build_ring("kk_torus2")
     assert pushforward_torus2(2, torus.gen("chi1")) == build_ring("kk_circle_flip").one()
+
+
+def test_pushforward_rejects_a_square_of_the_fiber_class():
+    torus = build_ring("kk_torus2")
+    exps = tuple(2 if g.name == "chi1" else 0 for g in torus.generators)
+    raw = RingElement(torus, ((exps, 1),))  # not normalized: chi1^2 -> sigma*chi1
+    with pytest.raises(InvariantError, match="square of a circle class"):
+        pushforward_torus2(2, raw)
 
 
 def test_pushforward_of_volume_class():
