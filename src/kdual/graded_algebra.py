@@ -200,11 +200,15 @@ class PresentedRing:
     def __repr__(self):
         return f"<PresentedRing {self.name}>"
 
+    def _structure(self):
+        return (self.name, self.generators, self.rules, self.period)
+
     def __eq__(self, other):
-        return isinstance(other, PresentedRing) and other.name == self.name
+        return self is other or (isinstance(other, PresentedRing)
+                                 and other._structure() == self._structure())
 
     def __hash__(self):
-        return hash(("PresentedRing", self.name))
+        return hash(("PresentedRing", self.name))  # equal rings share a name
 
     # -- degrees and monomials ------------------------------------------------
 
@@ -518,39 +522,50 @@ class Slice:
             rows=target.dim)
 
 
-def normal_monomials(ring: PresentedRing, bound: int):
-    """All irreducible monomials of total exponent at most bound."""
-    from itertools import product as iproduct
-    n = len(ring.generators)
-    out = []
-    for exps in iproduct(range(bound + 1), repeat=n):
-        if sum(exps) <= bound and ring.monomial_is_normal(exps):
-            out.append(exps)
-    return sorted(out, key=ring.monomial_key)
+def normal_monomials(ring: PresentedRing, bound: int, degree: Degree | None = None):
+    """All irreducible monomials of total exponent at most bound (of the
+    given degree, if one is given), in monomial order.
 
-
-def _enumerate_normal_monomials(ring: PresentedRing, degree: Degree, bound: int):
-    target = ring.reduce_degree(degree)
+    Exponents are chosen one generator at a time.  A branch is cut as
+    soon as its exponent prefix is divisible by a rule's left-hand side:
+    divisibility is monotone, so every extension of that prefix, and
+    every larger exponent at the current position, is reducible too.
+    """
+    if bound < 0:
+        return []
     n = len(ring.generators)
+    # rules checked at position i: those whose last generator is the i-th
+    ending = [[] for _ in range(n)]
+    for lhs, _ in ring.rules:
+        if not any(lhs):
+            return []  # the rule rewrites 1, so every monomial is reducible
+        last = max(i for i, e in enumerate(lhs) if e)
+        ending[last].append(lhs[:last + 1])
+    levels = [g.degree.level for g in ring.generators]
+    flipping = [g.degree.variant == PM for g in ring.generators]
+    target = None if degree is None else ring.reduce_degree(degree)
     found = []
+    exps = [0] * n
 
-    def rec(idx, exps, total, level):
+    def rec(idx, total, level, flips):
         if idx == n:
-            mono = tuple(exps)
-            if (ring.monomial_degree(mono) == target and ring.monomial_is_normal(mono)):
-                found.append(mono)
+            if target is None or ring.reduce_degree(
+                    Degree(level, PM if flips % 2 else EQ)) == target:
+                found.append(tuple(exps))
             return
-        gen_level = ring.generators[idx].degree.level
         e = 0
         while total + e <= bound:
-            if ring.period is None and level + e * gen_level > degree.level:
+            new_level = level + e * levels[idx]
+            if target is not None and ring.period is None and new_level > target.level:
                 break  # levels only grow; prune
-            exps.append(e)
-            rec(idx + 1, exps, total + e, level + e * gen_level)
-            exps.pop()
+            exps[idx] = e
+            if any(all(a <= b for a, b in zip(lhs, exps)) for lhs in ending[idx]):
+                break  # this prefix and all its extensions are reducible
+            rec(idx + 1, total + e, new_level, flips + e * flipping[idx])
             e += 1
+        exps[idx] = 0
 
-    rec(0, [], 0, 0)
+    rec(0, 0, 0, 0)
     return sorted(found, key=ring.monomial_key)
 
 
@@ -564,16 +579,17 @@ def degree_component(ring: PresentedRing, degree: Degree, exponent_bound=None) -
     """Monomial basis of the homogeneous slice in the given degree.
 
     The bound must be stable: enumerating with bound + 1 must give the
-    same slice, otherwise InstabilityError is raised.
+    same slice, otherwise InstabilityError is raised.  One enumeration at
+    bound + 1 decides both: the slice is its monomials of total exponent
+    at most bound, and it is stable exactly when none has bound + 1.
     """
     bound = default_bound(ring, degree) if exponent_bound is None else exponent_bound
-    here = _enumerate_normal_monomials(ring, degree, bound)
-    more = _enumerate_normal_monomials(ring, degree, bound + 1)
-    if here != more:
+    monomials = normal_monomials(ring, bound + 1, degree)
+    if monomials and sum(monomials[-1]) > bound:
         raise InstabilityError(
             f"slice of {ring.name} at {degree} still grows past exponent bound {bound}")
-    return Slice(ring, ring.reduce_degree(degree), tuple(here),
-                 tuple(ring.monomial_additive_order(m) for m in here))
+    return Slice(ring, ring.reduce_degree(degree), tuple(monomials),
+                 tuple(ring.monomial_additive_order(m) for m in monomials))
 
 
 def apply_ring_hom(source: PresentedRing, target: PresentedRing, images: dict,

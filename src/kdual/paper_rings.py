@@ -412,15 +412,30 @@ def f_oracle(n, element) -> FOracleImage:
     return expressions.evaluate(element, atom, f_oracle_unit(n))
 
 
+@per_golden_dir
+def _embedding_images(n, items) -> dict:
+    """label -> oracle image on the n-torus, for one shipped embedding
+    given as its (label, expression) items."""
+    return {label: f_oracle(n, text) for label, text in items}
+
+
 def embed_in_oracle(n, embedding, element) -> FOracleImage:
     """Oracle image on the n-torus of a ring element, through an embedding
-    that maps the label of each basis monomial to an oracle expression."""
+    that maps the label of each basis monomial to an oracle expression.
+
+    The images of a shipped embedding's labels are evaluated once per set
+    of golden tables; any other embedding is evaluated on every call."""
+    items = tuple(embedding.items())
+    if items in _SHIPPED_EMBEDDINGS:
+        image = _embedding_images(n, items).__getitem__
+    else:
+        image = lambda label: f_oracle(n, embedding[label])
     out = f_oracle_unit(n) * 0
     for exps, coeff in element.terms:
         label = element.ring.monomial_str(exps)
         if label not in embedding:
             raise ValueError(f"{label} is not in the embedded basis")
-        out = out + coeff * f_oracle(n, embedding[label])
+        out = out + coeff * image(label)
     return out
 
 
@@ -527,6 +542,13 @@ SUSPENSION_THOM = "C0 - H23"
 ODD_EMBEDDING_2 = {"chi": "C0 - H", "t*chi": "C1*(C0 - H)", "sigma": "C0 - L2"}
 EVEN_EMBEDDING_2 = {"1": "C0", "t": "C1", "sigma*chi": "C0 - L1"}
 
+# The embeddings whose label images embed_in_oracle caches, so that the
+# shipped tables bound the size of that cache.
+_SHIPPED_EMBEDDINGS = frozenset(
+    [d.entries for d in DICTIONARIES.values()]
+    + [tuple(e.items()) for e in (*SUSPENSION_EMBEDDINGS.values(),
+                                  ODD_EMBEDDING_2, EVEN_EMBEDDING_2)])
+
 
 # ---------------------------------------------------------------------------
 # certification
@@ -552,16 +574,12 @@ def _certify_against_oracle(ring):
     if labels != set(d.as_dict()):
         raise CertificationError(
             f"{ring.name}: degree-zero basis {sorted(labels)} does not match the dictionary")
-    for m1 in basis.monomials:
-        for m2 in basis.monomials:
-            u = ring.element({m1: 1})
-            v = ring.element({m2: 1})
-            lhs = d.push(u * v)
-            rhs = d.push(u) * d.push(v)
-            if lhs != rhs:
-                raise CertificationError(
-                    f"{ring.name}: oracle mismatch on "
-                    f"{ring.monomial_str(m1)} * {ring.monomial_str(m2)}")
+    elements = [ring.element({m: 1}) for m in basis.monomials]
+    pushed = [d.push(u) for u in elements]
+    for u, pu in zip(elements, pushed):
+        for v, pv in zip(elements, pushed):
+            if d.push(u * v) != pu * pv:
+                raise CertificationError(f"{ring.name}: oracle mismatch on {u} * {v}")
     if ring.name == "kk_circle_flip":
         _certify_circle_odd_products(ring)
 
@@ -572,22 +590,20 @@ def _certify_circle_odd_products(ring):
     odd = [expressions.parse_expression(ring, label)
            for label in ("chi", "t*chi", "sigma")]
     thom = f_oracle(3, SUSPENSION_THOM)
-    for u in odd:
-        for v in odd:
-            lhs = (embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j12"], u)
-                   * embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j13"], v))
-            rhs = embed_in_oracle(3, EVEN_EMBEDDING_2, u * v) * thom
-            if lhs != rhs:
+    j12 = [embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j12"], u) for u in odd]
+    j13 = [embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j13"], v) for v in odd]
+    for u, ju in zip(odd, j12):
+        for v, jv in zip(odd, j13):
+            if ju * jv != embed_in_oracle(3, EVEN_EMBEDDING_2, u * v) * thom:
                 raise CertificationError(
                     f"{ring.name}: odd product {u} * {v} fails the 3-torus check")
     even = [expressions.parse_expression(ring, label)
             for label in ("1", "t", "sigma*chi")]
+    odd_2 = [embed_in_oracle(2, ODD_EMBEDDING_2, v) for v in odd]
     for u in even:
-        for v in odd:
-            lhs = (embed_in_oracle(2, EVEN_EMBEDDING_2, u)
-                   * embed_in_oracle(2, ODD_EMBEDDING_2, v))
-            rhs = embed_in_oracle(2, ODD_EMBEDDING_2, u * v)
-            if lhs != rhs:
+        eu = embed_in_oracle(2, EVEN_EMBEDDING_2, u)
+        for v, ov in zip(odd, odd_2):
+            if eu * ov != embed_in_oracle(2, ODD_EMBEDDING_2, u * v):
                 raise CertificationError(
                     f"{ring.name}: mixed product {u} * {v} fails the 2-torus check")
 

@@ -223,12 +223,10 @@ def suite_oracle() -> Report:
         d = dictionary(name)
         ring = build_ring(d.ring_name)
         basis = degree_component(ring, Degree(0, EQ))
-        ok = True
-        for m1 in basis.monomials:
-            for m2 in basis.monomials:
-                u, v = ring.element({m1: 1}), ring.element({m2: 1})
-                if d.push(u * v) != d.push(u) * d.push(v):
-                    ok = False
+        elements = [ring.element({m: 1}) for m in basis.monomials]
+        pushed = [d.push(u) for u in elements]
+        ok = all(d.push(u * v) == pu * pv
+                 for u, pu in zip(elements, pushed) for v, pv in zip(elements, pushed))
         _check(checks, f"dictionary-{name}", "geometric dictionary is multiplicative",
                True, ok)
     _check(checks, "flip-substitution", "deck flip against the 3-torus table",

@@ -17,7 +17,7 @@ assumed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exact_abelian import (
     FGAbelianGroup,
@@ -32,7 +32,7 @@ from .exact_abelian import (
     subquotient_group,
 )
 from .graded_algebra import EQ, PM, Degree, RingElement, Slice, degree_component
-from .paper_rings import build_ring
+from .paper_rings import build_ring, per_golden_dir
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +103,66 @@ def suspension_section(element: RingElement) -> RingElement:
 T_BASIS_LABELS = ("1", "t", "sigma*chi", "chi", "t*chi", "sigma")
 
 
+def _geometric_transform(element: RingElement) -> RingElement:
+    """a -> (pi_2)_* ((1 + t*chi1*chi2) * pi_1^* a), through the 2-torus."""
+    torus = build_ring("kk_torus2")
+    kernel = torus.one() + torus.gen("t") * torus.gen("chi1") * torus.gen("chi2")
+    return pushforward_torus2(2, kernel * pullback_circle_to_torus(1, element))
+
+
+@dataclass(frozen=True)
+class _TransformMatrix:
+    """The transform on the free module spanned by the six normal
+    monomials of the flip circle (its (0, eq) and (1, pm) slices): column
+    j holds the coordinates of the image of basis[j]."""
+
+    ring: object
+    basis: tuple   # exponent tuples in monomial order
+    index: dict    # exponent tuple -> position in basis
+    matrix: IntegerMatrix
+
+    def coords(self, element: RingElement) -> tuple:
+        if element.ring != self.ring:
+            raise ValueError("element must live in the flip-circle ring")
+        vec = [0] * len(self.basis)
+        for exps, coeff in element.terms:
+            if exps not in self.index:
+                raise InvariantError(
+                    f"{self.ring.monomial_str(exps)} is outside the transform's basis")
+            vec[self.index[exps]] = coeff
+        return tuple(vec)
+
+    def element(self, coords) -> RingElement:
+        # the basis monomials are normal and free, so these terms are
+        # already a normal form
+        return RingElement(self.ring, tuple(
+            (m, c) for m, c in zip(self.basis, coords) if c))
+
+
+@per_golden_dir
+def _transform_matrix() -> _TransformMatrix:
+    """The transform's matrix, derived from the geometric definition."""
+    ring = build_ring("kk_circle_flip")
+    basis = tuple(sorted(
+        (m for d in (Degree(0, EQ), Degree(1, PM)) for m in degree_component(ring, d).monomials),
+        key=ring.monomial_key))
+    if any(ring.monomial_additive_order(m) for m in basis):
+        raise InvariantError("the transform's basis has a torsion monomial")
+    transform = _TransformMatrix(ring, basis, {m: i for i, m in enumerate(basis)}, None)
+    columns = [transform.coords(_geometric_transform(ring.element({m: 1}))) for m in basis]
+    return replace(transform, matrix=IntegerMatrix.from_columns(columns, rows=len(basis)))
+
+
 def t_transform(element: RingElement) -> RingElement:
     """a -> (pi_2)_* ((1 + t*chi1*chi2) * pi_1^* a) on the flip circle.
 
     Additive and linear over Z[t]/(t^2 - 1); exchanges the two variant
-    summands with a level shift of -1.
+    summands with a level shift of -1.  Applied as a 6x6 integer matrix
+    on the normal monomials of degrees (0, eq) and (1, pm), derived from
+    the geometric composite once per set of golden tables.
     """
-    torus = build_ring("kk_torus2")
-    kernel = torus.one() + torus.gen("t") * torus.gen("chi1") * torus.gen("chi2")
-    return pushforward_torus2(2, kernel * pullback_circle_to_torus(1, element))
+    transform = _transform_matrix()
+    return transform.element(transform.matrix.apply(transform.coords(element)))
 
 
 def t_basis():
@@ -121,16 +172,18 @@ def t_basis():
 
 
 def t_power_table(k: int) -> dict:
-    """Iterated transform on the six-element module basis of the flip circle."""
+    """Iterated transform on the six-element module basis of the flip
+    circle, read off T^k computed by repeated squaring."""
     if not 1 <= k <= 16:
         raise ValueError("power must be between 1 and 16")
-    table = {}
-    for label, elem in t_basis().items():
-        value = elem
-        for _ in range(k):
-            value = t_transform(value)
-        table[label] = value
-    return table
+    transform = _transform_matrix()
+    power, square = IntegerMatrix.identity(len(transform.basis)), transform.matrix
+    while k:
+        if k & 1:
+            power = power.mul(square)
+        square, k = square.mul(square), k >> 1
+    return {label: transform.element(power.apply(transform.coords(elem)))
+            for label, elem in t_basis().items()}
 
 
 # ---------------------------------------------------------------------------

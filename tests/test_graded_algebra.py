@@ -13,6 +13,7 @@ from kdual.graded_algebra import (
     PresentedRing,
     UnknownGeneratorError,
     apply_ring_hom,
+    default_bound,
     degree_component,
     element_from_json,
     mul,
@@ -181,6 +182,45 @@ def test_degree_component_instability():
     stable = degree_component(hh, Degree(8, EQ), exponent_bound=8)
     assert set(stable.labels) == {"c^4", "t12^4*c^2", "t12^8"}
     assert stable.group == FGAbelianGroup((2, 2, 0))
+
+
+def _brute_force_monomials(ring, bound):
+    """Every irreducible exponent tuple of total at most bound, by
+    filtering all tuples, in monomial order."""
+    from itertools import product
+    return sorted((exps for exps in product(range(bound + 1), repeat=len(ring.generators))
+                   if sum(exps) <= bound and ring.monomial_is_normal(exps)),
+                  key=ring.monomial_key)
+
+
+def test_normal_monomials_match_brute_force():
+    for name in RING_NAMES:
+        ring = build_ring(name)
+        for bound in range(5):
+            assert normal_monomials(ring, bound) == _brute_force_monomials(ring, bound), \
+                (name, bound)
+
+
+def test_degree_component_matches_brute_force():
+    for name in RING_NAMES:
+        ring = build_ring(name)
+        for level in range(2 if ring.period else 8):
+            for variant in (EQ, PM):
+                degree = Degree(level, variant)
+                for bound in (None, 3):
+                    b = default_bound(ring, degree) if bound is None else bound
+                    target = ring.reduce_degree(degree)
+                    found = [m for m in _brute_force_monomials(ring, b + 1)
+                             if ring.monomial_degree(m) == target]
+                    if any(sum(m) > b for m in found):
+                        with pytest.raises(InstabilityError):
+                            degree_component(ring, degree, bound)
+                    else:
+                        slice_ = degree_component(ring, degree, bound)
+                        assert slice_.monomials == tuple(found), (name, degree, bound)
+                        assert slice_.degree == target
+                        assert slice_.orders == tuple(
+                            ring.monomial_additive_order(m) for m in found)
 
 
 def test_periodic_slices_agree_modulo_period():
@@ -377,3 +417,22 @@ def test_presentations_are_data():
         assert len(ring.rules) == len(rules)
     with pytest.raises(ValueError, match="unknown ring name"):
         _define("hh_nowhere")
+
+
+# --- ring identity --------------------------------------------------------------------
+
+
+def test_rings_compare_by_structure():
+    generators = [("t", 0, EQ, 0), ("sigma", 1, PM, 0)]
+    one = PresentedRing.define("x", generators, [({"t": 2}, [({}, 1)])], 2)
+    other = PresentedRing.define("x", generators, [({"t": 2}, [])], 2)
+    same = PresentedRing.define("x", generators, [({"t": 2}, [({}, 1)])], 2)
+    assert one != other and not one == other
+    assert one == same and hash(one) == hash(same)
+    assert one.gen("t") * one.gen("sigma") == same.gen("t") * same.gen("sigma")
+    with pytest.raises(ValueError, match="different rings"):
+        one.gen("t") + other.gen("t")
+    with pytest.raises(ValueError, match="different rings"):
+        one.gen("t") * other.gen("t")
+    assert one != PresentedRing.define("y", generators, [({"t": 2}, [({}, 1)])], 2)
+    assert one != PresentedRing.define("x", generators, [({"t": 2}, [({}, 1)])], None)

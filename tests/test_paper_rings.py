@@ -111,16 +111,32 @@ def test_golden_dir_switch_reaches_every_cache(tmp_path, monkeypatch):
 
     shipped_ring = build_ring("kk_torus2")
     shipped_h = oracle_table(2)["rows"]["H"]
+    volume = shipped_ring.gen("chi1") * shipped_ring.gen("chi2")
+    shipped_push = dictionary("torus2").push(volume)
     assert golden_clutchings()[(False, 0, 0)] == "1"
     monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
     with pytest.raises(CertificationError):
         build_ring("kk_torus2")
     assert oracle_table(2)["rows"]["H"] != shipped_h
+    assert dictionary("torus2").push(volume) == f_oracle(2, "C0 - H") != shipped_push
     assert golden_clutchings()[(False, 0, 0)] == "t"
     monkeypatch.delenv(GOLDEN_DIR_ENV)
     assert build_ring("kk_torus2") is shipped_ring
     assert oracle_table(2)["rows"]["H"] == shipped_h
+    assert dictionary("torus2").push(volume) == shipped_push
     assert golden_clutchings()[(False, 0, 0)] == "1"
+
+
+def test_golden_dirs_with_the_same_tables_build_equal_rings(tmp_path, monkeypatch):
+    for name in ("tables.json", "clutchings.json"):
+        shutil.copy(golden_path(name), tmp_path / name)
+    shipped = {name: build_ring(name) for name in RING_NAMES}
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    for name, ring in shipped.items():
+        copy = build_ring(name)
+        assert copy is not ring
+        assert copy == ring and hash(copy) == hash(ring)
+        assert copy.one() + ring.one() == 2 * ring.one()
 
 
 def test_presentations():
@@ -176,6 +192,20 @@ def test_dictionaries_are_multiplicative():
             for m2 in basis.monomials:
                 u, v = ring.element({m1: 1}), ring.element({m2: 1})
                 assert d.push(u * v) == d.push(u) * d.push(v)
+
+
+def test_embedding_caches_only_the_shipped_tables():
+    from kdual.paper_rings import _embedding_images, embed_in_oracle
+    ring = build_ring("kk_circle_flip")
+    chi = ring.gen("chi")
+    _embedding_images.cache_clear()
+    shipped = embed_in_oracle(2, ODD_EMBEDDING_2, 3 * chi)
+    assert shipped == 3 * f_oracle(2, "C0 - H")
+    assert _embedding_images.cache_info().currsize == 1
+    assert embed_in_oracle(2, {"chi": "C0 - L1"}, 3 * chi) == 3 * f_oracle(2, "C0 - L1")
+    assert _embedding_images.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="not in the embedded basis"):
+        embed_in_oracle(2, ODD_EMBEDDING_2, ring.one())
 
 
 def test_dictionary_values():

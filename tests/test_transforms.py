@@ -1,9 +1,13 @@
+import json
+import random
+import shutil
+
 import pytest
 
 from kdual.exact_abelian import InvariantError
 from kdual.expressions import parse_expression
-from kdual.graded_algebra import Degree, EQ, PM, RingElement, normal_monomials
-from kdual.paper_rings import build_ring
+from kdual.graded_algebra import Degree, EQ, PM, RingElement, degree_component, normal_monomials
+from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual.transforms import (
     delta_map,
     group_cohomology_z2,
@@ -55,7 +59,6 @@ def test_pushforward_of_volume_class():
 def test_pushforward_projection_formula():
     torus = build_ring("kk_torus2")
     circle = build_ring("kk_circle_flip")
-    import random
     rng = random.Random(31)
     for _ in range(60):
         exps_b = tuple(rng.randint(0, 1) for _ in range(3))
@@ -115,6 +118,71 @@ def test_transform_additive():
     basis = t_basis()
     a, b = basis["chi"], basis["sigma"]
     assert t_transform(a + b) == t_transform(a) + t_transform(b)
+
+
+def _composite(element):
+    """The transform by its geometric definition, through the 2-torus."""
+    torus = build_ring("kk_torus2")
+    kernel = 1 + torus.gen("t") * torus.gen("chi1") * torus.gen("chi2")
+    return pushforward_torus2(2, kernel * pullback_circle_to_torus(1, element))
+
+
+def _six_monomials():
+    ring = build_ring("kk_circle_flip")
+    return [m for d in (Degree(0, EQ), Degree(1, PM))
+            for m in degree_component(ring, d).monomials]
+
+
+def test_matrix_transform_equals_geometric_composite():
+    ring = build_ring("kk_circle_flip")
+    basis = _six_monomials()
+    assert len(basis) == 6
+    for m in basis:
+        b = ring.element({m: 1})
+        assert t_transform(b) == _composite(b), b
+    rng = random.Random(55)
+    for _ in range(200):
+        element = ring.element({m: rng.randint(-5, 5) for m in basis})
+        assert t_transform(element) == _composite(element), element
+
+
+def test_power_table_equals_iterated_transform():
+    basis = t_basis()
+    for k in range(1, 17):
+        table = t_power_table(k)
+        assert list(table) == list(basis)
+        for label, element in basis.items():
+            value = element
+            for _ in range(k):
+                value = t_transform(value)
+            assert table[label] == value, (k, label)
+
+
+def test_transform_rejects_terms_outside_its_basis():
+    ring = build_ring("kk_circle_flip")
+    exps = tuple(2 if g.name == "chi" else 0 for g in ring.generators)
+    raw = RingElement(ring, ((exps, 1),))  # not normalized: chi^2 -> sigma*chi
+    with pytest.raises(InvariantError, match="outside the transform's basis"):
+        t_transform(raw)
+    with pytest.raises(ValueError, match="flip-circle ring"):
+        t_transform(build_ring("kk_torus2").gen("chi1"))
+
+
+def test_golden_dir_switch_reaches_the_transform(tmp_path, monkeypatch):
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
+    tables = json.loads((tmp_path / "tables.json").read_text())
+    tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]  # L is no longer a unit there
+    (tmp_path / "tables.json").write_text(json.dumps(tables))
+
+    chi = build_ring("kk_circle_flip").gen("chi")
+    shipped = t_transform(chi)
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    with pytest.raises(CertificationError):
+        t_transform(chi)
+    with pytest.raises(CertificationError):
+        t_power_table(2)
+    monkeypatch.delenv(GOLDEN_DIR_ENV)
+    assert t_transform(chi) == shipped
 
 
 def test_power_table_bounds():
