@@ -169,10 +169,6 @@ class IntegerMatrix:
             raise DimensionMismatchError("vector length does not match columns")
         return tuple(sum(map(operator.mul, self.row(i), vector)) for i in range(self.rows))
 
-    def transpose(self):
-        return IntegerMatrix._trusted(self.cols, self.rows, tuple(
-            self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
@@ -679,6 +675,15 @@ def rmodule_from_multiset(multiset) -> RModule:
     return RModule(sum(m.rank for m in mods),
                    IntegerMatrix.block_diagonal(*(m.relations for m in mods)),
                    IntegerMatrix.block_diagonal(*(m.action for m in mods)))
+
+
+def multiset_group(multiset) -> FGAbelianGroup:
+    """The underlying group of the sum of indecomposables in a multiset,
+    (Z/2)^#(I/2I) x Z^(2*#R + #R/I + #R/J), read off without building
+    the module."""
+    counts = +Counter(multiset)
+    return FGAbelianGroup((2,) * counts[I2I_NAME]
+                          + (0,) * (2 * counts[R_NAME] + counts[RI_NAME] + counts[RJ_NAME]))
 
 
 def _two_torsion_count(group: FGAbelianGroup):

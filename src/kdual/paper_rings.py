@@ -197,12 +197,6 @@ class ExteriorKClass:
     def is_zero(self):
         return not self.terms
 
-    def even_part(self):
-        return ExteriorKClass(self.n, tuple((k, v) for k, v in self.terms if len(k) % 2 == 0))
-
-    def odd_part(self):
-        return ExteriorKClass(self.n, tuple((k, v) for k, v in self.terms if len(k) % 2 == 1))
-
     def coefficients(self):
         return dict(self.terms)
 

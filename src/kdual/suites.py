@@ -41,8 +41,6 @@ from .paper_rings import (
 from . import transforms
 from . import tduality
 
-SUITE_NAMES = ("tables", "oracle", "transform", "tdual", "all")
-
 
 @dataclass(frozen=True)
 class Check:
@@ -343,7 +341,8 @@ def suite_transform() -> Report:
 
 def suite_tdual() -> Report:
     checks = []
-    report = tduality.dual_pair_report("circle_trivial")
+    circle = tduality.DualityTable("circle_trivial")
+    report = circle.report()
     expected_lines = [
         ("(E0, 0)", "(E0, 0)"),
         ("(E0, h(t12*e))", "(E1[t12*e], 0)"),
@@ -354,12 +353,12 @@ def suite_tdual() -> Report:
     actual_lines = [(line["pair"], line["dual"]) for line in report["relations"]]
     _check(checks, "dual-relations", "five duality relations over the circle",
            json.dumps(expected_lines), json.dumps(actual_lines))
-    classes = tduality.enumerate_pair_classes("circle_trivial")
+    classes = circle.classes
     _check(checks, "class-count", "isomorphism classes over the circle",
            5, len(classes))
     _check(checks, "involution", "duality is an involution on classes",
            True, all(classes[c.dual_index].dual_index == c.index for c in classes))
-    point_classes = tduality.enumerate_pair_classes("point")
+    point_classes = tduality.DualityTable("point").classes
     _check(checks, "point-classes", "single self-dual class over the point",
            "1 0", f"{len(point_classes)} {point_classes[0].dual_index}")
     # the two gauge-equivalent representatives
@@ -368,7 +367,7 @@ def suite_tdual() -> Report:
     _check(checks, "gauge-orbit", "gauge orbit of the fiber class has two members",
            2, len(orbit))
     _check(checks, "shift-equivariance", "duality commutes with pulled-back shifts",
-           True, tduality.verify_shift_equivariance("circle_trivial"))
+           True, circle.shift_equivariant())
     # twisted K-groups: compare the difference-map output with the recorded tables
     for cls in classes:
         table = tduality.twisted_k_mv(cls.representative.bundle, cls.representative.h)
@@ -393,22 +392,18 @@ def suite_tdual() -> Report:
     _check(checks, "theorem-T-point", "module duality over the point",
            True, tduality.verify_theorem_T("point"))
     _check(checks, "theorem-T-circle", "module duality over the circle",
-           True, tduality.verify_theorem_T("circle_trivial"))
+           True, circle.theorem_T())
     return Report("tdual", tuple(checks))
 
 
+SUITES = {"tables": suite_tables, "oracle": suite_oracle,
+          "transform": suite_transform, "tdual": suite_tdual}
+SUITE_NAMES = (*SUITES, "all")
+
+
 def run_suite(name) -> Report:
-    if name == "tables":
-        return suite_tables()
-    if name == "oracle":
-        return suite_oracle()
-    if name == "transform":
-        return suite_transform()
-    if name == "tdual":
-        return suite_tdual()
     if name == "all":
-        checks = []
-        for sub in ("tables", "oracle", "transform", "tdual"):
-            checks.extend(run_suite(sub).checks)
-        return Report("all", tuple(checks))
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        return Report("all", tuple(c for sub in SUITES for c in run_suite(sub).checks))
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return SUITES[name]()

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_abelian import (
     FGAbelianGroup,
@@ -49,6 +50,7 @@ from .exact_abelian import (
     rmodule_classify,
     solve,
     kernel_basis,
+    multiset_group,
 )
 from .expressions import parse_expression
 from .graded_algebra import EQ, PM, Degree, PresentedRing, degree_component
@@ -134,10 +136,7 @@ class RealCircleBundle:
 
 
 def enumerate_bundles(base: BaseSpace):
-    out = []
-    for coords in _slice_coordinates(base.h2pm):
-        out.append(RealCircleBundle(base.name, coords))
-    return out
+    return [RealCircleBundle(base.name, coords) for coords in _slice_coordinates(base.h2pm)]
 
 
 def _slice_coordinates(slice_):
@@ -178,11 +177,8 @@ class TotalSpaceH3:
         return H3Element(self.bundle, self.pushout.zero(), self.kernels.zero())
 
     def elements(self):
-        out = []
-        for q in self.pushout.elements():
-            for k in self.kernels.elements():
-                out.append(H3Element(self.bundle, q, k))
-        return out
+        return [H3Element(self.bundle, q, k)
+                for q in self.pushout.elements() for k in self.kernels.elements()]
 
     def pullback_from_base(self, base_element) -> "H3Element":
         coords = self.base_slice.coords(base_element)
@@ -279,12 +275,9 @@ def gauge_orbit(pair: Pair) -> frozenset:
     total = pair.total()
     base = pair.bundle.base
     down = total.pushforward(pair.h)
-    orbit = set()
-    for coords in _slice_coordinates(base.h1pm):
-        a = base.h1pm.element(coords)
-        shift = total.pullback_from_base(_in_slice(base.h3eq, down * a))
-        orbit.add(total.add(pair.h, shift))
-    return frozenset(orbit)
+    shifts = (_in_slice(base.h3eq, down * base.h1pm.element(coords))
+              for coords in _slice_coordinates(base.h1pm))
+    return frozenset(total.add(pair.h, total.pullback_from_base(s)) for s in shifts)
 
 
 def _in_slice(slice_, element):
@@ -331,15 +324,14 @@ def _correspondence_pullback(pair: Pair, which: int):
     if not total.split_certified:
         raise ValueError("correspondence model only applies to trivial bundles")
     ring = _product_ring(pair.bundle.base.ring.name)
+
+    def lift(element):
+        return ring.from_named_terms(
+            ({g.name: e for g, e in zip(element.ring.generators, exps) if e}, c)
+            for exps, c in element.terms)
+
     pulled = total.base_slice.element(total.pushout.lift(pair.h.q))
-    image = ring.from_named_terms(
-        ({g.name: e for g, e in zip(pulled.ring.generators, exps) if e}, c)
-        for exps, c in pulled.terms)
-    down = total.pushforward(pair.h)
-    fiber_class = ring.from_named_terms(
-        ({g.name: e for g, e in zip(down.ring.generators, exps) if e}, c)
-        for exps, c in down.terms) * ring.gen(f"chi{which}")
-    return image + fiber_class
+    return lift(pulled) + lift(total.pushforward(pair.h)) * ring.gen(f"chi{which}")
 
 
 def tdual(pair: Pair) -> TDualResult:
@@ -361,11 +353,8 @@ def tdual(pair: Pair) -> TDualResult:
         raise NoSolutionError(
             "no class on the dual bundle pushes forward to the Chern class")
 
-    candidates = set()
-    for q in dual_total.pushout.elements():
-        candidates.add(H3Element(dual_bundle, q, seed.k))
     orbits = set()
-    remaining = set(candidates)
+    remaining = {H3Element(dual_bundle, q, seed.k) for q in dual_total.pushout.elements()}
     while remaining:
         orbit = gauge_orbit(Pair(dual_bundle, remaining.pop()))
         orbits.add(orbit)
@@ -422,85 +411,112 @@ class PairClass:
     dual_label: str
 
 
+class DualityTable:
+    """Every raw pair over a base, with its gauge orbit and its dual, each
+    computed once, for the report, the classes, shift equivariance and
+    theorem T to share.  A table is built afresh for each caller and calls
+    `tdual` through this module, so it always reflects the function in
+    force."""
+
+    def __init__(self, base_name):
+        self.base = get_base(base_name)
+        self.pairs = []   # bundles in order, classes sorted by (q, k)
+        self._orbits = {}
+        for bundle in enumerate_bundles(self.base):
+            for h in sorted(_total_space(bundle).elements(), key=lambda e: (e.q, e.k)):
+                pair = Pair(bundle, h)
+                self.pairs.append(pair)
+                if pair not in self._orbits:
+                    orbit = gauge_orbit(pair)
+                    self._orbits.update((Pair(bundle, member), orbit) for member in orbit)
+        self._duals = {pair: tdual(pair).dual for pair in self.pairs}
+
+    def orbit(self, pair: Pair) -> frozenset:
+        return self._orbits[pair]
+
+    def canonical(self, pair: Pair) -> Pair:
+        return Pair(pair.bundle, orbit_representative(self._orbits[pair]))
+
+    def dual(self, pair: Pair) -> Pair:
+        return self._duals[pair]
+
+    @cached_property
+    def classes(self) -> list:
+        """See `enumerate_pair_classes`; classes come in the order of their
+        smallest members."""
+        reps = [pair for pair in self.pairs if self.canonical(pair) == pair]
+        index = {rep: i for i, rep in enumerate(reps)}
+        out = [PairClass(i, rep, len(self.orbit(rep)), index[self.canonical(self.dual(rep))],
+                         rep.label(), self.dual(rep).label())
+               for i, rep in enumerate(reps)]
+        for cls in out:
+            if out[cls.dual_index].dual_index != cls.index:
+                raise InvariantError("duality is not an involution on classes")
+        return out
+
+    def report(self) -> dict:
+        """See `dual_pair_report`."""
+        lines = []
+        listed = set()
+        for pair in self.pairs:
+            canon = self.canonical(pair)
+            dual = self.dual(pair)
+            back = self.canonical(dual)
+            # skip lines that only restate an earlier line backwards
+            if (back, canon) in listed:
+                continue
+            listed.add((canon, back))
+            lines.append({"pair": pair.label(), "dual": dual.label(),
+                          "isomorphic_to": canon.label()})
+        return {"base": self.base.name, "relations": lines}
+
+    def shift_equivariant(self) -> bool:
+        """See `verify_shift_equivariance`."""
+        h3eq = self.base.h3eq
+        for cls in self.classes:
+            pair = cls.representative
+            dual = self.dual(pair)
+            total, dual_total = pair.total(), dual.total()
+            for coords in _slice_coordinates(h3eq):
+                eta = h3eq.element(coords)
+                shifted = Pair(pair.bundle, total.add(pair.h, total.pullback_from_base(eta)))
+                expected = Pair(dual.bundle,
+                                dual_total.add(dual.h, dual_total.pullback_from_base(eta)))
+                if self.canonical(self.dual(shifted)) != self.canonical(expected):
+                    return False
+        return True
+
+    def theorem_T(self) -> bool:
+        """See `verify_theorem_T`; over the circle only."""
+        for cls in self.classes:
+            pair = cls.representative
+            dual = self.dual(pair)
+            table = twisted_k_mv(pair.bundle, pair.h)
+            dual_table = twisted_k_mv(dual.bundle, dual.h)
+            for n in (0, 1):
+                for side, other in ((EQ, PM), (PM, EQ)):
+                    if table.modules(n, side) != dual_table.modules(n - 1, other):
+                        return False
+        return True
+
+
 def enumerate_pair_classes(base_name) -> list:
     """All isomorphism classes of pairs over the base, each with the index
     of its dual class; the induced map on classes is checked to be an
     involution."""
-    base = get_base(base_name)
-    classes = []
-    seen = {}
-    for bundle in enumerate_bundles(base):
-        total = _total_space(bundle)
-        remaining = set(total.elements())
-        while remaining:
-            h = min(remaining, key=lambda e: (e.q, e.k))
-            orbit = gauge_orbit(Pair(bundle, h))
-            remaining -= set(orbit)
-            rep = Pair(bundle, orbit_representative(orbit))
-            seen[(bundle, rep.h)] = len(classes)
-            classes.append((rep, len(orbit)))
-
-    def class_index(pair: Pair) -> int:
-        rep = canonical_pair(pair)
-        return seen[(rep.bundle, rep.h)]
-
-    out = []
-    for idx, (rep, size) in enumerate(classes):
-        result = tdual(rep)
-        out.append(PairClass(idx, rep, size, class_index(result.dual),
-                             rep.label(), result.dual.label()))
-    for cls in out:
-        if out[cls.dual_index].dual_index != cls.index:
-            raise InvariantError("duality is not an involution on classes")
-    return out
+    return DualityTable(base_name).classes
 
 
 def verify_shift_equivariance(base_name) -> bool:
     """Dualizing after adding a pulled-back base class adds the same class
     on the dual side, for every class and every degree-(3, eq) base class."""
-    base = get_base(base_name)
-    for cls in enumerate_pair_classes(base_name):
-        pair = cls.representative
-        total = pair.total()
-        dual = tdual(pair).dual
-        dual_total = dual.total()
-        for coords in _slice_coordinates(base.h3eq):
-            eta = base.h3eq.element(coords)
-            shifted = Pair(pair.bundle, total.add(pair.h, total.pullback_from_base(eta)))
-            expected = Pair(dual.bundle,
-                            dual_total.add(dual.h, dual_total.pullback_from_base(eta)))
-            got = tdual(shifted).dual
-            if canonical_pair(got) != canonical_pair(expected):
-                return False
-    return True
+    return DualityTable(base_name).shift_equivariant()
 
 
 def dual_pair_report(base_name) -> dict:
     """The duality table with one line per raw class representative,
     mirroring the worked example's five-line display over the circle."""
-    base = get_base(base_name)
-    lines = []
-    listed = set()
-    for bundle in enumerate_bundles(base):
-        total = _total_space(bundle)
-        for h in sorted(total.elements(), key=lambda e: (e.q, e.k)):
-            pair = Pair(bundle, h)
-            canon = canonical_pair(pair)
-            dual = tdual(pair).dual
-            back = canonical_pair(dual)
-            # skip lines that only restate an earlier line backwards
-            mirror = (back.bundle.chern_coords, back.h.q, back.h.k,
-                      canon.bundle.chern_coords, canon.h.q, canon.h.k)
-            if mirror in listed:
-                continue
-            listed.add((canon.bundle.chern_coords, canon.h.q, canon.h.k,
-                        back.bundle.chern_coords, back.h.q, back.h.k))
-            lines.append({
-                "pair": pair.label(),
-                "dual": dual.label(),
-                "isomorphic_to": canon.label(),
-            })
-    return {"base": base_name, "relations": lines}
+    return DualityTable(base_name).report()
 
 
 # ---------------------------------------------------------------------------
@@ -516,41 +532,39 @@ def _kk_slices():
     return (ring, degree_component(ring, Degree(0, EQ)), degree_component(ring, Degree(1, PM)))
 
 
-def _multiplier_element(name):
-    ring, _, _ = _kk_slices()
-    if name not in MULTIPLIER_NAMES:
-        raise ValueError(f"multiplier must be one of {MULTIPLIER_NAMES}")
-    table = {"1": ring.one(),
-             "t": ring.gen("t"),
-             "L": ring.one() - ring.gen("sigma") * ring.gen("chi"),
-             "t*L": ring.gen("t") * (ring.one() - ring.gen("sigma") * ring.gen("chi"))}
-    return table[name]
+@per_golden_dir
+def _clutching_operators() -> dict:
+    """The operators that clutching data composes, each as its matrices on
+    the even and odd slices: multiplication by each multiplier (the one by
+    t is also the module action), and the deck flip under key "flip"."""
+    from .graded_algebra import apply_ring_hom
+    ring, even, odd = _kk_slices()
+    t = ring.gen("t")
+    line = ring.one() - ring.gen("sigma") * ring.gen("chi")
+    multipliers = {"1": ring.one(), "t": t, "L": line, "t*L": t * line}
+    images = kk_flip_substitution()
+    maps = {name: (lambda e, m=m: m * e) for name, m in multipliers.items()}
+    maps["flip"] = lambda e: apply_ring_hom(ring, ring, images, e)
+    return {name: (even.matrix(fn), odd.matrix(fn)) for name, fn in maps.items()}
 
 
 def _clutching_matrices(flip: bool, multiplier: str):
-    """Action of the overlap comparison on the even and odd slices."""
-    from .graded_algebra import apply_ring_hom
-    ring, even, odd = _kk_slices()
-    mult = _multiplier_element(multiplier)
-    images = kk_flip_substitution()
-
-    def comparison(element):
-        if flip:
-            element = apply_ring_hom(ring, ring, images, element)
-        return mult * element
-
-    return (even.matrix(comparison), odd.matrix(comparison),
-            even.matrix(lambda e: ring.gen("t") * e),
-            odd.matrix(lambda e: ring.gen("t") * e))
+    """Action of the overlap comparison (the multiplier, after the deck
+    flip when `flip` is set) and of t on the even and odd slices."""
+    if multiplier not in MULTIPLIER_NAMES:
+        raise ValueError(f"multiplier must be one of {MULTIPLIER_NAMES}")
+    operators = _clutching_operators()
+    g_even, g_odd = operators[multiplier]
+    if flip:
+        flip_even, flip_odd = operators["flip"]
+        g_even, g_odd = g_even @ flip_even, g_odd @ flip_odd
+    return (g_even, g_odd) + operators["t"]
 
 
 def _difference_map(g: IntegerMatrix) -> IntegerMatrix:
     """(a, b) -> (a - b, a - g(b)) on two copies of the slice."""
-    n = g.rows
-    ident = IntegerMatrix.identity(n)
-    top = ident.hstack(ident.neg())
-    bottom = ident.hstack(g.neg())
-    return top.vstack(bottom)
+    ident = IntegerMatrix.identity(g.rows)
+    return ident.hstack(ident.neg()).vstack(ident.hstack(g.neg()))
 
 
 def _kernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
@@ -568,8 +582,7 @@ def _kernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
 
 
 def _cokernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
-    module = RModule(delta.rows, delta, action)
-    return rmodule_classify(module)
+    return rmodule_classify(RModule(delta.rows, delta, action))
 
 
 @per_golden_dir
@@ -610,8 +623,7 @@ PRINTED_MV_TABLES = {
 
 
 def _group_of(multiset) -> FGAbelianGroup:
-    from .exact_abelian import rmodule_from_multiset
-    return rmodule_from_multiset(Counter(multiset)).underlying_group()
+    return multiset_group(multiset)
 
 
 def search_clutchings() -> dict:
@@ -645,11 +657,8 @@ def search_clutchings() -> dict:
 @per_golden_dir
 def golden_clutchings() -> dict:
     data = json.loads(golden_path("clutchings.json").read_text())
-    out = {}
-    for row in data["circle_trivial"]:
-        key = (bool(row["flip"]), int(row["base_twist"]), int(row["fiber_twist"]))
-        out[key] = row["multiplier"]
-    return out
+    return {(bool(row["flip"]), int(row["base_twist"]), int(row["fiber_twist"])): row["multiplier"]
+            for row in data["circle_trivial"]}
 
 
 @dataclass(frozen=True)
@@ -734,13 +743,4 @@ def verify_theorem_T(base_name) -> bool:
         return True
     if base_name != "circle_trivial":
         raise ValueError("base must be 'point' or 'circle_trivial'")
-    for cls in enumerate_pair_classes(base_name):
-        pair = cls.representative
-        dual = tdual(pair).dual
-        table = twisted_k_mv(pair.bundle, pair.h)
-        dual_table = twisted_k_mv(dual.bundle, dual.h)
-        for n in (0, 1):
-            for side, other in ((EQ, PM), (PM, EQ)):
-                if table.modules(n, side) != dual_table.modules(n - 1, other):
-                    return False
-    return True
+    return DualityTable(base_name).theorem_T()

@@ -26,6 +26,7 @@ from .exact_abelian import (
     InvariantError,
     QuotientPresentation,
     RModule,
+    multiset_group,
     preimage_lattice,
     relation_lattice,
     rmodule_classify,
@@ -165,10 +166,17 @@ def t_transform(element: RingElement) -> RingElement:
     return transform.element(transform.matrix.apply(transform.coords(element)))
 
 
-def t_basis():
+@per_golden_dir
+def _t_basis() -> dict:
     ring = build_ring("kk_circle_flip")
     from .expressions import parse_expression
     return {label: parse_expression(ring, label) for label in T_BASIS_LABELS}
+
+
+def t_basis() -> dict:
+    """The six module basis elements of the flip circle, keyed by label;
+    a fresh dict on each call, parsed once per set of golden tables."""
+    return dict(_t_basis())
 
 
 def t_power_table(k: int) -> dict:
@@ -198,12 +206,7 @@ class TableEntry:
 
     @classmethod
     def from_counter(cls, counter: Counter, ambiguous=False):
-        from .exact_abelian import rmodule_from_multiset
-        group = rmodule_from_multiset(counter).underlying_group()
-        return cls(group, tuple(sorted(Counter(counter).items())), ambiguous)
-
-    def module_multiset(self) -> Counter:
-        return Counter(dict(self.modules)) if self.modules is not None else None
+        return cls(multiset_group(counter), tuple(sorted(Counter(counter).items())), ambiguous)
 
     def to_json(self):
         data = {"group": self.group.to_json()}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -99,6 +100,21 @@ def test_reports_are_byte_identical(capsys):
     _, first, _ = run(capsys, "--format", "json", "verify", "tdual")
     _, second, _ = run(capsys, "--format", "json", "verify", "tdual")
     assert first == second
+
+
+# sha256 of the stdout of `kdual [--format FORMAT] verify all`; a change to
+# these is a change to the report bytes and needs a stated reason
+REPORT_SHA256 = {
+    "json": "9f7e830f1b4984a672a6e3b2484b7f739eef53c2df0063a107e5dd4916f9163f",
+    "text": "45030d9209ea92bf54a75f36fb6c0f48213953f8930ce74bd3571e927d6c2759",
+}
+
+
+def test_verify_all_report_bytes_are_pinned(capsys):
+    for fmt, digest in REPORT_SHA256.items():
+        code, out, _ = run(capsys, "--format", fmt, "verify", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
 
 
 # --- a minimal validator for the shipped report schema ----------------------

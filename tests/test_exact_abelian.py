@@ -22,6 +22,7 @@ from kdual.exact_abelian import (
     inverse_unimodular,
     kernel_basis,
     lattice_contains,
+    multiset_group,
     preimage_lattice,
     relation_lattice,
     rmodule_classify,
@@ -436,6 +437,17 @@ def test_multiset_module_is_the_sum_of_its_summands():
                 chained = chained.direct_sum(indecomposable(name))
         assert module == chained, multiset
         assert rmodule_classify(module) == +multiset, multiset
+
+
+def test_multiset_group_is_the_underlying_group_of_the_module():
+    multisets = [Counter()] + [Counter(dict(zip(INDECOMPOSABLES, mults)))
+                               for mults in product(range(3), repeat=len(INDECOMPOSABLES))]
+    assert len(multisets) == 82
+    for multiset in multisets:
+        expected = rmodule_from_multiset(multiset).underlying_group()
+        assert multiset_group(multiset) == expected, multiset
+        assert multiset_group(dict(multiset)) == expected, multiset
+    assert str(multiset_group({"R": 1, "I/2I": 2, "R/J": 1})) == "Z/2 x Z/2 x Z x Z x Z"
 
 
 def test_classify_invariant_under_base_change():

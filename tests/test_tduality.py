@@ -183,6 +183,33 @@ def test_enumeration_and_involution():
     assert point_classes[0].dual_index == 0
 
 
+def test_duality_table_agrees_with_the_pairwise_functions():
+    table = tduality.DualityTable("circle_trivial")
+    assert len(table.pairs) == 6
+    for pair in table.pairs:
+        assert table.orbit(pair) == gauge_orbit(pair)
+        assert table.canonical(pair) == canonical_pair(pair)
+        assert table.dual(pair) == tdual(pair).dual
+    assert table.classes == enumerate_pair_classes("circle_trivial")
+    assert table.report() == dual_pair_report("circle_trivial")
+
+
+def test_one_verify_all_dualizes_each_raw_pair_once(monkeypatch):
+    from kdual.suites import run_suite
+    calls = []
+    original = tduality.tdual
+
+    def counting(pair):
+        calls.append(pair)
+        return original(pair)
+
+    monkeypatch.setattr(tduality, "tdual", counting)
+    report = run_suite("all")
+    assert not report.failed
+    assert 0 < len(calls) <= 7
+    assert len(set(calls)) == len(calls)
+
+
 def test_five_line_report():
     report = dual_pair_report("circle_trivial")
     lines = [(line["pair"], line["dual"]) for line in report["relations"]]
@@ -317,6 +344,61 @@ def test_golden_dir_switch_reaches_the_tduality_caches(tmp_path, monkeypatch):
     assert mv_k_groups(False, "L") is shipped
     assert mv_k_groups(flip=False, multiplier="L") == shipped
     assert get_base("circle_trivial") is shipped_base
+
+
+def _clutching_matrices_by_ring_arithmetic(flip, multiplier):
+    """The comparison and t on the even and odd slices, rebuilt for one
+    clutching from ring arithmetic, as before the operators were derived
+    once."""
+    from kdual.graded_algebra import apply_ring_hom
+    from kdual.paper_rings import kk_flip_substitution
+    ring, even, odd = tduality._kk_slices()
+    t = ring.gen("t")
+    line = ring.one() - ring.gen("sigma") * ring.gen("chi")
+    mult = {"1": ring.one(), "t": t, "L": line, "t*L": t * line}[multiplier]
+
+    def comparison(element):
+        if flip:
+            element = apply_ring_hom(ring, ring, kk_flip_substitution(), element)
+        return mult * element
+
+    return (even.matrix(comparison), odd.matrix(comparison),
+            even.matrix(lambda e: t * e), odd.matrix(lambda e: t * e))
+
+
+CLUTCHINGS = [(flip, m) for flip in (False, True) for m in tduality.MULTIPLIER_NAMES]
+
+
+@pytest.mark.parametrize("flip,multiplier", CLUTCHINGS)
+def test_clutching_operators_compose_to_the_ring_arithmetic(flip, multiplier):
+    assert (tduality._clutching_matrices(flip, multiplier)
+            == _clutching_matrices_by_ring_arithmetic(flip, multiplier))
+
+
+def test_clutching_rejects_unknown_multiplier():
+    with pytest.raises(ValueError, match="multiplier must be one of"):
+        tduality._clutching_matrices(False, "sigma")
+
+
+_R, _RI, _RJ, _I2I = "R", "R/I", "R/J", "I/2I"
+MV_GROUPS = {
+    (False, "1"): [{_R: 1, _RJ: 1}] * 4,
+    (False, "t"): [{_RI: 1}, {_RI: 1, _I2I: 1}, {_RI: 1, _I2I: 1}, {_RI: 1}],
+    (False, "L"): [{_RI: 1, _RJ: 1}, {_RI: 1, _RJ: 1}, {_R: 1}, {_R: 1}],
+    (False, "t*L"): [{_RI: 1, _RJ: 1}, {_RI: 1, _RJ: 1}, {_R: 1}, {_R: 1}],
+    (True, "1"): [{_R: 1}, {_R: 1}, {_RI: 1, _RJ: 1}, {_RI: 1, _RJ: 1}],
+    (True, "t"): [{_R: 1}, {_R: 1}, {_RI: 1, _RJ: 1}, {_RI: 1, _RJ: 1}],
+    (True, "L"): [{_RI: 1}] * 4,
+    (True, "t*L"): [{_RI: 1}] * 4,
+}
+
+
+@pytest.mark.parametrize("flip,multiplier", CLUTCHINGS)
+def test_mv_k_groups_of_every_clutching(flip, multiplier):
+    slots = [(0, EQ), (0, PM), (1, EQ), (1, PM)]
+    derived = mv_k_groups(flip, multiplier)
+    assert set(derived) == set(slots)
+    assert [dict(derived[slot]) for slot in slots] == MV_GROUPS[(flip, multiplier)]
 
 
 def test_module_count_statuses():

@@ -8,6 +8,7 @@ from kdual.exact_abelian import InvariantError
 from kdual.expressions import parse_expression
 from kdual.graded_algebra import Degree, EQ, PM, RingElement, degree_component, normal_monomials
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
+from kdual import transforms
 from kdual.transforms import (
     delta_map,
     group_cohomology_z2,
@@ -183,6 +184,25 @@ def test_golden_dir_switch_reaches_the_transform(tmp_path, monkeypatch):
         t_power_table(2)
     monkeypatch.delenv(GOLDEN_DIR_ENV)
     assert t_transform(chi) == shipped
+
+
+def test_basis_is_parsed_once_per_golden_dir(tmp_path, monkeypatch):
+    shipped = t_basis()
+    parses = transforms._t_basis.cache_info().misses
+    assert t_basis() is not shipped  # a fresh dict, so callers may change it
+    assert transforms._t_basis.cache_info().misses == parses
+    assert t_basis() == shipped
+    shipped.clear()
+    assert len(t_basis()) == 6
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    ring = build_ring("kk_circle_flip")
+    switched = t_basis()
+    assert all(elem.ring is ring for elem in switched.values())
+    monkeypatch.delenv(GOLDEN_DIR_ENV)
+    shipped_ring = build_ring("kk_circle_flip")
+    assert shipped_ring is not ring
+    assert all(elem.ring is shipped_ring for elem in t_basis().values())
 
 
 def test_power_table_bounds():
