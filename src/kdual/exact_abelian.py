@@ -414,14 +414,11 @@ def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
 
 
 def column_span_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """An independent set of columns spanning the same subgroup of Z^rows."""
-    s = smith_normal_form(m)
-    u_inv = inverse_unimodular(s.u)
-    cols = []
-    for i, d in enumerate(s.diagonal()):
-        if d:
-            cols.append(tuple(d * x for x in u_inv.column(i)))
-    return IntegerMatrix.from_columns(cols, rows=m.rows)
+    """An independent set of columns spanning the same subgroup of Z^rows:
+    the first rank columns of m @ V, which U @ m @ V = D makes the columns
+    d_i * (column i of U^-1), i < rank."""
+    diag, _, v = _smith(m, track_v=True)
+    return _columns_matrix([m.apply(column) for column in v[:len(diag)]], m.rows)
 
 
 def lattice_contains(lattice: IntegerMatrix, vector) -> bool:

@@ -304,6 +304,8 @@ class FOracleImage:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponents must be nonnegative integers")
         out = f_oracle_unit(self.n)
         for _ in range(k):
             out = out * self

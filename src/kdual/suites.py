@@ -93,8 +93,8 @@ def _check(checks, id_, reference, expected, actual, asserted=False):
     checks.append(Check(id_, reference, status, expected_s, actual_s))
 
 
-def _slice_summary(ring, level, variant, bound=None):
-    s = degree_component(ring, Degree(level, variant), bound)
+def _slice_summary(ring, level, variant):
+    s = degree_component(ring, Degree(level, variant))
     return "0" if not s.dim else " + ".join(
         f"{'Z' if o == 0 else 'Z/' + str(o)}.{label}"
         for label, o in sorted(zip(s.labels, s.orders)))

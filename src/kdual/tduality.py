@@ -25,12 +25,16 @@ agreement of the two pull-backs on the correspondence space is computed
 honestly on the product ring; otherwise a single surviving orbit is
 itself the certificate, since any two true duals are gauge equivalent.
 
-Twisted K-groups over the circle with trivial involution are computed by
-a Mayer-Vietoris difference map over the two-arc cover.  The clutching
-data (a line-bundle multiplier on one overlap component, composed with
-the deck flip for the nontrivial bundle) is selected by a finite search
-against the printed tables and persisted as golden data; the search and
-the comparison statuses are exposed, never silently overridden.
+Twisted K-groups over the circle with trivial involution come from the
+Mayer-Vietoris sequence of the two-arc cover.  Its difference map on two
+copies of a slice has kernel and cokernel isomorphic to those of 1 - g,
+where g is the clutching on one copy, and the isomorphisms respect the
+module action of t when g commutes with t.  That condition is checked,
+and the groups are read off 1 - g.  The clutching data (a line-bundle
+multiplier on one overlap component, composed with the deck flip for the
+nontrivial bundle) is selected by a finite search against the printed
+tables and persisted as golden data; the search and the comparison
+statuses are exposed, never silently overridden.
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ from .exact_abelian import (
     QuotientPresentation,
     RModule,
     column_span_basis,
-    rmodule_classify,
-    solve,
     kernel_basis,
     multiset_group,
+    rmodule_classify,
+    smith_normal_form,
+    solve,
 )
 from .expressions import parse_expression
 from .graded_algebra import EQ, PM, Degree, PresentedRing, degree_component
@@ -160,9 +165,10 @@ class TotalSpaceH3:
         self.pushout = data.pushout
         self.split_certified = data.split_certified
         self._kernel_span = column_span_basis(data.kernel_vectors)
+        span = smith_normal_form(self._kernel_span)
         coords = []
-        for j in range(data.kernel_relations.cols):
-            x = solve(self._kernel_span, data.kernel_relations.column(j))
+        for column in data.kernel_relations.columns():
+            x = span.solve(column)
             if x is None:
                 raise InvariantError("slice relations escaped the kernel span")
             coords.append(x)
@@ -561,18 +567,13 @@ def _clutching_matrices(flip: bool, multiplier: str):
     return (g_even, g_odd) + operators["t"]
 
 
-def _difference_map(g: IntegerMatrix) -> IntegerMatrix:
-    """(a, b) -> (a - b, a - g(b)) on two copies of the slice."""
-    ident = IntegerMatrix.identity(g.rows)
-    return ident.hstack(ident.neg()).vstack(ident.hstack(g.neg()))
-
-
-def _kernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
-    basis = kernel_basis(delta)
+def _kernel_module(op: IntegerMatrix, action: IntegerMatrix) -> Counter:
+    """ker(op) as a submodule under the action, classified."""
+    basis = kernel_basis(op)
+    lattice = smith_normal_form(basis)
     cols = []
-    for j in range(basis.cols):
-        image = action.apply(basis.column(j))
-        x = solve(basis, image)
+    for column in basis.columns():
+        x = lattice.solve(action.apply(column))
         if x is None:
             raise InvariantError("module action does not preserve the kernel")
         cols.append(x)
@@ -581,25 +582,30 @@ def _kernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
     return rmodule_classify(module)
 
 
-def _cokernel_module(delta: IntegerMatrix, action: IntegerMatrix) -> Counter:
-    return rmodule_classify(RModule(delta.rows, delta, action))
-
-
 @per_golden_dir
 def mv_k_groups(flip: bool, multiplier: str):
     """The four twisted K-groups of the circle bundle with the given
-    clutching, as module multisets keyed by (degree, side)."""
+    clutching, as module multisets keyed by (degree, side).
+
+    Over the two-arc cover, each slice S gives the difference map
+    (a, b) -> (a - b, a - g(b)) on S + S.  Its kernel is the diagonal copy
+    of ker(1 - g), and (x, y) -> y - x carries its cokernel onto
+    coker(1 - g).  Both are isomorphisms of R-modules when g commutes with
+    t, so the groups are read off 1 - g on one copy of each slice, and a
+    clutching that does not commute with t raises InvariantError.
+    """
     g_even, g_odd, t_even, t_odd = _clutching_matrices(flip, multiplier)
-    delta_even = _difference_map(g_even)
-    delta_odd = _difference_map(g_odd)
-    act_even = IntegerMatrix.block_diagonal(t_even, t_even)
-    act_odd = IntegerMatrix.block_diagonal(t_odd, t_odd)
-    return {
-        (0, EQ): _kernel_module(delta_even, act_even),
-        (1, EQ): _cokernel_module(delta_even, act_even),
-        (1, PM): _kernel_module(delta_odd, act_odd),
-        (0, PM): _cokernel_module(delta_odd, act_odd),
-    }
+    groups = {}
+    for g, t, kernel_slot, cokernel_slot in ((g_even, t_even, (0, EQ), (1, EQ)),
+                                             (g_odd, t_odd, (1, PM), (0, PM))):
+        if g @ t != t @ g:
+            raise InvariantError("the clutching does not commute with t")
+        n = g.rows
+        one_minus_g = IntegerMatrix(n, n, tuple(int(i == j) - g.entry(i, j)
+                                                for i in range(n) for j in range(n)))
+        groups[kernel_slot] = _kernel_module(one_minus_g, t)
+        groups[cokernel_slot] = rmodule_classify(RModule(n, one_minus_g, t))
+    return groups
 
 
 # printed module tables being reproduced (keyed by (flip, base, fiber) twist

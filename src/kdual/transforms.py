@@ -205,16 +205,8 @@ class TableEntry:
     ambiguous: bool = False
 
     @classmethod
-    def from_counter(cls, counter: Counter, ambiguous=False):
-        return cls(multiset_group(counter), tuple(sorted(Counter(counter).items())), ambiguous)
-
-    def to_json(self):
-        data = {"group": self.group.to_json()}
-        if self.modules is not None:
-            data["modules"] = [[name, mult] for name, mult in self.modules]
-        if self.ambiguous:
-            data["extension_ambiguous"] = True
-        return data
+    def from_counter(cls, counter: Counter):
+        return cls(multiset_group(counter), tuple(sorted(Counter(counter).items())))
 
 
 class GradedGroupTable:
@@ -231,15 +223,6 @@ class GradedGroupTable:
             level %= 2
         return self.entries.get((level, variant),
                                 TableEntry(FGAbelianGroup(), None, False))
-
-    def to_json(self):
-        return {
-            "theory": self.theory,
-            "entries": [
-                {"level": lvl, "variant": var, **entry.to_json()}
-                for (lvl, var), entry in sorted(self.entries.items())
-            ],
-        }
 
 
 def k_table_of_ring(name: str) -> GradedGroupTable:
@@ -274,15 +257,6 @@ _BASE_RINGS = {"point": ("kk_point", "hh_point"),
                "circle_flip": ("kk_circle_flip", "hh_circle_flip")}
 
 
-def base_table(base: str, theory: str, window: int = 6) -> GradedGroupTable:
-    if base not in _BASE_RINGS:
-        raise ValueError("base must be 'point' or 'circle_flip'")
-    k_name, h_name = _BASE_RINGS[base]
-    if theory == "K":
-        return k_table_of_ring(k_name)
-    return h_table_of_ring(h_name, window)
-
-
 def split_table(table: GradedGroupTable) -> GradedGroupTable:
     """Table of the product with the flip circle: each degree is the sum of
     the same degree and the variant-flipped degree one level down."""
@@ -303,9 +277,12 @@ def split_table(table: GradedGroupTable) -> GradedGroupTable:
     return GradedGroupTable(table.theory, entries)
 
 
-def kunneth_split(base: str, theory: str, window: int = 6) -> GradedGroupTable:
+def kunneth_split(base: str, theory: str) -> GradedGroupTable:
     """Graded groups of base x (flip circle), split off the base table."""
-    return split_table(base_table(base, theory, window))
+    if base not in _BASE_RINGS:
+        raise ValueError("base must be 'point' or 'circle_flip'")
+    k_name, h_name = _BASE_RINGS[base]
+    return split_table(k_table_of_ring(k_name) if theory == "K" else h_table_of_ring(h_name))
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +356,12 @@ class GysinDegreeData:
         return bool(ker.torsion_orders)
 
 
-def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str,
-                      bound=None) -> GysinDegreeData:
+def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str) -> GysinDegreeData:
     flipped = PM if variant == EQ else EQ
-    here = degree_component(base_ring, Degree(level, variant), bound)
-    below = degree_component(base_ring, Degree(level - 1, flipped), bound)
-    two_below = degree_component(base_ring, Degree(level - 2, flipped), bound)
-    above = degree_component(base_ring, Degree(level + 1, variant), bound)
+    here = degree_component(base_ring, Degree(level, variant))
+    below = degree_component(base_ring, Degree(level - 1, flipped))
+    two_below = degree_component(base_ring, Degree(level - 2, flipped))
+    above = degree_component(base_ring, Degree(level + 1, variant))
 
     into = two_below.matrix(lambda e: euler * e, here)
     out = below.matrix(lambda e: euler * e, above)
@@ -402,8 +378,7 @@ def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str,
     )
 
 
-def gysin_cohomology(base_ring, euler: RingElement, window: int = 4,
-                     bound=None) -> GradedGroupTable:
+def gysin_cohomology(base_ring, euler: RingElement, window: int = 4) -> GradedGroupTable:
     """Total-space cohomology table of the circle bundle with the given
     Euler class, assembled degree by degree from the kernel and cokernel
     of cup product with the Euler class.
@@ -420,7 +395,7 @@ def gysin_cohomology(base_ring, euler: RingElement, window: int = 4,
     entries = {}
     for level in range(window + 1):
         for variant in (EQ, PM):
-            data = gysin_degree_data(base_ring, euler, level, variant, bound)
+            data = gysin_degree_data(base_ring, euler, level, variant)
             entries[(level, variant)] = TableEntry(
                 data.total_group(), None, data.ambiguous())
     return GradedGroupTable("H", entries)
@@ -437,8 +412,6 @@ class ModuleMap:
     name: str
     source_ring: object
     target_ring: object
-    level_shift: int
-    variant_flip: bool
     images: tuple  # ((basis label, image element), ...)
 
     def apply(self, element: RingElement) -> RingElement:
@@ -452,9 +425,10 @@ class ModuleMap:
         return out
 
 
-def delta_map(family: str, bound: int = 6) -> ModuleMap:
+def delta_map(family: str) -> ModuleMap:
     """The connecting map of the forgetful exact sequence: cup product with
-    the degree-(1, pm) class (sigma for K-type, t12 for H-type)."""
+    the degree-(1, pm) class (sigma for K-type, t12 for H-type), given on
+    the normal monomials of total exponent at most 6."""
     from .graded_algebra import normal_monomials
     if family == "K":
         ring = build_ring("kk_circle_flip")
@@ -466,5 +440,5 @@ def delta_map(family: str, bound: int = 6) -> ModuleMap:
         raise ValueError("family must be 'K' or 'H'")
     images = tuple(
         (ring.monomial_str(mono), ring.element({mono: 1}) * unit)
-        for mono in normal_monomials(ring, bound))
-    return ModuleMap(f"delta[{family}]", ring, ring, 1, True, images)
+        for mono in normal_monomials(ring, 6))
+    return ModuleMap(f"delta[{family}]", ring, ring, images)

@@ -477,6 +477,29 @@ def _subquotient_via_span_basis(big, small):
     return cokernel(IntegerMatrix.from_columns(coords, rows=basis.cols))
 
 
+def _column_span_basis_via_inverse(m):
+    """d_i * (column i of U^-1) for each nonzero diagonal entry d_i."""
+    s = smith_normal_form(m)
+    u_inv = inverse_unimodular(s.u)
+    return IntegerMatrix.from_columns(
+        [tuple(d * x for x in u_inv.column(i)) for i, d in enumerate(s.diagonal()) if d],
+        rows=m.rows)
+
+
+def test_column_span_basis_matches_the_inverse_route():
+    rng = random.Random(1310)
+    shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(0, 7), rng.randint(0, 7))
+                                        for _ in range(300)]
+    for rows, cols in shapes:
+        m = random_matrix(rng, rows, cols, bound=rng.choice((1, 9)))
+        if rng.random() < 0.5:  # rank below min(rows, cols) as well
+            inner = rng.randint(0, 3)
+            m = random_matrix(rng, rows, inner) @ random_matrix(rng, inner, cols)
+        basis = column_span_basis(m)
+        assert basis == _column_span_basis_via_inverse(m), m
+        assert basis.cols == smith_normal_form(m).rank()
+
+
 def test_subquotient_matches_span_basis_route():
     rng = random.Random(8446)
     for _ in range(150):

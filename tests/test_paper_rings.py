@@ -62,6 +62,16 @@ def test_table_row_values():
                                 RElt(0, 1), RElt(1, 0), RElt(1, 0), RElt(1, 0))
 
 
+def test_oracle_powers():
+    line = f_oracle(1, "L")
+    assert line ** 0 == f_oracle_unit(1)
+    assert line ** 2 == f_oracle(1, "C0") and line ** 3 == line
+    # L is its own inverse, so L^-1 must not come out as the unit
+    for k in (-1, 1.0, "2"):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            line ** k
+
+
 # --- exterior algebra ------------------------------------------------------------
 
 

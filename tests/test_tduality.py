@@ -5,7 +5,7 @@ import pytest
 
 from collections import Counter
 
-from kdual.exact_abelian import IntegerMatrix
+from kdual.exact_abelian import IntegerMatrix, RModule, rmodule_classify
 from kdual.graded_algebra import EQ, PM
 from kdual import tduality
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
@@ -153,17 +153,28 @@ def test_tdual_checks_pushforward_of_the_dual_class(monkeypatch):
 
 def test_total_space_checks_relations_lie_in_kernel_span(monkeypatch):
     bundle = pair_from_expressions("circle_trivial", "0").bundle
-    monkeypatch.setattr(tduality, "solve", lambda m, b: None)
+    # a kernel span that misses the (nonzero) slice relations
+    monkeypatch.setattr(tduality, "column_span_basis", lambda m: IntegerMatrix.zeros(m.rows, 0))
     with pytest.raises(InvariantError, match="escaped the kernel span"):
         TotalSpaceH3(bundle)
 
 
-def test_kernel_module_checks_action_preserves_kernel(monkeypatch):
-    monkeypatch.setattr(tduality, "solve", lambda m, b: None)
-    delta = IntegerMatrix.from_rows([[1, -1]])
-    action = IntegerMatrix.from_rows([[0, 1], [1, 0]])
+def test_kernel_module_checks_action_preserves_kernel():
+    # the kernel of [1, -1] is spanned by (1, 1), which the action sends to (1, 0)
+    op = IntegerMatrix.from_rows([[1, -1]])
+    action = IntegerMatrix.from_rows([[1, 0], [0, 0]])
     with pytest.raises(InvariantError, match="does not preserve the kernel"):
-        _kernel_module(delta, action)
+        _kernel_module(op, action)
+
+
+def test_mv_k_groups_checks_the_clutching_commutes_with_t(monkeypatch):
+    g_even, g_odd, t_even, t_odd = tduality._clutching_matrices(False, "1")
+    swap = IntegerMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert swap @ t_odd != t_odd @ swap
+    monkeypatch.setattr(tduality, "_clutching_matrices",
+                        lambda flip, multiplier: (g_even, swap, t_even, t_odd))
+    with pytest.raises(InvariantError, match="does not commute with t"):
+        mv_k_groups.__wrapped__(False, "1")
 
 
 def test_enumeration_checks_duality_is_an_involution(monkeypatch):
@@ -399,6 +410,31 @@ def test_mv_k_groups_of_every_clutching(flip, multiplier):
     derived = mv_k_groups(flip, multiplier)
     assert set(derived) == set(slots)
     assert [dict(derived[slot]) for slot in slots] == MV_GROUPS[(flip, multiplier)]
+
+
+def _difference_map(g):
+    """(a, b) -> (a - b, a - g(b)) on two copies of the slice."""
+    ident = IntegerMatrix.identity(g.rows)
+    return ident.hstack(ident.neg()).vstack(ident.hstack(g.neg()))
+
+
+def _mv_k_groups_by_difference_map(flip, multiplier):
+    """The four groups read off the two-arc difference map on two copies of
+    each slice, with t acting on both copies."""
+    g_even, g_odd, t_even, t_odd = tduality._clutching_matrices(flip, multiplier)
+    out = {}
+    for g, t, kernel_slot, cokernel_slot in ((g_even, t_even, (0, EQ), (1, EQ)),
+                                             (g_odd, t_odd, (1, PM), (0, PM))):
+        delta = _difference_map(g)
+        action = IntegerMatrix.block_diagonal(t, t)
+        out[kernel_slot] = _kernel_module(delta, action)
+        out[cokernel_slot] = rmodule_classify(RModule(delta.rows, delta, action))
+    return out
+
+
+@pytest.mark.parametrize("flip,multiplier", CLUTCHINGS)
+def test_mv_k_groups_match_the_difference_map(flip, multiplier):
+    assert mv_k_groups(flip, multiplier) == _mv_k_groups_by_difference_map(flip, multiplier)
 
 
 def test_module_count_statuses():
