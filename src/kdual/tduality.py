@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exact_abelian import (
-    FGAbelianGroup,
     IntegerMatrix,
     InvariantError,
     QuotientPresentation,
@@ -477,7 +476,9 @@ class DualityTable:
         return {"base": self.base.name, "relations": lines}
 
     def shift_equivariant(self) -> bool:
-        """See `verify_shift_equivariance`."""
+        """Dualizing after adding a pulled-back base class adds the same
+        class on the dual side, for every class and every degree-(3, eq)
+        base class."""
         h3eq = self.base.h3eq
         for cls in self.classes:
             pair = cls.representative
@@ -497,12 +498,9 @@ class DualityTable:
         for cls in self.classes:
             pair = cls.representative
             dual = self.dual(pair)
-            table = twisted_k_mv(pair.bundle, pair.h)
-            dual_table = twisted_k_mv(dual.bundle, dual.h)
-            for n in (0, 1):
-                for side, other in ((EQ, PM), (PM, EQ)):
-                    if table.modules(n, side) != dual_table.modules(n - 1, other):
-                        return False
+            if not _shift_dual(twisted_k_mv(pair.bundle, pair.h).modules,
+                               twisted_k_mv(dual.bundle, dual.h).modules):
+                return False
         return True
 
 
@@ -511,12 +509,6 @@ def enumerate_pair_classes(base_name) -> list:
     of its dual class; the induced map on classes is checked to be an
     involution."""
     return DualityTable(base_name).classes
-
-
-def verify_shift_equivariance(base_name) -> bool:
-    """Dualizing after adding a pulled-back base class adds the same class
-    on the dual side, for every class and every degree-(3, eq) base class."""
-    return DualityTable(base_name).shift_equivariant()
 
 
 def dual_pair_report(base_name) -> dict:
@@ -610,8 +602,7 @@ def mv_k_groups(flip: bool, multiplier: str):
 
 # printed module tables being reproduced (keyed by (flip, base, fiber) twist
 # invariants; the two starred entries are recorded as printed even though
-# the difference map derives R/I + I/2I for them, see the comparison
-# statuses)
+# the difference map derives R/I + I/2I for them, see `mv_status`)
 PRINTED_MV_TABLES = {
     (False, 0, 0): {(0, EQ): {"R": 1, "R/J": 1}, (1, EQ): {"R": 1, "R/J": 1},
                     (0, PM): {"R": 1, "R/J": 1}, (1, PM): {"R": 1, "R/J": 1}},
@@ -628,16 +619,25 @@ PRINTED_MV_TABLES = {
 }
 
 
-def _group_of(multiset) -> FGAbelianGroup:
-    return multiset_group(multiset)
+def mv_status(printed, derived) -> str:
+    """How a derived Mayer-Vietoris entry compares with the printed one:
+    "derived" when the printed module refinement is reproduced exactly,
+    "paper-asserted" when only the underlying groups agree (the printed
+    refinement is then an assertion, not a derivation), and "mismatch"
+    otherwise."""
+    if Counter(printed) == Counter(derived):
+        return "derived"
+    if multiset_group(printed) == multiset_group(derived):
+        return "paper-asserted"
+    return "mismatch"
 
 
 def search_clutchings() -> dict:
     """For each twist-invariant combination, the multipliers whose
-    difference map reproduces the printed table at the group level, ranked
-    by how many of the four module refinements match exactly.
+    difference map leaves no slot of the printed table a "mismatch" under
+    `mv_status`, ranked by how many slots are "derived".
 
-    Raises NoCandidateError if some combination has no group-level match.
+    Raises NoCandidateError if some combination has no such multiplier.
     """
     out = {}
     for key, printed in PRINTED_MV_TABLES.items():
@@ -645,13 +645,9 @@ def search_clutchings() -> dict:
         scored = []
         for multiplier in MULTIPLIER_NAMES:
             derived = mv_k_groups(flip, multiplier)
-            groups_ok = all(
-                _group_of(printed[slot]) == _group_of(derived[slot]) for slot in printed)
-            if not groups_ok:
-                continue
-            exact = sum(1 for slot in printed
-                        if Counter(printed[slot]) == Counter(derived[slot]))
-            scored.append((exact, multiplier))
+            statuses = [mv_status(printed[slot], derived[slot]) for slot in printed]
+            if "mismatch" not in statuses:
+                scored.append((statuses.count("derived"), multiplier))
         if not scored:
             raise NoCandidateError(f"no clutching reproduces the table for {key}")
         scored.sort(key=lambda pair: (-pair[0], MULTIPLIER_NAMES.index(pair[1])))
@@ -674,17 +670,22 @@ class TwistedKTable:
     pair_label: str
     clutching: tuple  # (flip, multiplier)
     entries: tuple    # ((degree, side), modules tuple, status), sorted
+    printed: tuple    # ((degree, side), printed modules tuple), sorted
 
     def modules(self, degree, side) -> Counter:
-        for key, mods, _ in self.entries:
-            if key == (degree % 2, side):
-                return Counter(dict(mods))
-        raise KeyError((degree, side))
+        return Counter(dict(self._row(self.entries, degree, side)[1]))
+
+    def printed_modules(self, degree, side) -> Counter:
+        return Counter(dict(self._row(self.printed, degree, side)[1]))
 
     def status(self, degree, side) -> str:
-        for key, _, status in self.entries:
-            if key == (degree % 2, side):
-                return status
+        return self._row(self.entries, degree, side)[2]
+
+    @staticmethod
+    def _row(rows, degree, side):
+        for row in rows:
+            if row[0] == (degree % 2, side):
+                return row
         raise KeyError((degree, side))
 
     def to_json(self):
@@ -710,30 +711,28 @@ def twisted_k_mv(bundle: RealCircleBundle, h: H3Element) -> TwistedKTable:
     """Twisted K-groups over the circle with trivial involution, computed
     by the two-arc Mayer-Vietoris difference map.
 
-    Each entry carries a status: "derived" when the printed module
-    refinement is exactly reproduced, "paper-asserted" when only the
-    underlying groups agree (the printed refinement is then recorded as
-    an assertion, not a derivation), and "mismatch" otherwise.
+    Each entry carries its `mv_status` against the printed table, whose
+    refinement the table records alongside.
     """
     if bundle.base_name != "circle_trivial":
         raise ValueError("the Mayer-Vietoris model is for the circle base")
     pair = Pair(bundle, h)
-    flip, base_part, fiber_part = _twist_invariants(pair)
-    key = (flip, base_part, fiber_part)
+    key = _twist_invariants(pair)
     multiplier = golden_clutchings()[key]
-    derived = mv_k_groups(flip, multiplier)
+    derived = mv_k_groups(key[0], multiplier)
     printed = PRINTED_MV_TABLES[key]
-    entries = []
-    for slot in sorted(printed):
-        mods = derived[slot]
-        if Counter(printed[slot]) == mods:
-            status = "derived"
-        elif _group_of(printed[slot]) == _group_of(mods):
-            status = "paper-asserted"
-        else:
-            status = "mismatch"
-        entries.append((slot, tuple(sorted(mods.items())), status))
-    return TwistedKTable(pair.label(), (flip, multiplier), tuple(entries))
+    slots = sorted(printed)
+    entries = tuple((slot, tuple(sorted(derived[slot].items())),
+                     mv_status(printed[slot], derived[slot])) for slot in slots)
+    printed_rows = tuple((slot, tuple(sorted(printed[slot].items()))) for slot in slots)
+    return TwistedKTable(pair.label(), (key[0], multiplier), entries, printed_rows)
+
+
+def _shift_dual(modules, dual_modules) -> bool:
+    """Theorem T's comparison of two maps (degree mod 2, side) -> modules:
+    degree n on each side against degree n - 1 on the other side of the dual."""
+    return all(modules(n, side) == dual_modules(n - 1, other)
+               for n in (0, 1) for side, other in ((EQ, PM), (PM, EQ)))
 
 
 def verify_theorem_T(base_name) -> bool:
@@ -742,11 +741,8 @@ def verify_theorem_T(base_name) -> bool:
     two sides exchanged."""
     if base_name == "point":
         table = split_table(k_table_of_ring("kk_point"))
-        for n in (0, 1):
-            for side, other in ((EQ, PM), (PM, EQ)):
-                if table.entry(n, side).modules != table.entry((n - 1) % 2, other).modules:
-                    return False
-        return True
+        modules = lambda n, side: table.entry(n % 2, side).modules
+        return _shift_dual(modules, modules)
     if base_name != "circle_trivial":
         raise ValueError("base must be 'point' or 'circle_trivial'")
     return DualityTable(base_name).theorem_T()

@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 
 from .exact_abelian import (
     FGAbelianGroup,
-    GroupHom,
     IntegerMatrix,
     InvariantError,
     QuotientPresentation,
     RModule,
+    kernel_basis,
     multiset_group,
     preimage_lattice,
     relation_lattice,
@@ -295,7 +295,8 @@ def group_cohomology_z2(m: int, n: int) -> FGAbelianGroup:
 
     The cochain complex has one copy of Z in each degree; the
     differentials alternate between multiplication by (-1)^m - 1 and
-    (-1)^m + 1.
+    (-1)^m + 1, whose product is zero, so the image of d_{n-1} lies in
+    the kernel of d_n.
     """
     if m not in (0, 1):
         raise ValueError("the coefficient twist must be 0 or 1")
@@ -304,16 +305,10 @@ def group_cohomology_z2(m: int, n: int) -> FGAbelianGroup:
     sign = (-1) ** m
 
     def differential(i):
-        return sign - 1 if i % 2 == 0 else sign + 1
+        return IntegerMatrix.from_rows([[sign - 1 if i % 2 == 0 else sign + 1]])
 
-    z = FGAbelianGroup.free(1)
-    d_out = GroupHom(z, z, IntegerMatrix.from_rows([[differential(n)]]))
-    if n == 0:
-        return d_out.kernel_group()
-    d_in = GroupHom(z, z, IntegerMatrix.from_rows([[differential(n - 1)]]))
-    kernel = preimage_lattice(d_out.matrix, IntegerMatrix.zeros(1, 0))
-    image = d_in.matrix
-    return subquotient_group(kernel, image)
+    image = IntegerMatrix.zeros(1, 0) if n == 0 else differential(n - 1)
+    return subquotient_group(kernel_basis(differential(n)), image)
 
 
 # ---------------------------------------------------------------------------

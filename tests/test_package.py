@@ -1,5 +1,7 @@
 import ast
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kdual
+from kdual import cli
 
 SRC = str(Path(kdual.__file__).resolve().parent.parent)
 
@@ -41,3 +44,17 @@ def test_library_checks_survive_python_O():
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
             assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), \
                 f"{path.name}:{node.lineno}"
+
+
+def test_readme_command_lines_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("kdual ")]
+    for line in lines:
+        command, _, comment = line.partition("#")
+        capsys.readouterr()
+        assert cli.main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if comment.strip().startswith("->"):
+            assert out.strip() == comment.strip()[2:].strip(), line
+    assert any("# -> sigma*chi" in line for line in lines)

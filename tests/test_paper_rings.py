@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from kdual.paper_rings import (
     _DICTIONARY_FOR_RING,
     build_ring,
     dictionary,
+    dictionary_failure,
     f_oracle,
     f_oracle_unit,
     golden_path,
@@ -202,6 +207,42 @@ def test_dictionaries_are_multiplicative():
             for m2 in basis.monomials:
                 u, v = ring.element({m1: 1}), ring.element({m2: 1})
                 assert d.push(u * v) == d.push(u) * d.push(v)
+
+
+def test_dictionary_products_are_decided_once_per_ring():
+    # a cold process: certification evaluates each product table, and the
+    # three dictionary-* checks of the oracle suite read the cached answers
+    import kdual
+    code = ("from kdual.paper_rings import dictionary_failure\n"
+            "from kdual.suites import run_suite\n"
+            "report = run_suite('all')\n"
+            "info = dictionary_failure.cache_info()\n"
+            "print(report.exit_code, info.misses, info.hits, info.currsize)")
+    env = {k: v for k, v in os.environ.items() if k != GOLDEN_DIR_ENV}
+    env["PYTHONPATH"] = str(Path(kdual.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "3", "3", "3"]
+
+
+def test_dictionary_failure_names_the_product(tmp_path, monkeypatch):
+    ring = build_ring("kk_circle_flip")
+    assert dictionary_failure(ring) is None
+    with pytest.raises(ValueError, match="no dictionary for 'kk_point'"):
+        dictionary_failure(build_ring("kk_point"))
+    for name in ("tables.json", "clutchings.json"):
+        shutil.copy(golden_path(name), tmp_path / name)
+    tables = json.loads((tmp_path / "tables.json").read_text())
+    tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]
+    (tmp_path / "tables.json").write_text(json.dumps(tables))
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    # the switch reaches the cached answer, and certification raises on it
+    assert dictionary_failure(ring) == "oracle mismatch on t * sigma*chi"
+    with pytest.raises(CertificationError,
+                       match=r"^kk_circle_flip: oracle mismatch on t \* sigma\*chi$"):
+        build_ring("kk_circle_flip")
+    monkeypatch.delenv(GOLDEN_DIR_ENV)
+    assert dictionary_failure(ring) is None
 
 
 def test_embedding_caches_only_the_shipped_tables():

@@ -5,12 +5,13 @@ import pytest
 
 from collections import Counter
 
-from kdual.exact_abelian import IntegerMatrix, RModule, rmodule_classify
+from kdual.exact_abelian import IntegerMatrix, RModule, multiset_group, rmodule_classify
 from kdual.graded_algebra import EQ, PM
 from kdual import tduality
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual.tduality import (
     PRINTED_MV_TABLES,
+    DualityTable,
     InvariantError,
     Pair,
     TwistedKTable,
@@ -22,11 +23,12 @@ from kdual.tduality import (
     get_base,
     golden_clutchings,
     mv_k_groups,
+    mv_status,
+    NoCandidateError,
     pair_from_expressions,
     search_clutchings,
     tdual,
     twisted_k_mv,
-    verify_shift_equivariance,
     verify_theorem_T,
     TDualResult,
     TotalSpaceH3,
@@ -240,8 +242,8 @@ def test_report_is_deterministic():
 
 
 def test_shift_equivariance():
-    assert verify_shift_equivariance("circle_trivial")
-    assert verify_shift_equivariance("point")
+    assert DualityTable("circle_trivial").shift_equivariant()
+    assert DualityTable("point").shift_equivariant()
 
 
 # --- twisted K-groups -------------------------------------------------------------------
@@ -321,13 +323,63 @@ def test_clutching_search_agrees_with_golden():
     assert search[(False, 1, 0)] == ["t"]
 
 
+PINNED_SEARCH = {
+    (False, 0, 0): ["1"], (False, 1, 0): ["t"], (False, 0, 1): ["L", "t*L"],
+    (False, 1, 1): ["L", "t*L"], (True, 0, 0): ["1", "t"], (True, 0, 1): ["L", "t*L"],
+}
+
+
+def test_clutching_search_is_pinned():
+    search = search_clutchings()
+    assert search == PINNED_SEARCH
+    assert list(search) == list(PINNED_SEARCH)
+
+
+def test_clutching_search_ranks_by_derived_slots(monkeypatch):
+    # "1" agrees only at group level, "L" not at all, "t" and "t*L" exactly
+    derived = {"1": {"R/I": 1, "I/2I": 1}, "t": {"R/J": 1, "I/2I": 1},
+               "L": {"R": 1}, "t*L": {"R/J": 1, "I/2I": 1}}
+    monkeypatch.setattr(tduality, "PRINTED_MV_TABLES",
+                        {(False, 0, 0): {(0, EQ): {"R/J": 1, "I/2I": 1}}})
+    monkeypatch.setattr(tduality, "mv_k_groups",
+                        lambda flip, multiplier: {(0, EQ): Counter(derived[multiplier])})
+    assert search_clutchings() == {(False, 0, 0): ["t", "t*L"]}
+
+
+def test_mv_status_rule():
+    assert mv_status({"R": 1, "R/J": 1}, Counter({"R/J": 1, "R": 1})) == "derived"
+    assert mv_status({"R/J": 1, "I/2I": 1}, Counter({"R/I": 1, "I/2I": 1})) == "paper-asserted"
+    assert mv_status({"R": 2}, Counter({"R": 1, "R/J": 1})) == "mismatch"
+
+
+def test_mismatch_path(monkeypatch):
+    # no multiplier derives (R)^2, not even at the level of groups
+    monkeypatch.setitem(PRINTED_MV_TABLES[(False, 0, 0)], (0, EQ), {"R": 2})
+    pair = pair_from_expressions("circle_trivial", "0")
+    table = twisted_k_mv(pair.bundle, pair.h)
+    assert table.status(0, EQ) == "mismatch"
+    assert table.printed_modules(0, EQ) == Counter({"R": 2})
+    assert table.status(1, EQ) == "derived"
+    with pytest.raises(NoCandidateError, match=r"\(False, 0, 0\)"):
+        search_clutchings()
+    monkeypatch.setattr(tduality, "search_clutchings", lambda: PINNED_SEARCH)
+    from kdual.suites import run_suite
+    report = run_suite("tdual")
+    checks = {c.id: c for c in report.checks}
+    entry = checks["K[(E0, 0)][0,eq]"]
+    assert (entry.status, entry.expected, entry.actual) == ("fail", "(R)^2", "R + R/J")
+    status = checks["K[(E0, 0)][0,eq]-status"]
+    assert (status.status, status.actual) == ("fail", "mismatch")
+    assert [c.id for c in report.failed] == ["K[(E0, 0)][0,eq]", "K[(E0, 0)][0,eq]-status"]
+    assert report.exit_code == 1
+
+
 def test_derived_tables_match_printed_at_group_level():
-    from kdual.tduality import _group_of
     golden = golden_clutchings()
     for key, printed in PRINTED_MV_TABLES.items():
         derived = mv_k_groups(key[0], golden[key])
         for slot in printed:
-            assert _group_of(printed[slot]) == _group_of(derived[slot]), (key, slot)
+            assert multiset_group(printed[slot]) == multiset_group(derived[slot]), (key, slot)
 
 
 def test_golden_dir_switch_reaches_the_tduality_caches(tmp_path, monkeypatch):
