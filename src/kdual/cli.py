@@ -17,8 +17,9 @@ in the degree-zero circle ring.  Oracle expressions use C0, C1, L, L1,
 L2, L3, H, H12, H23, H13.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-parse error.  Set KDUAL_GOLDEN_DIR to point at an alternative directory
-holding tables.json and clutchings.json.
+parse error, or golden data that is missing or fails certification.  Set
+KDUAL_GOLDEN_DIR to point at an alternative directory holding tables.json
+and clutchings.json.
 """
 
 from __future__ import annotations
@@ -29,15 +30,8 @@ import sys
 
 from . import suites, tduality, transforms
 from .expressions import ParseError, parse_expression
-from .graded_algebra import (
-    EQ,
-    PM,
-    Degree,
-    InstabilityError,
-    UnknownGeneratorError,
-    degree_component,
-)
-from .paper_rings import RING_NAMES, build_ring, verify_f_injective
+from .graded_algebra import EQ, PM, Degree, UnknownGeneratorError, degree_component
+from .paper_rings import RING_NAMES, CertificationError, build_ring, verify_f_injective
 
 USAGE_ERROR = 2
 
@@ -217,7 +211,8 @@ def main(argv=None):
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (UnknownGeneratorError, InstabilityError, ValueError) as err:
+    # InstabilityError is a ValueError
+    except (UnknownGeneratorError, ValueError, CertificationError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

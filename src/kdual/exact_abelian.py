@@ -597,7 +597,15 @@ R_NAME = "R"
 RI_NAME = "R/I"
 RJ_NAME = "R/J"
 I2I_NAME = "I/2I"
-INDECOMPOSABLES = (R_NAME, RI_NAME, RJ_NAME, I2I_NAME)
+# the four building blocks, in a fixed order, presented on their minimal
+# generators: name -> (rows of the relation matrix, rows of the matrix of t)
+INDECOMPOSABLE_PRESENTATIONS = {
+    R_NAME: ([[], []], [[0, 1], [1, 0]]),
+    RI_NAME: ([[]], [[1]]),
+    RJ_NAME: ([[]], [[-1]]),
+    I2I_NAME: ([[2]], [[-1]]),
+}
+INDECOMPOSABLES = tuple(INDECOMPOSABLE_PRESENTATIONS)
 
 
 @dataclass(frozen=True)
@@ -651,17 +659,12 @@ class RModule:
 
 
 def indecomposable(name: str) -> RModule:
-    """The four building blocks, presented on their minimal generators."""
-    if name == R_NAME:
-        return RModule(2, IntegerMatrix.zeros(2, 0),
-                       IntegerMatrix.from_rows([[0, 1], [1, 0]]))
-    if name == RI_NAME:
-        return RModule(1, IntegerMatrix.zeros(1, 0), IntegerMatrix.from_rows([[1]]))
-    if name == RJ_NAME:
-        return RModule(1, IntegerMatrix.zeros(1, 0), IntegerMatrix.from_rows([[-1]]))
-    if name == I2I_NAME:
-        return RModule(1, IntegerMatrix.from_rows([[2]]), IntegerMatrix.from_rows([[-1]]))
-    raise ValueError(f"unknown indecomposable {name!r}")
+    """One of the four building blocks, read off INDECOMPOSABLE_PRESENTATIONS."""
+    if name not in INDECOMPOSABLE_PRESENTATIONS:
+        raise ValueError(f"unknown indecomposable {name!r}")
+    relations, action = INDECOMPOSABLE_PRESENTATIONS[name]
+    return RModule(len(action), IntegerMatrix.from_rows(relations),
+                   IntegerMatrix.from_rows(action))
 
 
 def rmodule_from_multiset(multiset) -> RModule:

@@ -183,18 +183,6 @@ class PresentedRing:
                         f"of {g.name}, but the rule for {self.monomial_str(lhs_i)} "
                         f"reduces it to {left}")
 
-    def readable_rules(self):
-        """Rules as (lhs monomial dict, [(rhs monomial dict, coeff), ...])."""
-        def as_dict(exps):
-            return {g.name: e for g, e in zip(self.generators, exps) if e}
-        return [(as_dict(lhs), [(as_dict(m), c) for m, c in rhs])
-                for lhs, rhs in self.rules]
-
-    def generator_data(self):
-        """Generators as (name, level, variant, additive_order) tuples."""
-        return [(g.name, g.degree.level, g.degree.variant, g.additive_order)
-                for g in self.generators]
-
     # -- identity ------------------------------------------------------------
 
     def __repr__(self):

@@ -443,19 +443,23 @@ def verify_relation_via_oracle(n, lhs, rhs) -> bool:
     return f_oracle(n, lhs) == f_oracle(n, rhs)
 
 
+# torus dimension -> oracle expressions of an additive basis of the image of F
+ORACLE_BASES = {
+    1: ("C0", "C1", "C0 - L"),
+    2: ("C0", "C1", "C0 - H", "C1*(C0 - H)", "C0 - L1", "C0 - L2"),
+    3: ("C0", "C1",
+        "C0 - H12", "C1*(C0 - H12)",
+        "C0 - H23", "C1*(C0 - H23)",
+        "C0 - H13", "C1*(C0 - H13)",
+        "C0 - L1", "C0 - L2", "C0 - L3",
+        "(C0 - H12)*(C0 - L3)"),
+}
+
+
 def _oracle_basis(n):
-    if n == 1:
-        return ["C0", "C1", "C0 - L"]
-    if n == 2:
-        return ["C0", "C1", "C0 - H", "C1*(C0 - H)", "C0 - L1", "C0 - L2"]
-    if n == 3:
-        return ["C0", "C1",
-                "C0 - H12", "C1*(C0 - H12)",
-                "C0 - H23", "C1*(C0 - H23)",
-                "C0 - H13", "C1*(C0 - H13)",
-                "C0 - L1", "C0 - L2", "C0 - L3",
-                "(C0 - H12)*(C0 - L3)"]
-    raise ValueError("no additive basis in this dimension")
+    if n not in ORACLE_BASES:
+        raise ValueError("no additive basis in this dimension")
+    return ORACLE_BASES[n]
 
 
 def _image_vector(image: FOracleImage):

@@ -57,8 +57,14 @@ from .exact_abelian import (
     solve,
 )
 from .expressions import parse_expression
-from .graded_algebra import EQ, PM, Degree, PresentedRing, degree_component
-from .paper_rings import build_ring, golden_path, kk_flip_substitution, per_golden_dir
+from .graded_algebra import EQ, PM, Degree, PresentedRing, apply_ring_hom, degree_component
+from .paper_rings import (
+    PRESENTATIONS,
+    build_ring,
+    golden_path,
+    kk_flip_substitution,
+    per_golden_dir,
+)
 from .transforms import gysin_degree_data, k_table_of_ring, split_table
 
 
@@ -313,13 +319,13 @@ class TDualResult:
 @per_golden_dir
 def _product_ring(base_ring_name) -> PresentedRing:
     """Base ring extended by the classes of two trivial flip-circle factors."""
-    base = build_ring(base_ring_name)
-    gens = base.generator_data() + [("chi1", 1, PM, 0), ("chi2", 1, PM, 0)]
-    rules = base.readable_rules() + [
-        ({"chi1": 2}, [({"t12": 1, "chi1": 1}, 1)]),
-        ({"chi2": 2}, [({"t12": 1, "chi2": 1}, 1)]),
-    ]
-    return PresentedRing.define(f"{base_ring_name}_x_torus", gens, rules, base.period)
+    generators, rules, period = PRESENTATIONS[base_ring_name]
+    return PresentedRing.define(
+        f"{base_ring_name}_x_torus",
+        generators + [("chi1", 1, PM, 0), ("chi2", 1, PM, 0)],
+        rules + [({"chi1": 2}, [({"t12": 1, "chi1": 1}, 1)]),
+                 ({"chi2": 2}, [({"t12": 1, "chi2": 1}, 1)])],
+        period)
 
 
 def _correspondence_pullback(pair: Pair, which: int):
@@ -328,15 +334,13 @@ def _correspondence_pullback(pair: Pair, which: int):
     total = pair.total()
     if not total.split_certified:
         raise ValueError("correspondence model only applies to trivial bundles")
-    ring = _product_ring(pair.bundle.base.ring.name)
-
-    def lift(element):
-        return ring.from_named_terms(
-            ({g.name: e for g, e in zip(element.ring.generators, exps) if e}, c)
-            for exps, c in element.terms)
-
+    base = pair.bundle.base.ring
+    ring = _product_ring(base.name)
+    images = {g.name: ring.gen(g.name) for g in base.generators}
     pulled = total.base_slice.element(total.pushout.lift(pair.h.q))
-    return lift(pulled) + lift(total.pushforward(pair.h)) * ring.gen(f"chi{which}")
+    return (apply_ring_hom(base, ring, images, pulled)
+            + apply_ring_hom(base, ring, images, total.pushforward(pair.h))
+            * ring.gen(f"chi{which}"))
 
 
 def tdual(pair: Pair) -> TDualResult:
@@ -535,7 +539,6 @@ def _clutching_operators() -> dict:
     """The operators that clutching data composes, each as its matrices on
     the even and odd slices: multiplication by each multiplier (the one by
     t is also the module action), and the deck flip under key "flip"."""
-    from .graded_algebra import apply_ring_hom
     ring, even, odd = _kk_slices()
     t = ring.gen("t")
     line = ring.one() - ring.gen("sigma") * ring.gen("chi")

@@ -11,7 +11,8 @@ assembly of total-space cohomology from multiplication by an Euler class
 Push-forwards along a torus factor are not postulated: they are read off
 from the free decomposition of the torus ring over the pulled-back circle
 ring, with basis {1, chi_fiber}.  That decomposition is checked, not
-assumed.
+assumed.  Every map that carries an element into another ring is given by
+generator images and applied by `apply_ring_hom`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,15 @@ from .exact_abelian import (
     rmodule_classify,
     subquotient_group,
 )
-from .graded_algebra import EQ, PM, Degree, RingElement, Slice, degree_component
+from .graded_algebra import (
+    EQ,
+    PM,
+    Degree,
+    RingElement,
+    Slice,
+    apply_ring_hom,
+    degree_component,
+)
 from .paper_rings import build_ring, per_golden_dir
 
 
@@ -48,12 +57,8 @@ def pullback_circle_to_torus(axis: int, element: RingElement) -> RingElement:
     torus = build_ring("kk_torus2")
     if element.ring != circle:
         raise ValueError("element must live in the flip-circle ring")
-    rename = {"t": "t", "sigma": "sigma", "chi": f"chi{axis}"}
-    terms = []
-    for exps, coeff in element.terms:
-        mono = {g.name: e for g, e in zip(circle.generators, exps) if e}
-        terms.append(({rename[k]: v for k, v in mono.items()}, coeff))
-    return torus.from_named_terms(terms)
+    images = {"t": torus.gen("t"), "sigma": torus.gen("sigma"), "chi": torus.gen(f"chi{axis}")}
+    return apply_ring_hom(circle, torus, images, element)
 
 
 def pushforward_torus2(axis: int, element: RingElement) -> RingElement:
@@ -72,21 +77,16 @@ def pushforward_torus2(axis: int, element: RingElement) -> RingElement:
     if element.ring != torus:
         raise ValueError("element must live in the 2-torus ring")
     fiber = f"chi{3 - axis}"
-    keep = f"chi{axis}"
-    fiber_idx = torus._index[fiber]
-    terms = []
+    at = [g.name for g in torus.generators].index(fiber)
+    b = {}
     for exps, coeff in element.terms:
-        if exps[fiber_idx] == 0:
-            continue
-        if exps[fiber_idx] != 1:
+        if exps[at] > 1:
             raise InvariantError("normalized monomial has a square of a circle class")
-        mono = {g.name: e for g, e in zip(torus.generators, exps) if e}
-        mono.pop(fiber)
-        renamed = {}
-        for name, e in mono.items():
-            renamed["chi" if name == keep else name] = e
-        terms.append((renamed, coeff))
-    return circle.from_named_terms(terms)
+        if exps[at]:
+            b[exps[:at] + (0,) + exps[at + 1:]] = coeff
+    images = {"t": circle.gen("t"), "sigma": circle.gen("sigma"),
+              f"chi{axis}": circle.gen("chi"), fiber: circle.zero()}
+    return apply_ring_hom(torus, circle, images, torus.element(b))
 
 
 def suspension_section(element: RingElement) -> RingElement:

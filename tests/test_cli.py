@@ -162,3 +162,44 @@ def test_golden_dir_override(tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(GOLDEN_DIR_ENV)
         pr._load_tables.cache_clear()
         td.golden_clutchings.cache_clear()
+
+
+def test_failed_clutching_search_is_a_failing_check(monkeypatch, capsys):
+    from kdual import tduality
+    from kdual.graded_algebra import EQ
+    # no multiplier reproduces this printed entry
+    monkeypatch.setitem(tduality.PRINTED_MV_TABLES[(False, 0, 0)], (0, EQ), {"R": 2})
+    code, out, err = run(capsys, "verify", "tdual")
+    assert (code, err) == (1, "")
+    assert ("  [          fail] clutching-search  (search agrees with the recorded clutchings)\n"
+            "        expected: True\n"
+            "        actual:   no clutching reproduces the table for (False, 0, 0)\n") in out
+    # the checks after the search still run
+    assert "] theorem-T-circle  (" in out
+
+
+def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, capsys):
+    corrupt, missing = tmp_path / "corrupt", tmp_path / "missing"
+    for directory in (corrupt, missing):
+        directory.mkdir()
+        shutil.copy(golden_path("clutchings.json"), directory / "clutchings.json")
+    tables = json.loads(golden_path("tables.json").read_text())
+    tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]
+    (corrupt / "tables.json").write_text(json.dumps(tables))
+    for directory, product in ((corrupt, "kk_circle_flip: oracle mismatch on t * sigma*chi"),
+                               (missing, str(missing / "tables.json"))):
+        monkeypatch.setenv(GOLDEN_DIR_ENV, str(directory))
+        code, out, err = run(capsys, "verify", "all")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and product in err
+
+
+def test_out_of_range_arguments_are_usage_errors(capsys):
+    for argv, message in (
+            (("oracle", "verify", "--torus", "4"), "dimensions 1, 2 and 3"),
+            (("transform", "t", "--power", "17"), "between 1 and 16"),
+            (("ring", "slice", "--ring", "kk_circle_flip", "--degree", "0",
+              "--variant", "eq", "--bound", "0"), "still grows past exponent bound 0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv

@@ -378,6 +378,11 @@ def test_classify_the_four_indecomposables():
         assert rmodule_classify(indecomposable(name)) == Counter({name: 1})
 
 
+def test_indecomposable_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown indecomposable 'Z'"):
+        indecomposable("Z")
+
+
 def test_classify_swap_is_regular():
     module = RModule.from_group(FGAbelianGroup((0, 0)),
                                 IntegerMatrix.from_rows([[0, 1], [1, 0]]))

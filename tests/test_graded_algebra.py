@@ -9,6 +9,7 @@ from kdual.graded_algebra import (
     PM,
     ConfluenceError,
     Degree,
+    GeneratorSpec,
     InstabilityError,
     PresentedRing,
     UnknownGeneratorError,
@@ -413,7 +414,8 @@ def test_presentations_are_data():
     for name, (generators, rules, period) in PRESENTATIONS.items():
         ring = _define(name)
         assert (ring.name, ring.period) == (name, period)
-        assert sorted(ring.generator_data()) == sorted(generators)
+        specs = [GeneratorSpec(n, Degree(lvl, var), order) for n, lvl, var, order in generators]
+        assert len(ring.generators) == len(specs) and set(ring.generators) == set(specs)
         assert len(ring.rules) == len(rules)
     with pytest.raises(ValueError, match="unknown ring name"):
         _define("hh_nowhere")

@@ -197,6 +197,12 @@ def test_injectivity():
         assert verify_f_injective(n)
 
 
+def test_injectivity_needs_a_recorded_basis():
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="no additive basis in this dimension"):
+            verify_f_injective(n)
+
+
 def test_dictionaries_are_multiplicative():
     for name in ("circle", "torus2", "equiv_circle"):
         d = dictionary(name)

@@ -6,7 +6,7 @@ import pytest
 from collections import Counter
 
 from kdual.exact_abelian import IntegerMatrix, RModule, multiset_group, rmodule_classify
-from kdual.graded_algebra import EQ, PM
+from kdual.graded_algebra import EQ, PM, Degree, GeneratorSpec
 from kdual import tduality
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual.tduality import (
@@ -554,6 +554,52 @@ def test_uniqueness_witness():
                 base.h3eq.element(base.h3eq.reduce_coords(base.h3eq.coords(cup))))
             reachable.add(dual_total.add(dual.h, shift))
         assert set(valid) <= reachable
+
+
+def _renamed_correspondence_pullback(pair, which):
+    # the lift into the product ring rebuilt every monomial from generator
+    # names; this copy of that route pins the ring-map route
+    total = pair.total()
+    ring = tduality._product_ring(pair.bundle.base.ring.name)
+
+    def lift(element):
+        return ring.from_named_terms(
+            ({g.name: e for g, e in zip(element.ring.generators, exps) if e}, c)
+            for exps, c in element.terms)
+
+    pulled = total.base_slice.element(total.pushout.lift(pair.h.q))
+    return lift(pulled) + lift(total.pushforward(pair.h)) * ring.gen(f"chi{which}")
+
+
+@pytest.mark.parametrize("base_name", ("point", "circle_trivial"))
+def test_correspondence_pullback_equals_the_renaming_route(base_name):
+    bundle = next(b for b in enumerate_bundles(get_base(base_name)) if b.is_trivial())
+    pairs = [Pair(bundle, h) for h in _total_space(bundle).elements()]
+    assert pairs
+    for pair in pairs:
+        for which in (1, 2):
+            assert (tduality._correspondence_pullback(pair, which)
+                    == _renamed_correspondence_pullback(pair, which))
+
+
+def test_product_ring_extends_the_presentation_without_changing_it():
+    from copy import deepcopy
+    from kdual.paper_rings import PRESENTATIONS
+    shipped = deepcopy(PRESENTATIONS)
+    tduality._product_ring.cache_clear()
+    for name in ("hh_point", "hh_circle_trivial"):
+        base, ring = build_ring(name), tduality._product_ring(name)
+        assert set(ring.generators) == set(base.generators) | {
+            GeneratorSpec("chi1", Degree(1, PM)), GeneratorSpec("chi2", Degree(1, PM))}
+        assert len(ring.rules) == len(base.rules) + 2
+    assert PRESENTATIONS == shipped
+
+
+def test_correspondence_pullback_rejects_a_nontrivial_bundle():
+    pair = pair_from_expressions("circle_trivial", "t12*e")
+    assert not pair.bundle.is_trivial()
+    with pytest.raises(ValueError, match="only applies to trivial bundles"):
+        tduality._correspondence_pullback(pair, 1)
 
 
 def test_twist_invariants():

@@ -6,7 +6,15 @@ import pytest
 
 from kdual.exact_abelian import InvariantError
 from kdual.expressions import parse_expression
-from kdual.graded_algebra import Degree, EQ, PM, RingElement, degree_component, normal_monomials
+from kdual.graded_algebra import (
+    Degree,
+    EQ,
+    PM,
+    RingElement,
+    degree_component,
+    normal_monomials,
+    verify_ring_hom,
+)
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual import transforms
 from kdual.transforms import (
@@ -73,6 +81,64 @@ def test_section_splits_pushforward():
     for label in ("chi", "t*chi", "sigma"):
         element = basis[label]
         assert pushforward_torus2(1, suspension_section(element)) == element
+
+
+# The maps above once renamed generators monomial by monomial and rebuilt
+# each term from names; these copies of that route pin the ring-map route.
+
+
+def _renamed_pullback(axis, element):
+    rename = {"t": "t", "sigma": "sigma", "chi": f"chi{axis}"}
+    return build_ring("kk_torus2").from_named_terms(
+        ({rename[g.name]: e for g, e in zip(element.ring.generators, exps) if e}, coeff)
+        for exps, coeff in element.terms)
+
+
+def _renamed_pushforward(axis, element):
+    fiber, keep = f"chi{3 - axis}", f"chi{axis}"
+    terms = []
+    for exps, coeff in element.terms:
+        mono = {g.name: e for g, e in zip(element.ring.generators, exps) if e}
+        if mono.pop(fiber, 0):
+            terms.append(({"chi" if name == keep else name: e for name, e in mono.items()},
+                          coeff))
+    return build_ring("kk_circle_flip").from_named_terms(terms)
+
+
+def _random_elements(ring, seed, count=200):
+    rng = random.Random(seed)
+    n = len(ring.generators)
+    return [ring.element({tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(-3, 3)
+                          for _ in range(rng.randint(0, 4))})
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("axis", (1, 2))
+def test_circle_maps_equal_the_renaming_routes(axis):
+    for ring, ring_map, renamed in (
+            (build_ring("kk_circle_flip"), pullback_circle_to_torus, _renamed_pullback),
+            (build_ring("kk_torus2"), pushforward_torus2, _renamed_pushforward)):
+        monomials = [ring.element({m: 1}) for m in normal_monomials(ring, 4)]
+        for element in monomials + _random_elements(ring, seed=40 + axis):
+            assert ring_map(axis, element) == renamed(axis, element), element
+
+
+@pytest.mark.parametrize("axis", (1, 2))
+def test_pushforward_renaming_is_a_ring_map(axis):
+    circle = build_ring("kk_circle_flip")
+    images = {"t": circle.gen("t"), "sigma": circle.gen("sigma"),
+              f"chi{axis}": circle.gen("chi"), f"chi{3 - axis}": circle.zero()}
+    assert verify_ring_hom(build_ring("kk_torus2"), circle, images)
+
+
+def test_circle_maps_reject_a_bad_axis_and_a_foreign_element():
+    point = build_ring("kk_point")
+    for ring_map, ring in ((pullback_circle_to_torus, build_ring("kk_circle_flip")),
+                           (pushforward_torus2, build_ring("kk_torus2"))):
+        with pytest.raises(ValueError, match="axis must be 1 or 2"):
+            ring_map(3, ring.one())
+        with pytest.raises(ValueError, match="element must live in the"):
+            ring_map(1, point.one())
 
 
 # --- the duality transform -----------------------------------------------------------
