@@ -20,7 +20,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 
 class DimensionMismatchError(ValueError):
@@ -96,6 +95,8 @@ class IntegerMatrix:
                 raise ValueError("ragged columns")
         else:
             height = 0 if rows is None else rows
+        if rows is not None and columns and height != rows:
+            raise ValueError("explicit rows disagrees with column height")
         return cls(height, len(columns),
                    tuple(columns[j][i] for i in range(height) for j in range(len(columns))))
 
@@ -411,14 +412,6 @@ def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Columns spanning {x : m @ x = 0}."""
     diag, _, v = _smith(m, track_v=True)
     return _columns_matrix(v[len(diag):], m.cols)
-
-
-def column_span_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """An independent set of columns spanning the same subgroup of Z^rows:
-    the first rank columns of m @ V, which U @ m @ V = D makes the columns
-    d_i * (column i of U^-1), i < rank."""
-    diag, _, v = _smith(m, track_v=True)
-    return _columns_matrix([m.apply(column) for column in v[:len(diag)]], m.rows)
 
 
 def lattice_contains(lattice: IntegerMatrix, vector) -> bool:
@@ -767,50 +760,3 @@ def format_multiset(multiset: Counter) -> str:
             parts.append(f"({name})^{mult}")
     return " + ".join(parts)
 
-
-# ---------------------------------------------------------------------------
-# canonical coordinates on a quotient Z^n / lattice
-
-
-class QuotientPresentation:
-    """Computable coordinates on Z^n modulo a relation lattice.
-
-    Elements are stored as canonical tuples: the Smith change of basis
-    turns the quotient into a product of cyclic groups, so each coordinate
-    is reduced modulo its order (free coordinates are kept as they are).
-    """
-
-    def __init__(self, n: int, relations: IntegerMatrix):
-        if relations.rows != n:
-            raise DimensionMismatchError("relations live in the wrong rank")
-        self.n = n
-        s = smith_normal_form(relations)
-        self._u = s.u
-        self._u_inv = inverse_unimodular(s.u)
-        diag = s.diagonal()
-        self.orders = tuple(diag[i] if i < len(diag) else 0 for i in range(n))
-
-    def reduce(self, vector) -> tuple:
-        y = self._u.apply(vector)
-        return tuple(yi % d if d else yi for yi, d in zip(y, self.orders))
-
-    def lift(self, coords) -> tuple:
-        return self._u_inv.apply(coords)
-
-    def add(self, c1, c2) -> tuple:
-        return tuple((x + y) % d if d else x + y
-                     for x, y, d in zip(c1, c2, self.orders))
-
-    def zero(self) -> tuple:
-        return (0,) * self.n
-
-    def is_finite(self):
-        return all(d != 0 for d in self.orders)
-
-    def elements(self):
-        if not self.is_finite():
-            raise ValueError("quotient is infinite")
-        return [tuple(c) for c in product(*(range(d) for d in self.orders))]
-
-    def group(self) -> FGAbelianGroup:
-        return FGAbelianGroup.from_orders(self.orders)

@@ -308,6 +308,17 @@ class PresentedRing:
         return self.element(raw)
 
 
+def _raw_product(first, second) -> dict:
+    """The product of two iterables of (exps, coeff) terms in the free
+    polynomial ring: exponents add, nothing is rewritten."""
+    raw = {}
+    for e1, c1 in first:
+        for e2, c2 in second:
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            raw[exps] = raw.get(exps, 0) + c1 * c2
+    return raw
+
+
 class RingElement:
     """Normalized element; build through the ring, not directly."""
 
@@ -355,12 +366,7 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                raw[exps] = raw.get(exps, 0) + c1 * c2
-        return self.ring.element(raw)
+        return self.ring.element(_raw_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -582,18 +588,26 @@ def degree_component(ring: PresentedRing, degree: Degree, exponent_bound=None) -
 
 def apply_ring_hom(source: PresentedRing, target: PresentedRing, images: dict,
                    element: RingElement) -> RingElement:
-    """Extend generator images to the whole ring and apply to element."""
+    """Extend generator images to the whole ring and apply to element.
+
+    Each term's image is expanded as a raw product of the images' terms,
+    and the sum is normalized once in the target: its rules are confluent,
+    so this is the normal form that multiplying step by step would give.
+    """
     for g in source.generators:
         if g.name not in images:
             raise UnknownGeneratorError(f"no image given for generator {g.name!r}")
-    out = target.zero()
+        if images[g.name].ring != target:
+            raise ValueError(f"the image of {g.name!r} is an element of a different ring")
+    raw = {}
     for exps, coeff in element.terms:
-        term = coeff * target.one()
+        term = {(0,) * len(target.generators): coeff}
         for e, g in zip(exps, source.generators):
             for _ in range(e):
-                term = term * images[g.name]
-        out = out + term
-    return out
+                term = _raw_product(term.items(), images[g.name].terms)
+        for mono, c in term.items():
+            raw[mono] = raw.get(mono, 0) + c
+    return target.element(raw)
 
 
 def verify_ring_hom(source: PresentedRing, target: PresentedRing, images: dict,

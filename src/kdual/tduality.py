@@ -4,14 +4,17 @@ twisted K-theory tables over the built-in bases.
 A Real circle bundle over a built-in base is recorded by its Chern class
 in the degree-(2, pm) slice of the base ring; the classes available as
 the second member of a pair live in the degree-(3, eq) cohomology of the
-total space, which is assembled from the circle-bundle exact sequence:
-every element is a pair
+total space, which is assembled from the circle-bundle exact sequence.
+Every element is a pair (q, k) of coordinate vectors on two base slices,
+both finite over the built-in bases:
 
-    (q, k):  q in coker(euler cup: H^1_pm -> H^3_eq),
-             k in ker(euler cup: H^2_pm -> H^4_eq),
+    q in H^3_eq modulo the image of euler cup: H^1_pm -> H^3_eq,
+      stored as the smallest reduced vector of its coset;
+    k in ker(euler cup: H^2_pm -> H^4_eq), stored as reduced coordinates,
 
-where k is the push-forward of the class and q parametrizes the fiber of
-the push-forward over k (a torsor under the image of the pull-back).
+where k is the push-forward pi_* of the class (the Chern class of the
+dual bundle, as in topological T-duality) and q parametrizes the fiber
+of the push-forward over k (a torsor under the image of the pull-back).
 Adding an element with k = 0 is canonical; adding two elements with
 nonzero k would need the extension, which the built-in cases never
 require (the trivial bundle is split by its section, and the nontrivial
@@ -47,9 +50,7 @@ from functools import cached_property
 from .exact_abelian import (
     IntegerMatrix,
     InvariantError,
-    QuotientPresentation,
     RModule,
-    column_span_basis,
     kernel_basis,
     multiset_group,
     rmodule_classify,
@@ -167,62 +168,63 @@ class TotalSpaceH3:
         base = bundle.base
         data = gysin_degree_data(base.ring, bundle.chern(), 3, EQ)
         self.base_slice = data.base_slice
-        self.pushout = data.pushout
-        self.split_certified = data.split_certified
-        self._kernel_span = column_span_basis(data.kernel_vectors)
-        span = smith_normal_form(self._kernel_span)
-        coords = []
-        for column in data.kernel_relations.columns():
-            x = span.solve(column)
-            if x is None:
-                raise InvariantError("slice relations escaped the kernel span")
-            coords.append(x)
-        self.kernels = QuotientPresentation(
-            self._kernel_span.cols,
-            IntegerMatrix.from_columns(coords, rows=self._kernel_span.cols))
         self.kernel_slice = data.kernel_slice
+        self.split_certified = data.split_certified
+        self._kernel_vectors = data.kernel_vectors
+        # the image of cup product with the Chern class, as reduced vectors
+        self._image = {self.base_slice.reduce_coords(data.into.apply(a))
+                       for a in _slice_coordinates(base.h1pm)}
+        self.q_values = sorted({self._q(coords)
+                                for coords in _slice_coordinates(self.base_slice)})
+        self.k_values = [k for k in _slice_coordinates(self.kernel_slice)
+                         if solve(self._kernel_vectors, k) is not None]
+
+    def _q(self, coords) -> tuple:
+        """The smallest reduced vector in the coset of coords modulo the
+        image of cup product with the Chern class."""
+        coords = tuple(coords)
+        return min(self.base_slice.reduce_coords(x + y for x, y in zip(coords, shift))
+                   for shift in self._image)
 
     # -- elements -------------------------------------------------------------
 
     def zero(self) -> "H3Element":
-        return H3Element(self.bundle, self.pushout.zero(), self.kernels.zero())
+        return H3Element(self.bundle, (0,) * self.base_slice.dim, (0,) * self.kernel_slice.dim)
 
     def elements(self):
-        return [H3Element(self.bundle, q, k)
-                for q in self.pushout.elements() for k in self.kernels.elements()]
+        return [H3Element(self.bundle, q, k) for q in self.q_values for k in self.k_values]
 
     def pullback_from_base(self, base_element) -> "H3Element":
-        coords = self.base_slice.coords(base_element)
-        return H3Element(self.bundle, self.pushout.reduce(coords), self.kernels.zero())
+        return H3Element(self.bundle, self._q(self.base_slice.coords(base_element)),
+                         self.zero().k)
 
     def pushforward(self, element: "H3Element"):
         """The degree-(2, pm) base class the element pushes down to."""
-        ambient = self._kernel_span.apply(self.kernels.lift(element.k))
-        return self.kernel_slice.element(self.kernel_slice.reduce_coords(ambient))
+        return self.kernel_slice.element(element.k)
 
     def section_class(self, base_h2pm_element) -> "H3Element":
         """The canonical element with the given push-forward and zero
         pull-back part."""
         coords = self.kernel_slice.coords(base_h2pm_element)
-        lifted = solve(self._kernel_span, coords)
-        if lifted is None:
+        if solve(self._kernel_vectors, coords) is None:
             raise NoSolutionError(
                 f"{base_h2pm_element} is not a push-forward over {self.bundle.label()}")
-        return H3Element(self.bundle, self.pushout.zero(), self.kernels.reduce(lifted))
+        return H3Element(self.bundle, self.zero().q, self.kernel_slice.reduce_coords(coords))
 
     def add(self, first: "H3Element", second: "H3Element") -> "H3Element":
         if not self.split_certified:
             if any(second.k) and any(first.k):
                 raise ValueError("sum of two lifted classes needs the extension")
         return H3Element(self.bundle,
-                         self.pushout.add(first.q, second.q),
-                         self.kernels.add(first.k, second.k))
+                         self._q(x + y for x, y in zip(first.q, second.q)),
+                         self.kernel_slice.reduce_coords(
+                             x + y for x, y in zip(first.k, second.k)))
 
     # -- display ----------------------------------------------------------------
 
     def describe(self, element: "H3Element") -> str:
         parts = []
-        pulled = self.base_slice.element(self.pushout.lift(element.q))
+        pulled = self.base_slice.element(element.q)
         if not pulled.is_zero():
             parts.append(f"pi*({pulled})")
         down = self.pushforward(element)
@@ -234,8 +236,8 @@ class TotalSpaceH3:
 @dataclass(frozen=True)
 class H3Element:
     bundle: RealCircleBundle
-    q: tuple  # canonical pushout coordinates
-    k: tuple  # canonical kernel coordinates
+    q: tuple  # smallest reduced degree-(3, eq) base coordinates in the coset
+    k: tuple  # reduced degree-(2, pm) base coordinates of the push-forward
 
 
 @per_golden_dir
@@ -337,7 +339,7 @@ def _correspondence_pullback(pair: Pair, which: int):
     base = pair.bundle.base.ring
     ring = _product_ring(base.name)
     images = {g.name: ring.gen(g.name) for g in base.generators}
-    pulled = total.base_slice.element(total.pushout.lift(pair.h.q))
+    pulled = total.base_slice.element(pair.h.q)
     return (apply_ring_hom(base, ring, images, pulled)
             + apply_ring_hom(base, ring, images, total.pushforward(pair.h))
             * ring.gen(f"chi{which}"))
@@ -363,7 +365,7 @@ def tdual(pair: Pair) -> TDualResult:
             "no class on the dual bundle pushes forward to the Chern class")
 
     orbits = set()
-    remaining = {H3Element(dual_bundle, q, seed.k) for q in dual_total.pushout.elements()}
+    remaining = {H3Element(dual_bundle, q, seed.k) for q in dual_total.q_values}
     while remaining:
         orbit = gauge_orbit(Pair(dual_bundle, remaining.pop()))
         orbits.add(orbit)

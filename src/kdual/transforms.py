@@ -24,8 +24,8 @@ from .exact_abelian import (
     FGAbelianGroup,
     IntegerMatrix,
     InvariantError,
-    QuotientPresentation,
     RModule,
+    cokernel,
     kernel_basis,
     multiset_group,
     preimage_lattice,
@@ -317,26 +317,27 @@ def group_cohomology_z2(m: int, n: int) -> FGAbelianGroup:
 
 @dataclass(frozen=True)
 class GysinDegreeData:
-    """Degree-n data of the circle-bundle exact sequence over a base ring.
+    """Degree-n data of the circle-bundle exact sequence over a base ring,
+    in the coordinates of two base slices.
 
-    The total-space group is an extension of `kernel_group` (classes with
-    nonzero push-forward, living in the base slice one level down with
-    flipped variant) by `pushout` (the image of the pull-back, a quotient
-    presentation of the degree-n base slice).
+    The total-space group is an extension of `kernel_group`, the classes
+    of the degree-(n - 1, flipped variant) slice that cup product with the
+    Euler class sends to zero (the possible push-forwards), by
+    `cokernel_group`, the degree-n slice modulo the image of cup product
+    with the Euler class (the image of the pull-back).
     """
 
     base_slice: Slice          # degree (n, v) of the base
-    pushout: QuotientPresentation
     kernel_slice: Slice        # degree (n-1, flip v) of the base
-    kernel_vectors: IntegerMatrix  # columns: representatives of ker(euler)
-    kernel_relations: IntegerMatrix
+    into: IntegerMatrix        # euler cup: degree (n-2, flip v) -> base_slice
+    kernel_vectors: IntegerMatrix  # columns spanning ker(euler cup) on kernel_slice
     split_certified: bool
 
     def cokernel_group(self) -> FGAbelianGroup:
-        return self.pushout.group()
+        return cokernel(relation_lattice(self.base_slice.orders).hstack(self.into))
 
     def kernel_group(self) -> FGAbelianGroup:
-        return subquotient_group(self.kernel_vectors, self.kernel_relations)
+        return subquotient_group(self.kernel_vectors, relation_lattice(self.kernel_slice.orders))
 
     def total_group(self) -> FGAbelianGroup:
         return self.cokernel_group().direct_sum(self.kernel_group())
@@ -360,15 +361,11 @@ def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str) -
 
     into = two_below.matrix(lambda e: euler * e, here)
     out = below.matrix(lambda e: euler * e, above)
-
-    pushout = QuotientPresentation(here.dim, relation_lattice(here.orders).hstack(into))
-    kernel_vectors = preimage_lattice(out, relation_lattice(above.orders))
     return GysinDegreeData(
         base_slice=here,
-        pushout=pushout,
         kernel_slice=below,
-        kernel_vectors=kernel_vectors,
-        kernel_relations=relation_lattice(below.orders),
+        into=into,
+        kernel_vectors=preimage_lattice(out, relation_lattice(above.orders)),
         split_certified=euler.is_zero(),
     )
 

@@ -46,6 +46,13 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_superscript_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "ring", "eval", "--ring", "kk_point", "2\u00b2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and "(at position 1)" in err
+
+
 def test_unknown_generator_exit_code(capsys):
     code, _, err = run(capsys, "ring", "eval", "--ring", "kk_point", "chi")
     assert code == 2

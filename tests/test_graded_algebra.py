@@ -328,6 +328,14 @@ def test_apply_hom_is_multiplicative():
                 * apply_ring_hom(circle, torus, images, b))
 
 
+def test_apply_hom_rejects_an_image_in_another_ring():
+    circle = build_ring("kk_circle_flip")
+    torus = build_ring("kk_torus2")
+    images = {"t": torus.gen("t"), "sigma": circle.gen("sigma"), "chi": torus.gen("chi1")}
+    with pytest.raises(ValueError, match="image of 'sigma' is an element of a different ring"):
+        apply_ring_hom(circle, torus, images, circle.gen("t"))
+
+
 # --- parsing and serialization ---------------------------------------------------
 
 
@@ -355,6 +363,14 @@ def test_parse_error_position():
     with pytest.raises(ParseError, match="unknown generator 'nope'") as err:
         parse_expression(kk, "1 + nope")
     assert err.value.position == 4
+
+
+@pytest.mark.parametrize("text, position", (("2\u00b2", 1), ("chi^\u00b2", 4)))
+def test_superscript_digit_is_a_parse_error(text, position):
+    # str.isdigit accepts a superscript two, but int() does not
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_expression(build_ring("kk_circle_flip"), text)
+    assert err.value.position == position
 
 
 def test_element_serialization_round_trip():

@@ -1,11 +1,18 @@
 import json
 import shutil
+from collections import Counter
+from itertools import product
+from math import prod
 
 import pytest
 
-from collections import Counter
-
-from kdual.exact_abelian import IntegerMatrix, RModule, multiset_group, rmodule_classify
+from kdual.exact_abelian import (
+    IntegerMatrix,
+    RModule,
+    multiset_group,
+    relation_lattice,
+    rmodule_classify,
+)
 from kdual.graded_algebra import EQ, PM, Degree, GeneratorSpec
 from kdual import tduality
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
@@ -25,6 +32,7 @@ from kdual.tduality import (
     mv_k_groups,
     mv_status,
     NoCandidateError,
+    NoSolutionError,
     pair_from_expressions,
     search_clutchings,
     tdual,
@@ -36,6 +44,7 @@ from kdual.tduality import (
     _total_space,
     _twist_invariants,
 )
+from kdual.transforms import gysin_degree_data
 
 
 # --- bundles and total spaces -----------------------------------------------------
@@ -63,6 +72,44 @@ def test_pushforward_and_pullback_parts():
     assert str(total.pushforward(pair.h)) == "t12*e"
     pulled = pair_from_expressions("circle_trivial", "0", "t12^2*e", "0")
     assert total.pushforward(pulled.h).is_zero()
+
+
+def _slice_vectors(slice_):
+    return list(product(*(range(order) for order in slice_.orders)))
+
+
+@pytest.mark.parametrize("base_name", tduality.BASE_NAMES)
+def test_total_space_coordinates_are_base_slice_coordinates(base_name):
+    base = get_base(base_name)
+    for bundle in enumerate_bundles(base):
+        total = _total_space(bundle)
+        chern = bundle.chern()
+        data = gysin_degree_data(base.ring, chern, 3, EQ)
+        orders = data.cokernel_group().invariant_factors + data.kernel_group().invariant_factors
+        assert 0 not in orders
+        elements = total.elements()
+        assert len(set(elements)) == len(elements) == prod(orders)
+        for h in elements:
+            down = total.pushforward(h)
+            assert (chern * down).is_zero()
+            assert h.k == total.kernel_slice.reduce_coords(total.kernel_slice.coords(down))
+            # the coset of q, by cup products in the ring
+            pulled = total.base_slice.element(h.q)
+            coset = {base.h3eq.coords(pulled + chern * base.h1pm.element(a))
+                     for a in _slice_vectors(base.h1pm)}
+            assert h.q == min(coset), (bundle, h)
+
+
+def test_section_class_rejects_a_class_that_is_not_a_push_forward():
+    total = TotalSpaceH3(pair_from_expressions("circle_trivial", "t12*e").bundle)
+    fiber = total.kernel_slice.element((1,))
+    assert total.pushforward(total.section_class(fiber)) == fiber
+    # over the built-in bases every degree-(2, pm) class is a push-forward,
+    # so shrink the kernel to the relations of the slice
+    total._kernel_vectors = relation_lattice(total.kernel_slice.orders)
+    with pytest.raises(NoSolutionError, match="t12\\*e is not a push-forward over E1"):
+        total.section_class(fiber)
+    assert total.section_class(fiber.ring.zero()) == total.zero()
 
 
 # --- gauge orbits -------------------------------------------------------------------
@@ -151,14 +198,6 @@ def test_tdual_checks_pushforward_of_the_dual_class(monkeypatch):
     monkeypatch.setattr(TotalSpaceH3, "pushforward", skewed)
     with pytest.raises(InvariantError, match="not to the Chern class"):
         tdual(pair)
-
-
-def test_total_space_checks_relations_lie_in_kernel_span(monkeypatch):
-    bundle = pair_from_expressions("circle_trivial", "0").bundle
-    # a kernel span that misses the (nonzero) slice relations
-    monkeypatch.setattr(tduality, "column_span_basis", lambda m: IntegerMatrix.zeros(m.rows, 0))
-    with pytest.raises(InvariantError, match="escaped the kernel span"):
-        TotalSpaceH3(bundle)
 
 
 def test_kernel_module_checks_action_preserves_kernel():
@@ -567,7 +606,7 @@ def _renamed_correspondence_pullback(pair, which):
             ({g.name: e for g, e in zip(element.ring.generators, exps) if e}, c)
             for exps, c in element.terms)
 
-    pulled = total.base_slice.element(total.pushout.lift(pair.h.q))
+    pulled = total.base_slice.element(pair.h.q)
     return lift(pulled) + lift(total.pushforward(pair.h)) * ring.gen(f"chi{which}")
 
 
