@@ -43,7 +43,8 @@ def _tokenize(text):
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and (text[j].isalpha() or text[j].isdecimal()
+                                     or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

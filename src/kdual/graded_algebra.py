@@ -18,6 +18,16 @@ lemma the two checks together prove that every element has a unique
 normal form, so a presentation that is not confluent is rejected with
 ConfluenceError before any element is built.
 
+Normal forms are computed largest monomial first.  A heap pops each
+monomial of the working sum once, in descending monomial order; its
+coefficient is final by then, because a rewrite only adds smaller
+monomials.  Each rule is indexed at construction by its support, the
+(generator, exponent) pairs of its left-hand side, so testing whether it
+divides a monomial reads only those exponents.  The order in which
+monomials are rewritten, and the rule chosen for each, do not change the
+result: the rules are confluent, so every reduction reaches the one
+normal form.
+
 Degrees add componentwise; the variant flag adds modulo two (two "pm"
 factors multiply into "eq").  Rings of K-type carry `period = 2` and
 reduce levels modulo the period; rings of H-type keep integer levels.
@@ -26,6 +36,8 @@ reduce levels modulo the period; rings of H-type keep integer levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 from .exact_abelian import FGAbelianGroup, IntegerMatrix
 
@@ -80,6 +92,11 @@ class GeneratorSpec:
             raise ValueError("additive orders other than 0 and 2 are not supported")
 
 
+def _heap_key(exps):
+    """monomial_key negated, so that heapq pops the largest monomial first."""
+    return (-sum(exps), tuple(map(neg, reversed(exps))))
+
+
 def _generator_rank(name):
     try:
         return (0, GENERATOR_ORDER.index(name))
@@ -118,6 +135,9 @@ class PresentedRing:
             packed.append((ring._exps_from_dict(lhs),
                            tuple((ring._exps_from_dict(m), int(c)) for m, c in rhs)))
         ring.rules = tuple(packed)  # (lhs exponent tuple, ((exps, coeff), ...))
+        # each rule with the (generator index, exponent) pairs of its lhs
+        ring._rule_index = tuple(
+            (tuple((i, e) for i, e in enumerate(rule[0]) if e), rule) for rule in ring.rules)
         ring._validate_rules()
         ring._check_confluence()
         return ring
@@ -233,11 +253,14 @@ class PresentedRing:
         return "*".join(parts) if parts else "1"
 
     def monomial_is_normal(self, exps) -> bool:
-        return not any(self._divides(lhs, exps) for lhs, _ in self.rules)
+        return self._rule_dividing(exps) is None
 
-    @staticmethod
-    def _divides(lhs, exps):
-        return all(a <= b for a, b in zip(lhs, exps))
+    def _rule_dividing(self, exps):
+        """The first rule (lhs, rhs) whose lhs divides exps, or None."""
+        for support, rule in self._rule_index:
+            if all(exps[i] >= e for i, e in support):
+                return rule
+        return None
 
     # -- normalization ---------------------------------------------------------
 
@@ -245,47 +268,45 @@ class PresentedRing:
         order = self.monomial_additive_order(exps)
         return coeff % order if order else coeff
 
-    def _normalize_terms(self, terms: dict) -> dict:
-        work = {}
-        for exps, coeff in terms.items():
-            coeff = self._reduce_coeff(exps, coeff)
-            if coeff:
-                work[exps] = work.get(exps, 0) + coeff
-        while True:
-            target = None
-            for exps in sorted(work, key=self.monomial_key, reverse=True):
-                for lhs, rhs in self.rules:
-                    if self._divides(lhs, exps):
-                        target = (exps, lhs, rhs)
-                        break
-                if target:
-                    break
-            if target is None:
-                break
-            exps, lhs, rhs = target
-            coeff = work.pop(exps)
-            quotient = tuple(a - b for a, b in zip(exps, lhs))
+    def _normalize_terms(self, terms: dict) -> list:
+        """Normal-form terms of a raw sum, in descending monomial order.
+
+        Each popped monomial's coefficient is reduced by its additive
+        order; then the first rule whose left-hand side divides the
+        monomial replaces it by quotient * rhs, or, if none does, the term
+        is emitted.  Every rule lowers the order, and the order is
+        multiplicative, so the pushed monomials are all smaller.
+        """
+        coeffs = {exps: coeff for exps, coeff in terms.items() if coeff}
+        heap = [(_heap_key(exps), exps) for exps in coeffs]
+        heapify(heap)
+        out = []
+        while heap:
+            exps = heappop(heap)[1]
+            coeff = self._reduce_coeff(exps, coeffs.pop(exps))
+            if not coeff:
+                continue
+            rule = self._rule_dividing(exps)
+            if rule is None:
+                out.append((exps, coeff))
+                continue
+            lhs, rhs = rule
+            quotient = tuple(map(sub, exps, lhs))
             for mono, c in rhs:
-                new = tuple(a + b for a, b in zip(quotient, mono))
-                val = work.get(new, 0) + coeff * c
-                val = self._reduce_coeff(new, val)
-                if val:
-                    work[new] = val
+                new = tuple(map(add, quotient, mono))
+                if new in coeffs:
+                    coeffs[new] += coeff * c
                 else:
-                    work.pop(new, None)
-        cleaned = {}
-        for exps, coeff in work.items():
-            coeff = self._reduce_coeff(exps, coeff)
-            if coeff:
-                cleaned[exps] = coeff
-        return cleaned
+                    coeffs[new] = coeff * c
+                    heappush(heap, (_heap_key(new), new))
+        return out
 
     # -- element constructors ---------------------------------------------------
 
     def element(self, terms: dict) -> "RingElement":
         normalized = self._normalize_terms(terms)
-        ordered = tuple(sorted(normalized.items(), key=lambda kv: self.monomial_key(kv[0])))
-        return RingElement(self, ordered)
+        normalized.reverse()
+        return RingElement(self, tuple(normalized))
 
     def zero(self) -> "RingElement":
         return self.element({})
@@ -373,8 +394,10 @@ class RingElement:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponents must be nonnegative integers")
-        out = self.ring.one()
-        for _ in range(k):
+        if k == 0:
+            return self.ring.one()
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -365,9 +365,10 @@ def test_parse_error_position():
     assert err.value.position == 4
 
 
-@pytest.mark.parametrize("text, position", (("2\u00b2", 1), ("chi^\u00b2", 4)))
+@pytest.mark.parametrize("text, position",
+                         (("2\u00b2", 1), ("chi^\u00b2", 4), ("chi\u00b2", 3)))
 def test_superscript_digit_is_a_parse_error(text, position):
-    # str.isdigit accepts a superscript two, but int() does not
+    # str.isdigit and str.isalnum accept a superscript two, but int() does not
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse_expression(build_ring("kk_circle_flip"), text)
     assert err.value.position == position

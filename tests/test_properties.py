@@ -1,10 +1,13 @@
 """Property tests over generated inputs (hypothesis).
 
 Derandomized, so every run draws the same examples; skipped when
-hypothesis is not installed.
+hypothesis is not installed.  The normal-form checks at the end compare
+`PresentedRing.element` with a reference that rewrites by re-sorting and
+scanning every rule, over drawn, exhaustive and high-power inputs.
 """
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -20,6 +23,8 @@ from kdual.exact_abelian import (
     rmodule_from_multiset,
     smith_normal_form,
 )
+from kdual.expressions import parse_expression
+from kdual.graded_algebra import _raw_product
 from kdual.paper_rings import RING_NAMES, build_ring
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -91,3 +96,84 @@ def test_normal_form_is_idempotent(drawn):
     for exps, coeff in element.terms:
         assert ring.monomial_is_normal(exps)
         assert coeff and ring._reduce_coeff(exps, coeff) == coeff
+
+
+def sort_and_scan_terms(ring, terms):
+    """Normal form of raw terms by the engine that preceded the heap
+    worklist: re-sort the working terms, rewrite the largest reducible
+    monomial by the first rule that divides it, and repeat."""
+    work = {}
+    for exps, coeff in terms.items():
+        coeff = ring._reduce_coeff(exps, coeff)
+        if coeff:
+            work[exps] = work.get(exps, 0) + coeff
+    while True:
+        target = None
+        for exps in sorted(work, key=ring.monomial_key, reverse=True):
+            for lhs, rhs in ring.rules:
+                if all(a <= b for a, b in zip(lhs, exps)):
+                    target = (exps, lhs, rhs)
+                    break
+            if target:
+                break
+        if target is None:
+            break
+        exps, lhs, rhs = target
+        coeff = work.pop(exps)
+        quotient = tuple(a - b for a, b in zip(exps, lhs))
+        for mono, c in rhs:
+            new = tuple(a + b for a, b in zip(quotient, mono))
+            val = ring._reduce_coeff(new, work.get(new, 0) + coeff * c)
+            if val:
+                work[new] = val
+            else:
+                work.pop(new, None)
+    return tuple(sorted(work.items(), key=lambda kv: ring.monomial_key(kv[0])))
+
+
+@st.composite
+def raw_terms(draw):
+    ring = build_ring(draw(st.sampled_from(RING_NAMES)))
+    monomials = st.tuples(*[st.integers(0, 5)] * len(ring.generators))
+    terms = draw(st.dictionaries(monomials, st.integers(-6, 6), max_size=6))
+    torsion = [i for i, g in enumerate(ring.generators) if g.additive_order == 2]
+    if torsion:
+        # even multiples of torsion monomials vanish only once reduced mod 2
+        for exps in draw(st.lists(monomials, max_size=3)):
+            i = draw(st.sampled_from(torsion))
+            terms[exps[:i] + (max(exps[i], 1),) + exps[i + 1:]] = 2 * draw(st.integers(-3, 3))
+    return ring, terms
+
+
+@PROPERTY
+@given(raw_terms())
+def test_normal_form_matches_the_sort_and_scan_reference(drawn):
+    ring, terms = drawn
+    assert ring.element(terms).terms == sort_and_scan_terms(ring, terms)
+
+
+@pytest.mark.parametrize("name", RING_NAMES)
+def test_monomial_products_match_the_sort_and_scan_reference(name):
+    ring = build_ring(name)
+    n = len(ring.generators)
+    monomials = [m for m in product(range(4), repeat=n) if sum(m) <= 3]
+    for a, b in product(monomials, repeat=2):
+        ab = tuple(x + y for x, y in zip(a, b))
+        for coeff in (1, 2):
+            got = ring.element({a: coeff}) * ring.element({b: 1})
+            assert got.terms == sort_and_scan_terms(ring, {ab: coeff}), (a, b, coeff)
+
+
+@pytest.mark.parametrize("name, text, k", (
+    ("kk_circle_flip", "t + sigma + chi", 8),
+    ("kk_point", "t - 3*sigma", 9),
+    ("kk_torus2", "t + sigma + chi1 - chi2", 6),
+    ("hh_universal_base", "t12 + c - chat", 7),
+))
+def test_high_powers_match_the_sort_and_scan_reference(name, text, k):
+    ring = build_ring(name)
+    base = parse_expression(ring, text)
+    raw = {(0,) * len(ring.generators): 1}
+    for _ in range(k):
+        raw = _raw_product(raw.items(), base.terms)
+    assert (base ** k).terms == sort_and_scan_terms(ring, raw)
