@@ -6,12 +6,10 @@ from importlib import import_module
 from .exact_abelian import (
     ClassificationError,
     FGAbelianGroup,
-    GroupHom,
     IntegerMatrix,
     RModule,
     SmithDecomposition,
     cokernel,
-    exactness_check,
     rmodule_classify,
     smith_normal_form,
 )
@@ -23,8 +21,6 @@ from .graded_algebra import (
     PresentedRing,
     RingElement,
     degree_component,
-    mul,
-    normalize,
     verify_ring_hom,
 )
 from .paper_rings import (
@@ -41,9 +37,9 @@ from .expressions import ParseError, parse_expression
 # Names from the heavier modules resolve on first use (PEP 562), so that
 # `import kdual` loads only the rings, the oracle and the linear algebra.
 _LAZY = {
-    "transforms": ("GradedGroupTable", "ModuleMap", "group_cohomology_z2",
-                   "gysin_cohomology", "kunneth_split", "pushforward_torus2",
-                   "t_power_table", "t_transform"),
+    "transforms": ("GradedGroupTable", "group_cohomology_z2", "gysin_cohomology",
+                   "kunneth_split", "pushforward_torus2", "t_power_table",
+                   "t_transform"),
     "tduality": ("Pair", "RealCircleBundle", "TDualResult", "TwistedKTable",
                  "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv",
                  "verify_theorem_T"),
@@ -62,15 +58,14 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassificationError", "FGAbelianGroup", "GroupHom", "IntegerMatrix",
-    "RModule", "SmithDecomposition", "cokernel", "exactness_check",
-    "rmodule_classify", "smith_normal_form",
+    "ClassificationError", "FGAbelianGroup", "IntegerMatrix", "RModule",
+    "SmithDecomposition", "cokernel", "rmodule_classify", "smith_normal_form",
     "EQ", "PM", "Degree", "GeneratorSpec", "PresentedRing", "RingElement",
-    "degree_component", "mul", "normalize", "verify_ring_hom",
+    "degree_component", "verify_ring_hom",
     "ExteriorKClass", "FOracleImage", "build_ring", "dictionary", "f_oracle",
     "verify_f_injective", "verify_relation_via_oracle",
     "ParseError", "parse_expression",
-    "GradedGroupTable", "ModuleMap", "group_cohomology_z2", "gysin_cohomology",
+    "GradedGroupTable", "group_cohomology_z2", "gysin_cohomology",
     "kunneth_split", "pushforward_torus2", "t_power_table", "t_transform",
     "Pair", "RealCircleBundle", "TDualResult", "TwistedKTable",
     "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv",

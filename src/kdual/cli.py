@@ -8,6 +8,7 @@ Subcommands:
     kdual transform t --power K             iterated duality transform
     kdual cohomology z2-group --twist M --degree N
     kdual tdual enumerate --base circle-trivial|point
+    kdual tdual k-groups --base circle-trivial
     kdual verify SUITE                      tables|oracle|transform|tdual|all
 
 Generator names on the command line: t12 is the degree-(1, pm) torsion

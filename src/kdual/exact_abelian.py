@@ -1,10 +1,9 @@
 """Exact linear algebra over the integers.
 
 The Smith normal form is the one primitive everything else here is built
-on: finitely generated abelian groups in invariant-factor form,
-homomorphisms with their kernels and cokernels, exactness of two-term
-sequences, and the classification of modules over R = Z[t]/(t^2 - 1) into
-direct sums of the four indecomposables
+on: finitely generated abelian groups in invariant-factor form, kernels,
+preimages and subquotients of lattices, and the classification of modules
+over R = Z[t]/(t^2 - 1) into direct sums of the four indecomposables
 
     R,  R/I,  R/J,  I/2I        (I = (1 - t), J = (1 + t))
 
@@ -187,16 +186,6 @@ class IntegerMatrix:
 
     def neg(self):
         return IntegerMatrix._trusted(self.rows, self.cols, tuple(-e for e in self.entries))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        return {"rows": self.rows, "cols": self.cols, "entries": list(self.entries)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(int(data["rows"]), int(data["cols"]),
-                   tuple(int(e) for e in data["entries"]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +403,6 @@ def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     return _columns_matrix(v[len(diag):], m.cols)
 
 
-def lattice_contains(lattice: IntegerMatrix, vector) -> bool:
-    return solve(lattice, vector) is not None
-
-
-def lattice_subset(inner: IntegerMatrix, outer: IntegerMatrix) -> bool:
-    s = smith_normal_form(outer)
-    return all(s.solve(column) is not None for column in inner.columns())
-
-
-def lattices_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
-    return lattice_subset(a, b) and lattice_subset(b, a)
-
-
 def preimage_lattice(m: IntegerMatrix, lattice: IntegerMatrix) -> IntegerMatrix:
     """Columns spanning {x : m @ x lies in the span of lattice}."""
     if m.rows != lattice.rows:
@@ -481,10 +457,6 @@ class FGAbelianGroup:
             return cls(())
         return cokernel(IntegerMatrix.diagonal(orders))
 
-    @classmethod
-    def free(cls, rank):
-        return cls((0,) * rank)
-
     @property
     def free_rank(self):
         return sum(1 for f in self.invariant_factors if f == 0)
@@ -510,10 +482,6 @@ class FGAbelianGroup:
     def to_json(self):
         return {"invariant_factors": list(self.invariant_factors)}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(int(f) for f in data["invariant_factors"]))
-
 
 def cokernel(m: IntegerMatrix) -> FGAbelianGroup:
     """Z^rows modulo the column span of m, in canonical invariant-factor form."""
@@ -531,55 +499,6 @@ def relation_lattice(orders) -> IntegerMatrix:
     return IntegerMatrix.from_columns(
         [tuple(f if i == j else 0 for j in range(n)) for i, f in enumerate(orders) if f],
         rows=n)
-
-
-# ---------------------------------------------------------------------------
-# homomorphisms
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    """Homomorphism between groups in canonical presentation.
-
-    The matrix acts on generator coordinates: one column per source
-    generator, one row per target generator.  Construction checks
-    well-definedness: each source relation must land in a target relation.
-    """
-
-    source: FGAbelianGroup
-    target: FGAbelianGroup
-    matrix: IntegerMatrix
-
-    def __post_init__(self):
-        ns = len(self.source.invariant_factors)
-        nt = len(self.target.invariant_factors)
-        if (self.matrix.rows, self.matrix.cols) != (nt, ns):
-            raise DimensionMismatchError(
-                f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected {nt}x{ns}")
-        for i, f in enumerate(self.source.invariant_factors):
-            if not f:
-                continue
-            for j, ft in enumerate(self.target.invariant_factors):
-                val = f * self.matrix.entry(j, i)
-                if (ft and val % ft) or (not ft and val):
-                    raise ValueError("matrix does not respect the relations")
-
-    def kernel_group(self) -> FGAbelianGroup:
-        pre = preimage_lattice(self.matrix, relation_lattice(self.target.invariant_factors))
-        return subquotient_group(pre, relation_lattice(self.source.invariant_factors))
-
-    def cokernel_group(self) -> FGAbelianGroup:
-        return cokernel(relation_lattice(self.target.invariant_factors).hstack(self.matrix))
-
-
-def exactness_check(f: GroupHom, g: GroupHom) -> bool:
-    """True iff image(f) = kernel(g) inside the middle group."""
-    if f.target != g.source:
-        raise DimensionMismatchError("maps are not composable")
-    mid = relation_lattice(f.target.invariant_factors)
-    image = f.matrix.hstack(mid)
-    kernel = preimage_lattice(g.matrix, relation_lattice(g.target.invariant_factors))
-    return lattices_equal(image, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +548,6 @@ class RModule:
             if lattice.solve(diff) is None:
                 raise ValueError("action is not an involution modulo the relations")
 
-    @classmethod
-    def from_group(cls, group: FGAbelianGroup, action: IntegerMatrix) -> "RModule":
-        orders = group.invariant_factors
-        return cls(len(orders), relation_lattice(orders), action)
-
     def underlying_group(self) -> FGAbelianGroup:
         return cokernel(self.relations)
 
@@ -644,11 +558,6 @@ class RModule:
     def kernel_of(self, op: IntegerMatrix) -> FGAbelianGroup:
         pre = preimage_lattice(op, self.relations)
         return subquotient_group(pre, self.relations)
-
-    def direct_sum(self, other: "RModule") -> "RModule":
-        return RModule(self.rank + other.rank,
-                       IntegerMatrix.block_diagonal(self.relations, other.relations),
-                       IntegerMatrix.block_diagonal(self.action, other.action))
 
 
 def indecomposable(name: str) -> RModule:

@@ -465,31 +465,6 @@ class RingElement:
         }
 
 
-def element_from_json(ring: PresentedRing, data) -> RingElement:
-    if data.get("ring") != ring.name:
-        raise ValueError(f"element belongs to ring {data.get('ring')!r}, not {ring.name!r}")
-    return ring.from_named_terms((t["mono"], t["coeff"]) for t in data["terms"])
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def normalize(ring: PresentedRing, raw) -> RingElement:
-    """Normal form of raw data: a RingElement, or (monomial dict, coeff) pairs."""
-    if isinstance(raw, RingElement):
-        if raw.ring != ring:
-            raise UnknownGeneratorError("element belongs to a different ring")
-        return ring.element(dict(raw.terms))
-    return ring.from_named_terms(raw)
-
-
-def mul(ring: PresentedRing, a: RingElement, b: RingElement) -> RingElement:
-    if a.ring != ring or b.ring != ring:
-        raise ValueError("elements do not belong to the given ring")
-    return a * b
-
-
 @dataclass(frozen=True)
 class Slice:
     """Monomial basis of one homogeneous degree of a ring."""
@@ -583,6 +558,7 @@ def normal_monomials(ring: PresentedRing, bound: int, degree: Degree | None = No
         exps[idx] = 0
 
     rec(0, 0, 0, 0)
+    del rec  # the closure refers to itself through its cell: break the cycle
     return sorted(found, key=ring.monomial_key)
 
 

@@ -314,9 +314,6 @@ class TDualResult:
     dual: Pair
     certificate: tuple  # sorted key/value pairs
 
-    def certificate_dict(self):
-        return dict(self.certificate)
-
 
 @per_golden_dir
 def _product_ring(base_ring_name) -> PresentedRing:

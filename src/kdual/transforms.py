@@ -392,45 +392,3 @@ def gysin_cohomology(base_ring, euler: RingElement, window: int = 4) -> GradedGr
                 data.total_group(), None, data.ambiguous())
     return GradedGroupTable("H", entries)
 
-
-# ---------------------------------------------------------------------------
-# named degree-shifting module maps
-
-
-@dataclass(frozen=True, eq=False)
-class ModuleMap:
-    """A degree-shifting additive map with an explicit basis window."""
-
-    name: str
-    source_ring: object
-    target_ring: object
-    images: tuple  # ((basis label, image element), ...)
-
-    def apply(self, element: RingElement) -> RingElement:
-        table = dict(self.images)
-        out = self.target_ring.zero()
-        for exps, coeff in element.terms:
-            label = self.source_ring.monomial_str(exps)
-            if label not in table:
-                raise ValueError(f"{self.name}: no image for basis monomial {label}")
-            out = out + coeff * table[label]
-        return out
-
-
-def delta_map(family: str) -> ModuleMap:
-    """The connecting map of the forgetful exact sequence: cup product with
-    the degree-(1, pm) class (sigma for K-type, t12 for H-type), given on
-    the normal monomials of total exponent at most 6."""
-    from .graded_algebra import normal_monomials
-    if family == "K":
-        ring = build_ring("kk_circle_flip")
-        unit = ring.gen("sigma")
-    elif family == "H":
-        ring = build_ring("hh_circle_flip")
-        unit = ring.gen("t12")
-    else:
-        raise ValueError("family must be 'K' or 'H'")
-    images = tuple(
-        (ring.monomial_str(mono), ring.element({mono: 1}) * unit)
-        for mono in normal_monomials(ring, 6))
-    return ModuleMap(f"delta[{family}]", ring, ring, images)

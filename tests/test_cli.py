@@ -82,6 +82,9 @@ def test_cohomology_command(capsys):
     assert out.strip() == "Z/2"
     code, out, _ = run(capsys, "cohomology", "z2-group", "--twist", "0", "--degree", "0")
     assert out.strip() == "Z"
+    code, out, _ = run(capsys, "--format", "json", "cohomology", "z2-group",
+                       "--twist", "1", "--degree", "3")
+    assert json.loads(out)["group"] == {"invariant_factors": [2]}
 
 
 def test_tdual_enumerate(capsys):

@@ -11,7 +11,11 @@ import pytest
 import kdual
 from kdual import cli
 
-SRC = str(Path(kdual.__file__).resolve().parent.parent)
+PACKAGE = Path(kdual.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# names that nothing in the package calls, kept as references for the tests
+TEST_REFERENCES = {"canonical_pair", "inverse_unimodular", "rmodule_from_multiset"}
 
 
 def test_import_loads_only_what_the_caller_uses():
@@ -38,8 +42,7 @@ def test_every_public_name_resolves():
 
 def test_library_checks_survive_python_O():
     # `python -O` strips assert statements, so invariants raise named errors
-    package = Path(kdual.__file__).resolve().parent
-    for path in sorted(package.rglob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
             assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), \
@@ -58,3 +61,39 @@ def test_readme_command_lines_run(capsys):
         if comment.strip().startswith("->"):
             assert out.strip() == comment.strip()[2:].strip(), line
     assert any("# -> sigma*chi" in line for line in lines)
+
+
+def _names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_definition_has_a_caller():
+    # A top-level function or class is live when module-level code of the
+    # package, the benchmark or a live definition names it.  `__init__.py`
+    # only re-exports, so its imports, `_LAZY` and `__all__` do not count.
+    definitions = {}
+    roots = set(TEST_REFERENCES)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+            else:
+                roots.update(_names(node))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        roots.update(_names(ast.parse(path.read_text(), str(path))))
+    live, todo = set(), [name for name in roots if name in definitions]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(m for node in definitions[name] for m in _names(node)
+                        if m in definitions)
+    assert sorted(set(definitions) - live) == []

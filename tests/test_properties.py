@@ -71,7 +71,7 @@ def unimodular(draw, n):
 @PROPERTY
 @given(multisets, multisets, st.data())
 def test_classify_direct_sum_is_the_multiset_union(first, second, data):
-    module = rmodule_from_multiset(first).direct_sum(rmodule_from_multiset(second))
+    module = rmodule_from_multiset(first + second)
     u = data.draw(unimodular(module.rank))
     changed = RModule(module.rank, u @ module.relations,
                       u @ module.action @ inverse_unimodular(u))
