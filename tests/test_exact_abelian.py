@@ -442,18 +442,24 @@ def test_subquotient_rejects_small_outside_big():
             subquotient_group(big, small)
 
 
+def kernel_and_cokernel_of_multiplication(factor, order):
+    """Kernel and cokernel of multiplication by `factor` on Z/order (0 meaning Z)."""
+    op = IntegerMatrix.from_rows([[factor]])
+    lattice = relation_lattice((order,))
+    pre = preimage_lattice(op, lattice)
+    return subquotient_group(pre, lattice), cokernel(lattice.hstack(op))
+
+
 def test_subquotient_and_preimage():
-    # kernel and cokernel of multiplication by a factor on Z/order (0 meaning Z)
-    cases = [
-        (2, 4, (2,), (2,)),  # on Z/4: kernel 2Z/4 = Z/2, cokernel Z/2
-        (6, 0, (), (6,)),    # on Z: injective, cokernel Z/6
-    ]
-    for factor, order, kernel, quotient in cases:
-        op = IntegerMatrix.from_rows([[factor]])
-        lattice = relation_lattice((order,))
-        pre = preimage_lattice(op, lattice)
-        assert subquotient_group(pre, lattice) == FGAbelianGroup(kernel)
-        assert cokernel(lattice.hstack(op)) == FGAbelianGroup(quotient)
+    # multiplication by 2 on Z/4: kernel 2Z/4 = Z/2, cokernel Z/2
+    assert kernel_and_cokernel_of_multiplication(2, 4) == (
+        FGAbelianGroup((2,)), FGAbelianGroup((2,)))
+
+
+def test_kernel_and_cokernel_groups():
+    # multiplication by 6 on Z: injective, cokernel Z/6
+    assert kernel_and_cokernel_of_multiplication(6, 0) == (
+        FGAbelianGroup(()), FGAbelianGroup((6,)))
 
 
 def test_products_match_triple_loop():
