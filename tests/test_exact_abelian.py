@@ -27,6 +27,7 @@ from kdual.exact_abelian import (
     solve,
     subquotient_group,
 )
+from kdual.exact_abelian import _smith
 
 
 # --- independent oracle: invariant factors via gcds of minors --------------
@@ -209,6 +210,143 @@ def test_snf_and_solve_golden_digest():
     assert golden_transforms_digest() == GOLDEN_TRANSFORMS_SHA256
 
 
+# --- the log-and-replay elimination against forward tracking ---------------
+
+
+def forward_smith(m: IntegerMatrix, track_u=False, track_v=False):
+    """`_smith` as it was before U and V were built from a log: every row
+    and column operation is mirrored on the full rows of U and columns of V
+    as it happens.  Same pivot rule, so the same (diag, U rows, V columns)."""
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if track_u else None
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if track_v else None
+    diag = []
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            if track_u:
+                u[k + i], u[k + j] = u[k + j], u[k + i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in a:
+                r[i], r[j] = r[j], r[i]
+            if track_v:
+                v[k + i], v[k + j] = v[k + j], v[k + i]
+
+    def add_row(dst, src, q):  # row dst += q * row src
+        if q:
+            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+            if track_u:
+                u[k + dst] = [x + q * y for x, y in zip(u[k + dst], u[k + src])]
+
+    def negate_pivot_row():
+        a[0] = [-x for x in a[0]]
+        if track_u:
+            u[k] = [-x for x in u[k]]
+
+    def pick_pivot():
+        best = 0
+        for i, r in enumerate(a):
+            low = min(map(abs, filter(None, r)), default=0)
+            if low and (not best or low < best):
+                best, row = low, i
+        if not best:
+            return None
+        return row, next(j for j, x in enumerate(a[row]) if abs(x) == best)
+
+    def first_smallest(values):
+        cand = None
+        for i, x in enumerate(values):
+            if i and x and (cand is None or abs(x) < abs(values[cand])):
+                cand = i
+        return cand
+
+    k = 0
+    while k < min(rows, cols):
+        best = pick_pivot()
+        if best is None:
+            break
+        swap_rows(0, best[0])
+        swap_cols(0, best[1])
+        if a[0][0] < 0:
+            negate_pivot_row()
+        while True:
+            p = a[0][0]
+            for i in range(1, len(a)):
+                add_row(i, 0, -(a[i][0] // p))
+            cand = first_smallest([r[0] for r in a])
+            if cand is not None:
+                swap_rows(0, cand)
+                if a[0][0] < 0:
+                    negate_pivot_row()
+                continue
+            pivot_row = a[0]
+            for j in range(1, len(pivot_row)):
+                q = -(pivot_row[j] // p)
+                if q:
+                    pivot_row[j] += q * p
+                    if track_v:
+                        v[k + j] = [x + q * y for x, y in zip(v[k + j], v[k])]
+            cand = first_smallest(pivot_row)
+            if cand is not None:
+                swap_cols(0, cand)
+                if a[0][0] < 0:
+                    negate_pivot_row()
+                continue
+            bad = None if p == 1 else next(
+                (i for i in range(1, len(a)) if any(map(p.__rmod__, a[i]))), None)
+            if bad is None:
+                break
+            add_row(0, bad, 1)
+        diag.append(a[0][0])
+        a = [r[1:] for r in a[1:]]
+        k += 1
+    return diag, u, v
+
+
+def assert_matches_forward_smith(m):
+    for track_u, track_v in product((False, True), repeat=2):
+        assert _smith(m, track_u, track_v) == forward_smith(m, track_u, track_v), \
+            (m, track_u, track_v)
+
+
+def test_smith_matches_forward_tracking_on_drawn_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices_with_zero_lines(draw):
+        rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+        a = [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+             for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)) if rows else ():
+            a[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)) if cols else ():
+            for r in a:
+                r[j] = 0
+        return IntegerMatrix.from_rows(a, cols=cols)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @hypothesis.given(matrices_with_zero_lines())
+    def check(m):
+        assert_matches_forward_smith(m)
+
+    check()
+
+
+def test_smith_matches_forward_tracking_on_the_golden_batch():
+    for m, _ in golden_batch():
+        assert_matches_forward_smith(m)
+
+
+def test_smith_matches_forward_tracking_at_the_largest_lattice_size():
+    rng = random.Random(48)
+    assert_matches_forward_smith(random_matrix(rng, 48, 48))
+
+
 # --- cokernels ---------------------------------------------------------------
 
 
@@ -282,6 +420,14 @@ def test_group_canonicalization():
         FGAbelianGroup((4, 2))
     with pytest.raises(ValueError):
         FGAbelianGroup((0, 2))
+
+
+def test_groups_reject_orders_that_are_not_plain_ints():
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="orders must be plain ints"):
+            FGAbelianGroup.from_orders([3, bad])
+        with pytest.raises(ValueError, match="invariant factors must be plain ints"):
+            FGAbelianGroup((bad,))
 
 
 def test_solver_and_kernels():
@@ -488,6 +634,14 @@ def test_public_construction_rejects_non_int_entries():
             IntegerMatrix.from_rows([[1, bad]])
         with pytest.raises(ValueError, match="plain ints"):
             IntegerMatrix.from_columns([[1], [bad]])
+
+
+def test_diagonal_entries_must_fit_the_shape():
+    assert IntegerMatrix.diagonal([1, 2], 2, 3) == IntegerMatrix.from_rows([[1, 0, 0], [0, 2, 0]])
+    with pytest.raises(ValueError, match="3 diagonal entries do not fit a 2x2 matrix"):
+        IntegerMatrix.diagonal([1, 2, 3], 2, 2)
+    with pytest.raises(ValueError, match="do not fit a 3x1 matrix"):
+        IntegerMatrix.diagonal([1, 2], 3, 1)
 
 
 def test_explicit_shape_must_agree_with_the_data():
