@@ -52,6 +52,7 @@ class IntegerMatrix:
     entries: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         self._check_shape()
         _require_plain_ints(self.entries, "entries")
 
@@ -352,6 +353,9 @@ def _smith(m: IntegerMatrix, track_u=False, track_v=False):
             low = min(map(abs, filter(None, r)), default=0)
             if low and (not best or low < best):
                 best, row = low, i
+                if low == 1:
+                    # no later row can beat it, and ties go to the lower row
+                    break
         if not best:
             return None
         return row, next(j for j, x in enumerate(a[row]) if abs(x) == best)
@@ -504,6 +508,7 @@ class FGAbelianGroup:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
         _require_plain_ints(self.invariant_factors, "invariant factors")
         tors = [f for f in self.invariant_factors if f != 0]
         zeros = [f for f in self.invariant_factors if f == 0]
@@ -553,10 +558,14 @@ class FGAbelianGroup:
 
 def cokernel(m: IntegerMatrix) -> FGAbelianGroup:
     """Z^rows modulo the column span of m, in canonical invariant-factor form."""
-    diag = smith_diagonal(m)
-    torsion = [d for d in diag if d not in (0, 1)]
-    free = m.rows - sum(1 for d in diag if d != 0)
-    return FGAbelianGroup(tuple(torsion) + (0,) * free)
+    diag, _, _ = _smith(m)
+    return _group_of_diagonal(diag, m.rows)
+
+
+def _group_of_diagonal(diag, rows):
+    """Z^rows modulo a lattice whose Smith diagonal has the nonzero entries
+    `diag`."""
+    return FGAbelianGroup(tuple(d for d in diag if d != 1) + (0,) * (rows - len(diag)))
 
 
 def relation_lattice(orders) -> IntegerMatrix:
@@ -605,27 +614,36 @@ class RModule:
             raise DimensionMismatchError("relations live in the wrong rank")
         if (self.action.rows, self.action.cols) != (self.rank, self.rank):
             raise DimensionMismatchError("action matrix must be square of the rank")
-        lattice = smith_normal_form(self.relations)
+        # both conditions are membership in the relation lattice, which U
+        # and the diagonal of its Smith form decide
+        diag, u, _ = _smith(self.relations, track_u=True)
+        u = _rows_matrix(u, self.rank)
         for column in self.relations.columns():
-            if lattice.solve(self.action.apply(column)) is None:
+            if _span_coordinates(u, diag, self.action.apply(column)) is None:
                 raise ValueError("action does not preserve the relations")
         square = self.action @ self.action
         ident = IntegerMatrix.identity(self.rank)
         for j in range(self.rank):
             diff = tuple(a - b for a, b in zip(square.column(j), ident.column(j)))
-            if lattice.solve(diff) is None:
+            if _span_coordinates(u, diag, diff) is None:
                 raise ValueError("action is not an involution modulo the relations")
 
     def underlying_group(self) -> FGAbelianGroup:
         return cokernel(self.relations)
 
-    def quotient_by(self, op: IntegerMatrix) -> FGAbelianGroup:
-        """M / op(M) for an operator op on the ambient Z^rank."""
-        return cokernel(self.relations.hstack(op))
+    def quotient_and_kernel(self, op: IntegerMatrix):
+        """M / op(M) and the kernel of op on M, for an operator op on the
+        ambient Z^rank, from one Smith form of [op | -relations].
 
-    def kernel_of(self, op: IntegerMatrix) -> FGAbelianGroup:
-        pre = preimage_lattice(op, self.relations)
-        return subquotient_group(pre, self.relations)
+        Its diagonal is that of [relations | op] up to the order and sign of
+        columns, so it presents the quotient.  The columns of V past the
+        rank span {(x, y) : op x = relations y}, so their first `op.cols`
+        entries span `preimage_lattice(op, relations)`, whose quotient by
+        the relations is the kernel.
+        """
+        diag, _, v = _smith(op.hstack(self.relations.neg()), track_v=True)
+        pre = _columns_matrix([c[:op.cols] for c in v[len(diag):]], op.cols)
+        return _group_of_diagonal(diag, self.rank), subquotient_group(pre, self.relations)
 
 
 def indecomposable(name: str) -> RModule:
@@ -672,7 +690,8 @@ def rmodule_classify(module: RModule) -> Counter:
     The fingerprint used is: the underlying group, the quotients by the
     images of (1 - t) and (1 + t), and the kernels of both operators.
     These separate all sums of the four indecomposables; a mismatch on any
-    of them raises ClassificationError.
+    of them raises ClassificationError.  Each operator's quotient and
+    kernel come from one Smith form (see `RModule.quotient_and_kernel`).
     """
     ident = IntegerMatrix.identity(module.rank)
     one_minus = IntegerMatrix._trusted(module.rank, module.rank, tuple(
@@ -681,10 +700,8 @@ def rmodule_classify(module: RModule) -> Counter:
         a + b for a, b in zip(ident.entries, module.action.entries)))
 
     under = module.underlying_group()
-    q_minus = module.quotient_by(one_minus)
-    q_plus = module.quotient_by(one_plus)
-    k_minus = module.kernel_of(one_minus)
-    k_plus = module.kernel_of(one_plus)
+    q_minus, k_minus = module.quotient_and_kernel(one_minus)
+    q_plus, k_plus = module.quotient_and_kernel(one_plus)
 
     d = _two_torsion_count(under)
     t_minus = _two_torsion_count(q_minus)

@@ -337,9 +337,21 @@ def test_smith_matches_forward_tracking_on_drawn_matrices():
     check()
 
 
+# The first row's smallest entry is 2; row 1 reaches 1 in its second
+# column, and row 2 holds -1 in an earlier column.  The pivot scan may stop
+# at row 1, which the full scan picks too: lowest row, then lowest column.
+PIVOT_STOP_MATRIX = IntegerMatrix.from_rows([
+    [2, 4, 6, 8],
+    [2, 1, 3, -5],
+    [-1, 5, 7, 2],
+    [3, -7, 2, 9],
+])
+
+
 def test_smith_matches_forward_tracking_on_the_golden_batch():
     for m, _ in golden_batch():
         assert_matches_forward_smith(m)
+    assert_matches_forward_smith(PIVOT_STOP_MATRIX)
 
 
 def test_smith_matches_forward_tracking_at_the_largest_lattice_size():
@@ -491,11 +503,21 @@ def test_action_must_preserve_relations():
         RModule(2, IntegerMatrix.from_rows([[2], [0]]), IntegerMatrix.from_rows([[0, 1], [1, 0]]))
 
 
-def test_classification_failure_detected():
+def test_classification_failure_detected(shared_route_matches):
     # Z/4 is not a sum of the four indecomposables
     module = RModule(1, relation_lattice((4,)), IntegerMatrix.from_rows([[1]]))
+    shared_route_matches(module)
     with pytest.raises(ClassificationError):
         rmodule_classify(module)
+
+
+def test_classify_with_dependent_relation_columns(shared_route_matches):
+    # (I/2I)^2 + R/I with six relation columns spanning 2Z + 2Z + 0
+    relations = IntegerMatrix.from_columns(
+        [(2, 0, 0), (0, 2, 0), (2, 2, 0), (4, -2, 0), (0, 0, 0), (-6, 4, 0)])
+    module = RModule(3, relations, IntegerMatrix.diagonal([-1, -1, 1]))
+    shared_route_matches(module)
+    assert rmodule_classify(module) == Counter({"I/2I": 2, "R/I": 1})
 
 
 def test_classify_exhaustive_up_to_eight_summands():
@@ -538,7 +560,7 @@ def test_multiset_group_is_the_underlying_group_of_the_module():
     assert str(multiset_group({"R": 1, "I/2I": 2, "R/J": 1})) == "Z/2 x Z/2 x Z x Z x Z"
 
 
-def test_classify_invariant_under_base_change():
+def test_classify_invariant_under_base_change(shared_route_matches):
     rng = random.Random(17)
     for _ in range(40):
         multiset = Counter({name: rng.randint(0, 2) for name in INDECOMPOSABLES})
@@ -549,6 +571,7 @@ def test_classify_invariant_under_base_change():
         u_inv = inverse_unimodular(u)
         changed = RModule(module.rank, u @ module.relations,
                           u @ module.action @ u_inv)
+        shared_route_matches(changed)
         assert rmodule_classify(changed) == +multiset
 
 
@@ -634,6 +657,14 @@ def test_public_construction_rejects_non_int_entries():
             IntegerMatrix.from_rows([[1, bad]])
         with pytest.raises(ValueError, match="plain ints"):
             IntegerMatrix.from_columns([[1], [bad]])
+
+
+def test_a_list_field_is_stored_as_a_tuple():
+    for value, twin in ((IntegerMatrix(2, 1, [1, 2]), IntegerMatrix(2, 1, (1, 2))),
+                        (FGAbelianGroup([2]), FGAbelianGroup((2,)))):
+        assert value == twin
+        assert hash(value) == hash(twin)
+        assert len({value, twin}) == 1
 
 
 def test_diagonal_entries_must_fit_the_shape():

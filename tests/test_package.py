@@ -15,7 +15,8 @@ PACKAGE = Path(kdual.__file__).resolve().parent
 SRC = str(PACKAGE.parent)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # names that nothing in the package calls, kept as references for the tests
-TEST_REFERENCES = {"canonical_pair", "inverse_unimodular", "rmodule_from_multiset"}
+TEST_REFERENCES = {"canonical_pair", "inverse_unimodular", "rmodule_from_multiset",
+                   "vstack", "from_named_terms"}
 
 
 def test_import_loads_only_what_the_caller_uses():
@@ -73,20 +74,37 @@ def _names(node):
             yield n.name
 
 
+def _is_method(node):
+    return isinstance(node, ast.FunctionDef) and not (
+        node.name.startswith("__") and node.name.endswith("__"))
+
+
 def test_every_definition_has_a_caller():
-    # A top-level function or class is live when module-level code of the
-    # package, the benchmark or a live definition names it.  `__init__.py`
-    # only re-exports, so its imports, `_LAZY` and `__all__` do not count.
-    definitions = {}
+    # A top-level function or class, or a method of a class that is not a
+    # dunder, is live when module-level code of the package, the benchmark
+    # or a live definition names it.  A live class's body counts without
+    # its methods, which count only once they are live themselves.
+    # `__init__.py` only re-exports, so its imports, `_LAZY` and `__all__`
+    # do not count.
+    definitions, bodies = {}, {}
     roots = set(TEST_REFERENCES)
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.setdefault(node.name, []).append(node)
+            if isinstance(node, ast.ClassDef):
+                for method in filter(_is_method, node.body):
+                    definitions.setdefault(method.name, []).append(f"{node.name}.{method.name}")
+                    bodies.setdefault(method.name, []).append(method)
+                body = [*node.bases, *node.keywords, *node.decorator_list,
+                        *(n for n in node.body if not _is_method(n))]
+            elif isinstance(node, ast.FunctionDef):
+                body = [node]
             else:
                 roots.update(_names(node))
+                continue
+            definitions.setdefault(node.name, []).append(node.name)
+            bodies.setdefault(node.name, []).extend(body)
     for path in sorted(PERFBENCH.glob("*.py")):
         roots.update(_names(ast.parse(path.read_text(), str(path))))
     live, todo = set(), [name for name in roots if name in definitions]
@@ -94,6 +112,6 @@ def test_every_definition_has_a_caller():
         name = todo.pop()
         if name not in live:
             live.add(name)
-            todo.extend(m for node in definitions[name] for m in _names(node)
+            todo.extend(m for node in bodies[name] for m in _names(node)
                         if m in definitions)
-    assert sorted(set(definitions) - live) == []
+    assert sorted(q for name in set(definitions) - live for q in definitions[name]) == []

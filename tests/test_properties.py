@@ -1,9 +1,11 @@
 """Property tests over generated inputs (hypothesis).
 
 Derandomized, so every run draws the same examples; skipped when
-hypothesis is not installed.  The normal-form checks at the end compare
-`PresentedRing.element` with a reference that rewrites by re-sorting and
-scanning every rule, over drawn, exhaustive and high-power inputs.
+hypothesis is not installed.  `RModule.quotient_and_kernel` is compared
+with the separate Smith forms it replaced (see conftest.py).  The
+normal-form checks at the end compare `PresentedRing.element` with a
+reference that rewrites by re-sorting and scanning every rule, over drawn,
+exhaustive and high-power inputs.
 """
 
 from collections import Counter
@@ -76,6 +78,22 @@ def test_classify_direct_sum_is_the_multiset_union(first, second, data):
     changed = RModule(module.rank, u @ module.relations,
                       u @ module.action @ inverse_unimodular(u))
     assert rmodule_classify(changed) == +(first + second)
+
+
+@PROPERTY
+@given(multisets, st.data())
+def test_quotients_and_kernels_share_one_smith_form(shared_route_matches, multiset, data):
+    # a base change, then relation columns that are combinations of the others
+    module = rmodule_from_multiset(multiset)
+    n = module.rank
+    u = data.draw(unimodular(n))
+    relations = u @ module.relations
+    extra = data.draw(st.integers(0, 3))
+    mix = IntegerMatrix(relations.cols, extra, tuple(data.draw(st.lists(
+        st.integers(-3, 3), min_size=relations.cols * extra, max_size=relations.cols * extra))))
+    changed = RModule(n, relations.hstack(relations @ mix),
+                      u @ module.action @ inverse_unimodular(u))
+    shared_route_matches(changed)
 
 
 @st.composite
