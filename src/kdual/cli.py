@@ -18,9 +18,9 @@ in the degree-zero circle ring.  Oracle expressions use C0, C1, L, L1,
 L2, L3, H, H12, H23, H13.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-parse error, or golden data that is missing or fails certification.  Set
-KDUAL_GOLDEN_DIR to point at an alternative directory holding tables.json
-and clutchings.json.
+parse error, or golden data that is missing, lacks a field or a row, or
+fails certification.  Set KDUAL_GOLDEN_DIR to point at an alternative
+directory holding tables.json and clutchings.json.
 """
 
 from __future__ import annotations

@@ -153,9 +153,6 @@ class IntegerMatrix:
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def is_zero(self):
-        return all(e == 0 for e in self.entries)
-
     # -- algebra -------------------------------------------------------------
 
     def mul(self, other):
@@ -439,12 +436,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
         IntegerMatrix.diagonal(diag, m.rows, m.cols),
         _columns_matrix(v, m.cols),
     )
-
-
-def smith_diagonal(m: IntegerMatrix) -> list:
-    """`smith_normal_form(m).diagonal()`, computed without U and V."""
-    diag, _, _ = _smith(m)
-    return diag + [0] * (min(m.rows, m.cols) - len(diag))
 
 
 def inverse_unimodular(m: IntegerMatrix) -> IntegerMatrix:

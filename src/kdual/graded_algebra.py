@@ -74,9 +74,6 @@ class Degree:
         variant = EQ if self.variant == other.variant else PM
         return Degree(self.level + other.level, variant)
 
-    def flip(self):
-        return Degree(self.level, PM if self.variant == EQ else EQ)
-
     def __str__(self):
         return f"({self.level}, {self.variant})"
 
@@ -208,12 +205,11 @@ class PresentedRing:
     def __repr__(self):
         return f"<PresentedRing {self.name}>"
 
-    def _structure(self):
-        return (self.name, self.generators, self.rules, self.period)
-
     def __eq__(self, other):
-        return self is other or (isinstance(other, PresentedRing)
-                                 and other._structure() == self._structure())
+        return self is other or (
+            isinstance(other, PresentedRing)
+            and (other.name, other.generators, other.rules, other.period)
+            == (self.name, self.generators, self.rules, self.period))
 
     def __hash__(self):
         return hash(("PresentedRing", self.name))  # equal rings share a name

@@ -62,6 +62,7 @@ from .graded_algebra import EQ, PM, Degree, PresentedRing, apply_ring_hom, degre
 from .paper_rings import (
     PRESENTATIONS,
     build_ring,
+    golden_field,
     golden_path,
     kk_flip_substitution,
     per_golden_dir,
@@ -104,12 +105,6 @@ class BaseSpace:
         for slice_ in (self.h1pm, self.h2pm, self.h3eq):
             if any(order == 0 for order in slice_.orders):
                 raise ValueError(f"base {name} has an infinite low-degree slice")
-
-    def __eq__(self, other):
-        return isinstance(other, BaseSpace) and other.name == self.name
-
-    def __hash__(self):
-        return hash(("BaseSpace", self.name))
 
 
 @per_golden_dir
@@ -660,9 +655,29 @@ def search_clutchings() -> dict:
 
 @per_golden_dir
 def golden_clutchings() -> dict:
-    data = json.loads(golden_path("clutchings.json").read_text())
-    return {(bool(row["flip"]), int(row["base_twist"]), int(row["fiber_twist"])): row["multiplier"]
-            for row in data["circle_trivial"]}
+    """The multiplier that clutchings.json assigns to each twist-invariant
+    combination.  The file must hold one row per key of PRINTED_MV_TABLES,
+    each with a multiplier in MULTIPLIER_NAMES; otherwise ValueError names
+    the file and the row."""
+    path = golden_path("clutchings.json")
+    out = {}
+    rows = golden_field(json.loads(path.read_text()), "circle_trivial", str(path))
+    for i, row in enumerate(rows):
+        where = f"{path}: row {i}"
+        key = (bool(golden_field(row, "flip", where)),
+               int(golden_field(row, "base_twist", where)),
+               int(golden_field(row, "fiber_twist", where)))
+        multiplier = golden_field(row, "multiplier", where)
+        if key not in PRINTED_MV_TABLES or key in out:
+            raise ValueError(f"{where}: twist invariants {key} are unknown or repeated")
+        if multiplier not in MULTIPLIER_NAMES:
+            raise ValueError(f"{where}: multiplier {multiplier!r} is not one of "
+                             f"{MULTIPLIER_NAMES}")
+        out[key] = multiplier
+    for key in PRINTED_MV_TABLES:
+        if key not in out:
+            raise ValueError(f"{path} has no row for {key}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -189,19 +189,42 @@ def test_failed_clutching_search_is_a_failing_check(monkeypatch, capsys):
 
 
 def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, capsys):
-    corrupt, missing = tmp_path / "corrupt", tmp_path / "missing"
-    for directory in (corrupt, missing):
-        directory.mkdir()
-        shutil.copy(golden_path("clutchings.json"), directory / "clutchings.json")
-    tables = json.loads(golden_path("tables.json").read_text())
+    shipped = {name: golden_path(name) for name in ("tables.json", "clutchings.json")}
+
+    def golden(name):
+        return json.loads(shipped[name].read_text())
+
+    # directory -> (replaced golden files, None for a missing one; the error)
+    cases = {}
+    tables = golden("tables.json")
     tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]
-    (corrupt / "tables.json").write_text(json.dumps(tables))
-    for directory, product in ((corrupt, "kk_circle_flip: oracle mismatch on t * sigma*chi"),
-                               (missing, str(missing / "tables.json"))):
+    cases["corrupt"] = ({"tables.json": tables},
+                        "kk_circle_flip: oracle mismatch on t * sigma*chi")
+    cases["missing"] = ({"tables.json": None}, "missing/tables.json")
+    tables = golden("tables.json")
+    del tables["1"]["rows"]["L"]["fixed"]
+    cases["no-fixed"] = ({"tables.json": tables},
+                         "no-fixed/tables.json: row L of dimension 1 has no field 'fixed'")
+    clutchings = golden("clutchings.json")
+    del clutchings["circle_trivial"][0]
+    cases["no-row"] = ({"clutchings.json": clutchings},
+                       "no-row/clutchings.json has no row for (False, 0, 0)")
+    clutchings = golden("clutchings.json")
+    del clutchings["circle_trivial"][0]["multiplier"]
+    cases["no-multiplier"] = ({"clutchings.json": clutchings},
+                              "no-multiplier/clutchings.json: row 0 has no field 'multiplier'")
+    for name, (files, message) in cases.items():
+        directory = tmp_path / name
+        directory.mkdir()
+        for filename, path in shipped.items():
+            if filename not in files:
+                shutil.copy(path, directory / filename)
+            elif files[filename] is not None:
+                (directory / filename).write_text(json.dumps(files[filename]))
         monkeypatch.setenv(GOLDEN_DIR_ENV, str(directory))
         code, out, err = run(capsys, "verify", "all")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and product in err
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ") and message in err, (name, err)
 
 
 def test_out_of_range_arguments_are_usage_errors(capsys):

@@ -22,7 +22,6 @@ from kdual.exact_abelian import (
     relation_lattice,
     rmodule_classify,
     rmodule_from_multiset,
-    smith_diagonal,
     smith_normal_form,
     solve,
     subquotient_group,
@@ -405,8 +404,9 @@ def test_cokernel_reads_the_smith_diagonal():
     batch += [random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(100)]
     for m in batch:
         diag = smith_normal_form(m).diagonal()
-        assert smith_diagonal(m) == diag
         rank = sum(1 for d in diag if d)
+        # the untracked elimination behind `cokernel` finds the same pivots
+        assert _smith(m)[0] == diag[:rank]
         expected = tuple(d for d in diag if d > 1) + (0,) * (m.rows - rank)
         assert cokernel(m) == FGAbelianGroup(expected)
 

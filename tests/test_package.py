@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import shlex
@@ -14,9 +15,12 @@ from kdual import cli
 PACKAGE = Path(kdual.__file__).resolve().parent
 SRC = str(PACKAGE.parent)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# names that nothing in the package calls, kept as references for the tests
+# definitions that only the tests run, kept as references for them: top-level
+# names, and methods as `Class.method`
 TEST_REFERENCES = {"canonical_pair", "inverse_unimodular", "rmodule_from_multiset",
-                   "vstack", "from_named_terms"}
+                   "IntegerMatrix.block_diagonal", "IntegerMatrix.vstack",
+                   "SmithDecomposition.rank", "ExteriorKClass.zero", "ExteriorKClass.is_zero",
+                   "PresentedRing.from_named_terms", "TwistedKTable.status"}
 
 
 def test_import_loads_only_what_the_caller_uses():
@@ -50,10 +54,34 @@ def test_library_checks_survive_python_O():
                 f"{path.name}:{node.lineno}"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+# runs the README command lines given as arguments under sys.setprofile and
+# prints [file name, first line] of every code object of the package called
+METHOD_PROFILE = """
+import contextlib, io, json, os, shlex, sys
+seen = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and seen.add(frame.f_code))
+import kdual
+from kdual import cli
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(shlex.split(line)[1:])
+    if code:
+        sys.exit(f"{line!r} exited {code}")
+sys.setprofile(None)
+package = os.path.dirname(kdual.__file__)
+print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno)
+                         for c in seen if os.path.dirname(c.co_filename) == package})))
+"""
+
+
+def _readme_command_lines():
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("kdual ")]
+
+
 def test_readme_command_lines_run(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
-    lines = [line for line in block.splitlines() if line.startswith("kdual ")]
+    lines = _readme_command_lines()
     for line in lines:
         command, _, comment = line.partition("#")
         capsys.readouterr()
@@ -62,6 +90,18 @@ def test_readme_command_lines_run(capsys):
         if comment.strip().startswith("->"):
             assert out.strip() == comment.strip()[2:].strip(), line
     assert any("# -> sigma*chi" in line for line in lines)
+    assert "kdual verify all" in " ".join(lines)
+
+
+def _methods_run_by_readme_commands():
+    """(file name, first line) of each code object of the package that is
+    called while the README command lines run, in a fresh process so that
+    no cache of an earlier test hides a call."""
+    commands = [line.partition("#")[0] for line in _readme_command_lines()]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", METHOD_PROFILE, *commands], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return {tuple(key) for key in json.loads(out)}
 
 
 def _names(node):
@@ -80,22 +120,37 @@ def _is_method(node):
 
 
 def test_every_definition_has_a_caller():
-    # A top-level function or class, or a method of a class that is not a
-    # dunder, is live when module-level code of the package, the benchmark
-    # or a live definition names it.  A live class's body counts without
-    # its methods, which count only once they are live themselves.
-    # `__init__.py` only re-exports, so its imports, `_LAZY` and `__all__`
-    # do not count.
-    definitions, bodies = {}, {}
+    # A non-dunder method of a kdual class is live when it runs while the
+    # README command lines run (they include `kdual verify all`), when
+    # `perfbench/*.py` calls it as an attribute, or when TEST_REFERENCES
+    # lists it as `Class.method`; matching methods by bare name would keep a
+    # dead method alive whenever another class's method of that name runs.
+    # A top-level function or class is live when module-level code of the
+    # package, the benchmark, a live method or a live definition names it; a
+    # live class's body counts without its methods.  `__init__.py` only
+    # re-exports, so its imports, `_LAZY` and `__all__` do not count.
+    ran = _methods_run_by_readme_commands()
+    benchmark = [ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.glob("*.py"))]
+    bench_calls = {n.func.attr for tree in benchmark for n in ast.walk(tree)
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    definitions, bodies, dead_methods = set(), {}, []
     roots = set(TEST_REFERENCES)
+    for tree in benchmark:
+        roots.update(_names(tree))
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, ast.ClassDef):
                 for method in filter(_is_method, node.body):
-                    definitions.setdefault(method.name, []).append(f"{node.name}.{method.name}")
-                    bodies.setdefault(method.name, []).append(method)
+                    # a decorated function's code starts at its first decorator
+                    first = min(n.lineno for n in [method, *method.decorator_list])
+                    qualname = f"{node.name}.{method.name}"
+                    if ((path.name, first) in ran or method.name in bench_calls
+                            or qualname in TEST_REFERENCES):
+                        roots.update(_names(method))
+                    else:
+                        dead_methods.append(qualname)
                 body = [*node.bases, *node.keywords, *node.decorator_list,
                         *(n for n in node.body if not _is_method(n))]
             elif isinstance(node, ast.FunctionDef):
@@ -103,10 +158,8 @@ def test_every_definition_has_a_caller():
             else:
                 roots.update(_names(node))
                 continue
-            definitions.setdefault(node.name, []).append(node.name)
+            definitions.add(node.name)
             bodies.setdefault(node.name, []).extend(body)
-    for path in sorted(PERFBENCH.glob("*.py")):
-        roots.update(_names(ast.parse(path.read_text(), str(path))))
     live, todo = set(), [name for name in roots if name in definitions]
     while todo:
         name = todo.pop()
@@ -114,4 +167,21 @@ def test_every_definition_has_a_caller():
             live.add(name)
             todo.extend(m for node in bodies[name] for m in _names(node)
                         if m in definitions)
-    assert sorted(q for name in set(definitions) - live for q in definitions[name]) == []
+    dead = sorted(definitions - live) + sorted(dead_methods)
+    assert not dead, dead
+
+
+def test_every_import_is_used():
+    # `__init__.py` is exempt: its imports are the re-exports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                unused.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                              if (alias.asname or alias.name.partition(".")[0]) not in read)
+    assert unused == []

@@ -16,6 +16,7 @@ from kdual.paper_rings import (
     EVEN_EMBEDDING_2,
     ExteriorKClass,
     ODD_EMBEDDING_2,
+    ORACLE_BASES,
     RElt,
     RING_NAMES,
     SUSPENSION_EMBEDDINGS,
@@ -197,6 +198,12 @@ def test_injectivity():
         assert verify_f_injective(n)
 
 
+def test_injectivity_fails_on_a_dependent_basis(monkeypatch):
+    # six expressions, one of them repeated under another spelling: rank 5
+    monkeypatch.setitem(ORACLE_BASES, 2, ORACLE_BASES[2][:5] + ("C0-L1",))
+    assert verify_f_injective(2) is False
+
+
 def test_injectivity_needs_a_recorded_basis():
     for n in (0, 4):
         with pytest.raises(ValueError, match="no additive basis in this dimension"):
@@ -251,16 +258,17 @@ def test_dictionary_failure_names_the_product(tmp_path, monkeypatch):
     assert dictionary_failure(ring) is None
 
 
-def test_embedding_caches_only_the_shipped_tables():
+def test_embedding_images_are_cached_per_embedding():
     from kdual.paper_rings import _embedding_images, embed_in_oracle
     ring = build_ring("kk_circle_flip")
     chi = ring.gen("chi")
     _embedding_images.cache_clear()
-    shipped = embed_in_oracle(2, ODD_EMBEDDING_2, 3 * chi)
-    assert shipped == 3 * f_oracle(2, "C0 - H")
-    assert _embedding_images.cache_info().currsize == 1
+    assert embed_in_oracle(2, ODD_EMBEDDING_2, 3 * chi) == 3 * f_oracle(2, "C0 - H")
+    # an equal embedding shares the entry: the cache is keyed by the items
+    assert embed_in_oracle(2, dict(ODD_EMBEDDING_2), chi) == f_oracle(2, "C0 - H")
+    assert _embedding_images.cache_info()[:2] == (1, 1)  # hits, misses
     assert embed_in_oracle(2, {"chi": "C0 - L1"}, 3 * chi) == 3 * f_oracle(2, "C0 - L1")
-    assert _embedding_images.cache_info().currsize == 1
+    assert _embedding_images.cache_info().currsize == 2
     with pytest.raises(ValueError, match="not in the embedded basis"):
         embed_in_oracle(2, ODD_EMBEDDING_2, ring.one())
 
