@@ -3,7 +3,7 @@
 Subcommands:
 
     kdual ring eval --ring NAME EXPR        evaluate a ring expression
-    kdual ring slice --ring NAME --degree N --variant eq|pm [--bound B]
+    kdual ring slice --ring NAME --degree N --variant eq|pm
     kdual oracle verify --torus N           relation + injectivity checks
     kdual transform t --power K             iterated duality transform
     kdual cohomology z2-group --twist M --degree N
@@ -18,9 +18,9 @@ in the degree-zero circle ring.  Oracle expressions use C0, C1, L, L1,
 L2, L3, H, H12, H23, H13.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-parse error, or golden data that is missing, lacks a field or a row, or
-fails certification.  Set KDUAL_GOLDEN_DIR to point at an alternative
-directory holding tables.json and clutchings.json.
+parse error, or golden data that is missing, lacks a field or a row,
+holds a field of the wrong type, or fails certification.  Set
+KDUAL_GOLDEN_DIR to point at an alternative directory holding tables.json.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def cmd_ring_eval(args):
 def cmd_ring_slice(args):
     ring = build_ring(args.ring)
     variant = EQ if args.variant == "eq" else PM
-    slice_ = degree_component(ring, Degree(args.degree, variant), args.bound)
+    slice_ = degree_component(ring, Degree(args.degree, variant))
     basis = [{"monomial": label, "order": order}
              for label, order in zip(slice_.labels, slice_.orders)]
     text = f"{ring.name} degree ({args.degree}, {variant}): {slice_.group}"
@@ -161,7 +161,6 @@ def build_parser():
     sl.add_argument("--ring", required=True, choices=RING_NAMES)
     sl.add_argument("--degree", type=int, required=True)
     sl.add_argument("--variant", choices=("eq", "pm"), required=True)
-    sl.add_argument("--bound", type=int, default=None)
     sl.set_defaults(func=cmd_ring_slice)
 
     oracle = sub.add_parser("oracle", help="fixed-point restriction tables")
@@ -212,7 +211,6 @@ def main(argv=None):
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    # InstabilityError is a ValueError
     except (UnknownGeneratorError, ValueError, CertificationError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -386,9 +386,8 @@ def _smith(m: IntegerMatrix, track_u=False, track_v=False):
                 row_log.append((_SWEEP, qs))
             cand = first_smallest([r[0] for r in a])
             if cand is not None:
+                # the entry swapped in is r % p, in [1, p), so the pivot stays positive
                 swap_rows(0, cand)
-                if a[0][0] < 0:
-                    negate_pivot_row()
                 continue
             # column 0 is now zero below the pivot, so the column sweep
             # col j += q_j * col 0 changes only the pivot row of the block
@@ -401,8 +400,6 @@ def _smith(m: IntegerMatrix, track_u=False, track_v=False):
             cand = first_smallest(pivot_row)
             if cand is not None:
                 swap_cols(0, cand)
-                if a[0][0] < 0:
-                    negate_pivot_row()
                 continue
             # pivot must divide the remaining block for the divisor chain
             bad = None if p == 1 else next(

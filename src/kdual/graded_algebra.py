@@ -202,9 +202,6 @@ class PresentedRing:
 
     # -- identity ------------------------------------------------------------
 
-    def __repr__(self):
-        return f"<PresentedRing {self.name}>"
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, PresentedRing)
@@ -354,12 +351,10 @@ class RingElement:
             return other
         if isinstance(other, int):
             return self.ring.element({(0,) * len(self.ring.generators): other})
-        return NotImplemented
+        raise TypeError("cannot mix ring elements with non-integers")
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         raw = dict(self.terms)
         for exps, coeff in other.terms:
             raw[exps] = raw.get(exps, 0) + coeff
@@ -371,19 +366,13 @@ class RingElement:
         return self.ring.element({exps: -c for exps, c in self.terms})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.ring.element(_raw_product(self.terms, other.terms))
+        return self.ring.element(_raw_product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 

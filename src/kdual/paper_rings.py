@@ -32,8 +32,8 @@ meaning: that the presented ring is the ring the tables describe.
 
 Results that depend on the golden tables, the oracle images of each
 embedding's labels among them, are cached per value of KDUAL_GOLDEN_DIR.
-A golden file that lacks a field or a row raises ValueError naming the
-file and the row.
+A golden file that lacks a field or a row, or holds a field of the wrong
+type, raises ValueError naming the file and the row.
 """
 
 from __future__ import annotations
@@ -331,12 +331,20 @@ def tables_raw_bytes() -> bytes:
     return golden_path("tables.json").read_bytes()
 
 
-def golden_field(record, name, where):
+def golden_field(record, name, where, kind=list):
     """record[name] for a record read from a golden file, or a ValueError
-    that names the file and the record (`where`) when the field is missing."""
+    that names the file and the record (`where`) when the field is missing
+    or is not a `kind`."""
     if not isinstance(record, dict) or name not in record:
         raise ValueError(f"{where} has no field {name!r}")
+    if not isinstance(record[name], kind):
+        raise ValueError(f"{where}: field {name!r} is not a {kind.__name__}")
     return record[name]
+
+
+def _is_int_list(value, length=None) -> bool:
+    return (isinstance(value, list) and all(type(x) is int for x in value)
+            and length in (None, len(value)))
 
 
 def verify_tables_checksum() -> bool:
@@ -348,17 +356,28 @@ def verify_tables_checksum() -> bool:
 def _load_tables():
     path = golden_path("tables.json")
     data = json.loads(tables_raw_bytes().decode("utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold an object keyed by dimension")
     out = {}
     for key, table in data.items():
         n = int(key)
         where_table = f"{path}: dimension {key}"
         rows = {}
-        for gen, row in golden_field(table, "rows", where_table).items():
+        for gen, row in golden_field(table, "rows", where_table, dict).items():
             where = f"{path}: row {gen} of dimension {key}"
-            forgetful = ExteriorKClass.build(n, [
-                (tuple(indices), coeff)
-                for indices, coeff in golden_field(row, "forgetful", where)])
-            fixed = tuple(RElt(a, b) for a, b in golden_field(row, "fixed", where))
+            terms = golden_field(row, "forgetful", where)
+            for term in terms:
+                if not (isinstance(term, list) and len(term) == 2
+                        and _is_int_list(term[0]) and type(term[1]) is int):
+                    raise ValueError(f"{where}: forgetful term {json.dumps(term)} "
+                                     "is not [[index, ...], coefficient] in ints")
+            forgetful = ExteriorKClass.build(n, terms)
+            points = golden_field(row, "fixed", where)
+            for point in points:
+                if not _is_int_list(point, 2):
+                    raise ValueError(f"{where}: fixed point {json.dumps(point)} "
+                                     "is not a pair of ints")
+            fixed = tuple(RElt(a, b) for a, b in points)
             if len(fixed) != 2 ** n:
                 raise ValueError(f"{where} has {len(fixed)} fixed points, wanted {2 ** n}")
             rows[gen] = FOracleImage(n, forgetful, fixed)

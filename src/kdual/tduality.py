@@ -33,16 +33,16 @@ Mayer-Vietoris sequence of the two-arc cover.  Its difference map on two
 copies of a slice has kernel and cokernel isomorphic to those of 1 - g,
 where g is the clutching on one copy, and the isomorphisms respect the
 module action of t when g commutes with t.  That condition is checked,
-and the groups are read off 1 - g.  The clutching data (a line-bundle
-multiplier on one overlap component, composed with the deck flip for the
-nontrivial bundle) is selected by a finite search against the printed
-tables and persisted as golden data; the search and the comparison
-statuses are exposed, never silently overridden.
+and the groups are read off 1 - g.  The clutching is worked out from the
+pair's twist invariants (flip, b, f): the multiplier t^b*L^f on one
+overlap component, composed with the deck flip for the nontrivial
+bundle.  A finite search against the printed tables confirms that rule;
+the search and the comparison statuses are exposed, never silently
+overridden.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,15 +59,8 @@ from .exact_abelian import (
 )
 from .expressions import parse_expression
 from .graded_algebra import EQ, PM, Degree, PresentedRing, apply_ring_hom, degree_component
-from .paper_rings import (
-    PRESENTATIONS,
-    build_ring,
-    golden_field,
-    golden_path,
-    kk_flip_substitution,
-    per_golden_dir,
-)
-from .transforms import gysin_degree_data, k_table_of_ring, split_table
+from .paper_rings import PRESENTATIONS, build_ring, kk_flip_substitution, per_golden_dir
+from .transforms import gysin_degree_data, kunneth_split
 
 
 class NoSolutionError(RuntimeError):
@@ -653,31 +646,11 @@ def search_clutchings() -> dict:
     return out
 
 
-@per_golden_dir
-def golden_clutchings() -> dict:
-    """The multiplier that clutchings.json assigns to each twist-invariant
-    combination.  The file must hold one row per key of PRINTED_MV_TABLES,
-    each with a multiplier in MULTIPLIER_NAMES; otherwise ValueError names
-    the file and the row."""
-    path = golden_path("clutchings.json")
-    out = {}
-    rows = golden_field(json.loads(path.read_text()), "circle_trivial", str(path))
-    for i, row in enumerate(rows):
-        where = f"{path}: row {i}"
-        key = (bool(golden_field(row, "flip", where)),
-               int(golden_field(row, "base_twist", where)),
-               int(golden_field(row, "fiber_twist", where)))
-        multiplier = golden_field(row, "multiplier", where)
-        if key not in PRINTED_MV_TABLES or key in out:
-            raise ValueError(f"{where}: twist invariants {key} are unknown or repeated")
-        if multiplier not in MULTIPLIER_NAMES:
-            raise ValueError(f"{where}: multiplier {multiplier!r} is not one of "
-                             f"{MULTIPLIER_NAMES}")
-        out[key] = multiplier
-    for key in PRINTED_MV_TABLES:
-        if key not in out:
-            raise ValueError(f"{path} has no row for {key}")
-    return out
+def clutching_multiplier(key) -> str:
+    """The multiplier t^b*L^f of the clutching for the twist invariants
+    key = (flip, b, f); the deck flip is composed with it when flip is set."""
+    _, base_twist, fiber_twist = key
+    return MULTIPLIER_NAMES[base_twist + 2 * fiber_twist]
 
 
 @dataclass(frozen=True)
@@ -726,7 +699,8 @@ def _twist_invariants(pair: Pair):
 
 def twisted_k_mv(bundle: RealCircleBundle, h: H3Element) -> TwistedKTable:
     """Twisted K-groups over the circle with trivial involution, computed
-    by the two-arc Mayer-Vietoris difference map.
+    by the two-arc Mayer-Vietoris difference map for the clutching that
+    `clutching_multiplier` works out from the pair's twist invariants.
 
     Each entry carries its `mv_status` against the printed table, whose
     refinement the table records alongside.
@@ -735,7 +709,7 @@ def twisted_k_mv(bundle: RealCircleBundle, h: H3Element) -> TwistedKTable:
         raise ValueError("the Mayer-Vietoris model is for the circle base")
     pair = Pair(bundle, h)
     key = _twist_invariants(pair)
-    multiplier = golden_clutchings()[key]
+    multiplier = clutching_multiplier(key)
     derived = mv_k_groups(key[0], multiplier)
     printed = PRINTED_MV_TABLES[key]
     slots = sorted(printed)
@@ -757,7 +731,7 @@ def verify_theorem_T(base_name) -> bool:
     K-groups of the two sides agree under the degree shift by one with the
     two sides exchanged."""
     if base_name == "point":
-        table = split_table(k_table_of_ring("kk_point"))
+        table = kunneth_split("K")
         modules = lambda n, side: table.entry(n % 2, side).modules
         return _shift_dual(modules, modules)
     if base_name != "circle_trivial":

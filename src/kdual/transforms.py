@@ -253,10 +253,6 @@ def h_table_of_ring(name: str, window: int = 6) -> GradedGroupTable:
     return GradedGroupTable("H", entries)
 
 
-_BASE_RINGS = {"point": ("kk_point", "hh_point"),
-               "circle_flip": ("kk_circle_flip", "hh_circle_flip")}
-
-
 def split_table(table: GradedGroupTable) -> GradedGroupTable:
     """Table of the product with the flip circle: each degree is the sum of
     the same degree and the variant-flipped degree one level down."""
@@ -277,12 +273,11 @@ def split_table(table: GradedGroupTable) -> GradedGroupTable:
     return GradedGroupTable(table.theory, entries)
 
 
-def kunneth_split(base: str, theory: str) -> GradedGroupTable:
-    """Graded groups of base x (flip circle), split off the base table."""
-    if base not in _BASE_RINGS:
-        raise ValueError("base must be 'point' or 'circle_flip'")
-    k_name, h_name = _BASE_RINGS[base]
-    return split_table(k_table_of_ring(k_name) if theory == "K" else h_table_of_ring(h_name))
+def kunneth_split(theory: str) -> GradedGroupTable:
+    """Graded groups of the flip circle, split off the point's K-table
+    (theory "K") or cohomology table (otherwise)."""
+    return split_table(k_table_of_ring("kk_point") if theory == "K"
+                       else h_table_of_ring("hh_point"))
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_criterion_03_point_k_ring():
 
 
 def test_criterion_04_torus_k_groups():
-    table = transforms.kunneth_split("point", "K")
+    table = transforms.kunneth_split("K")
     for n in (1, 2, 3):
         assert dict(table.entry(0, EQ).modules) == {"R": 2 ** (n - 1), "R/J": 2 ** (n - 1)}
         assert table.entry(1, EQ).group.is_trivial()

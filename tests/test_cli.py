@@ -120,9 +120,25 @@ REPORT_SHA256 = {
 }
 
 
+# sha256 of the stdout of `kdual [--format FORMAT] tdual k-groups --base
+# circle-trivial`, the one output that prints the clutching of each pair
+KGROUPS_SHA256 = {
+    "json": "e50500bf0af3301c7168158a80d06ef1a5fb0e050533856795d37326d947a29f",
+    "text": "26038135613bc9972f36d0f0a48c6292411a1146f3b2c0fe3f83d2fbba537c7a",
+}
+
+
 def test_verify_all_report_bytes_are_pinned(capsys):
     for fmt, digest in REPORT_SHA256.items():
         code, out, _ = run(capsys, "--format", fmt, "verify", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
+def test_tdual_kgroups_bytes_are_pinned(capsys):
+    for fmt, digest in KGROUPS_SHA256.items():
+        code, out, _ = run(capsys, "--format", fmt, "tdual", "k-groups",
+                           "--base", "circle-trivial")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
 
@@ -158,20 +174,17 @@ def test_json_report_validates_against_schema(capsys):
 
 
 def test_golden_dir_override(tmp_path, monkeypatch, capsys):
-    for name in ("tables.json", "clutchings.json", "report.schema.json"):
+    for name in ("tables.json", "report.schema.json"):
         shutil.copy(golden_path(name), tmp_path / name)
     monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
     import kdual.paper_rings as pr
-    import kdual.tduality as td
     pr._load_tables.cache_clear()
-    td.golden_clutchings.cache_clear()
     try:
         code, out, _ = run(capsys, "oracle", "verify", "--torus", "2")
         assert code == 0
     finally:
         monkeypatch.delenv(GOLDEN_DIR_ENV)
         pr._load_tables.cache_clear()
-        td.golden_clutchings.cache_clear()
 
 
 def test_failed_clutching_search_is_a_failing_check(monkeypatch, capsys):
@@ -189,38 +202,38 @@ def test_failed_clutching_search_is_a_failing_check(monkeypatch, capsys):
 
 
 def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, capsys):
-    shipped = {name: golden_path(name) for name in ("tables.json", "clutchings.json")}
+    shipped = golden_path("tables.json")
 
-    def golden(name):
-        return json.loads(shipped[name].read_text())
+    def golden():
+        return json.loads(shipped.read_text())
 
-    # directory -> (replaced golden files, None for a missing one; the error)
+    # directory -> (the tables.json it holds, None for a missing one; the error)
     cases = {}
-    tables = golden("tables.json")
+    tables = golden()
     tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]
-    cases["corrupt"] = ({"tables.json": tables},
-                        "kk_circle_flip: oracle mismatch on t * sigma*chi")
-    cases["missing"] = ({"tables.json": None}, "missing/tables.json")
-    tables = golden("tables.json")
+    cases["corrupt"] = (tables, "kk_circle_flip: oracle mismatch on t * sigma*chi")
+    cases["missing"] = (None, "missing/tables.json")
+    tables = golden()
     del tables["1"]["rows"]["L"]["fixed"]
-    cases["no-fixed"] = ({"tables.json": tables},
-                         "no-fixed/tables.json: row L of dimension 1 has no field 'fixed'")
-    clutchings = golden("clutchings.json")
-    del clutchings["circle_trivial"][0]
-    cases["no-row"] = ({"clutchings.json": clutchings},
-                       "no-row/clutchings.json has no row for (False, 0, 0)")
-    clutchings = golden("clutchings.json")
-    del clutchings["circle_trivial"][0]["multiplier"]
-    cases["no-multiplier"] = ({"clutchings.json": clutchings},
-                              "no-multiplier/clutchings.json: row 0 has no field 'multiplier'")
-    for name, (files, message) in cases.items():
+    cases["no-fixed"] = (tables, "no-fixed/tables.json: row L of dimension 1 has no field 'fixed'")
+    tables = golden()
+    tables["1"]["rows"]["L"]["forgetful"] = [[[], None]]
+    cases["null-coefficient"] = (
+        tables, "null-coefficient/tables.json: row L of dimension 1: forgetful term [[], null]")
+    tables = golden()
+    tables["1"]["rows"]["L"]["fixed"][0] = None
+    cases["null-fixed-point"] = (
+        tables, "null-fixed-point/tables.json: row L of dimension 1: fixed point null")
+    cases["list"] = ([], "list/tables.json does not hold an object keyed by dimension")
+    tables = golden()
+    tables["2"]["generators"] = "C0"
+    cases["generators-string"] = (
+        tables, "generators-string/tables.json: dimension 2: field 'generators' is not a list")
+    for name, (tables, message) in cases.items():
         directory = tmp_path / name
         directory.mkdir()
-        for filename, path in shipped.items():
-            if filename not in files:
-                shutil.copy(path, directory / filename)
-            elif files[filename] is not None:
-                (directory / filename).write_text(json.dumps(files[filename]))
+        if tables is not None:
+            (directory / "tables.json").write_text(json.dumps(tables))
         monkeypatch.setenv(GOLDEN_DIR_ENV, str(directory))
         code, out, err = run(capsys, "verify", "all")
         assert (code, out) == (2, ""), name
@@ -232,7 +245,7 @@ def test_out_of_range_arguments_are_usage_errors(capsys):
             (("oracle", "verify", "--torus", "4"), "dimensions 1, 2 and 3"),
             (("transform", "t", "--power", "17"), "between 1 and 16"),
             (("ring", "slice", "--ring", "kk_circle_flip", "--degree", "0",
-              "--variant", "eq", "--bound", "0"), "still grows past exponent bound 0")):
+              "--variant", "eq", "--bound", "0"), "unrecognized arguments: --bound 0")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert message in err, argv

@@ -511,6 +511,16 @@ def test_classification_failure_detected(shared_route_matches):
         rmodule_classify(module)
 
 
+def test_classification_rejects_r_mod_2r(shared_route_matches):
+    # R/2R: Z^2 modulo 2, t swapping the coordinates; its torsion is
+    # elementary, but no sum of the four indecomposables has its invariants
+    module = RModule(2, IntegerMatrix.from_rows([[2, 0], [0, 2]]),
+                     IntegerMatrix.from_rows([[0, 1], [1, 0]]))
+    shared_route_matches(module)
+    with pytest.raises(ClassificationError, match="invariants match no sum"):
+        rmodule_classify(module)
+
+
 def test_classify_with_dependent_relation_columns(shared_route_matches):
     # (I/2I)^2 + R/I with six relation columns spanning 2Z + 2Z + 0
     relations = IntegerMatrix.from_columns(

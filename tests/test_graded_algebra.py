@@ -141,6 +141,21 @@ def test_graded_unit():
             assert ring.one() * a == a
 
 
+def test_element_operators_with_integers_and_other_types():
+    kk = build_ring("kk_circle_flip")
+    chi = kk.gen("chi")
+    assert chi - chi == 0 and not chi == 0 and 2 * kk.one() == 2
+    assert parse_expression(kk, "chi^0") == kk.one() == 1
+    first = parse_expression(kk, "sigma*chi + 2")
+    second = chi * chi + 2
+    assert first is not second
+    assert first == second and hash(first) == hash(second) and len({first, second}) == 1
+    for operation in (lambda: chi + "1", lambda: "1" - chi, lambda: chi - None,
+                      lambda: chi * 1.5, lambda: 1.5 * chi):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_homogeneity_flags():
     kk = build_ring("kk_circle_flip")
     assert kk.gen("chi").is_homogeneous(Degree(1, PM))

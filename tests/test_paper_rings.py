@@ -115,37 +115,28 @@ def test_all_rings_certify():
 
 
 def test_golden_dir_switch_reaches_every_cache(tmp_path, monkeypatch):
-    from kdual.tduality import golden_clutchings
-    for name in ("tables.json", "clutchings.json"):
-        shutil.copy(golden_path(name), tmp_path / name)
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
     tables = json.loads((tmp_path / "tables.json").read_text())
     tables["2"]["rows"]["H"]["fixed"][1] = [0, 0]  # H is no longer a unit there
     (tmp_path / "tables.json").write_text(json.dumps(tables))
-    clutchings = json.loads((tmp_path / "clutchings.json").read_text())
-    clutchings["circle_trivial"][0]["multiplier"] = "t"
-    (tmp_path / "clutchings.json").write_text(json.dumps(clutchings))
 
     shipped_ring = build_ring("kk_torus2")
     shipped_h = oracle_table(2)["rows"]["H"]
     volume = shipped_ring.gen("chi1") * shipped_ring.gen("chi2")
     shipped_push = dictionary("torus2").push(volume)
-    assert golden_clutchings()[(False, 0, 0)] == "1"
     monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
     with pytest.raises(CertificationError):
         build_ring("kk_torus2")
     assert oracle_table(2)["rows"]["H"] != shipped_h
     assert dictionary("torus2").push(volume) == f_oracle(2, "C0 - H") != shipped_push
-    assert golden_clutchings()[(False, 0, 0)] == "t"
     monkeypatch.delenv(GOLDEN_DIR_ENV)
     assert build_ring("kk_torus2") is shipped_ring
     assert oracle_table(2)["rows"]["H"] == shipped_h
     assert dictionary("torus2").push(volume) == shipped_push
-    assert golden_clutchings()[(False, 0, 0)] == "1"
 
 
 def test_golden_dirs_with_the_same_tables_build_equal_rings(tmp_path, monkeypatch):
-    for name in ("tables.json", "clutchings.json"):
-        shutil.copy(golden_path(name), tmp_path / name)
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
     shipped = {name: build_ring(name) for name in RING_NAMES}
     monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
     for name, ring in shipped.items():
@@ -243,8 +234,7 @@ def test_dictionary_failure_names_the_product(tmp_path, monkeypatch):
     assert dictionary_failure(ring) is None
     with pytest.raises(ValueError, match="no dictionary for 'kk_point'"):
         dictionary_failure(build_ring("kk_point"))
-    for name in ("tables.json", "clutchings.json"):
-        shutil.copy(golden_path(name), tmp_path / name)
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
     tables = json.loads((tmp_path / "tables.json").read_text())
     tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]
     (tmp_path / "tables.json").write_text(json.dumps(tables))

@@ -23,12 +23,12 @@ from kdual.tduality import (
     Pair,
     TwistedKTable,
     canonical_pair,
+    clutching_multiplier,
     dual_pair_report,
     enumerate_bundles,
     enumerate_pair_classes,
     gauge_orbit,
     get_base,
-    golden_clutchings,
     mv_k_groups,
     mv_status,
     NoCandidateError,
@@ -350,12 +350,11 @@ def test_mv_requires_circle_base():
         twisted_k_mv(bundle, h)
 
 
-def test_clutching_search_agrees_with_golden():
+def test_clutching_search_agrees_with_the_rule():
     search = search_clutchings()
-    golden = golden_clutchings()
     assert set(search) == set(PRINTED_MV_TABLES)
-    for key, multiplier in golden.items():
-        assert multiplier in search[key], key
+    for key in PRINTED_MV_TABLES:
+        assert clutching_multiplier(key) in search[key], key
     # the trivial bundle with no twist admits exactly one clutching
     assert search[(False, 0, 0)] == ["1"]
     # the base twist is forced as well
@@ -414,16 +413,14 @@ def test_mismatch_path(monkeypatch):
 
 
 def test_derived_tables_match_printed_at_group_level():
-    golden = golden_clutchings()
     for key, printed in PRINTED_MV_TABLES.items():
-        derived = mv_k_groups(key[0], golden[key])
+        derived = mv_k_groups(key[0], clutching_multiplier(key))
         for slot in printed:
             assert multiset_group(printed[slot]) == multiset_group(derived[slot]), (key, slot)
 
 
 def test_golden_dir_switch_reaches_the_tduality_caches(tmp_path, monkeypatch):
-    for name in ("tables.json", "clutchings.json"):
-        shutil.copy(golden_path(name), tmp_path / name)
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
     tables = json.loads((tmp_path / "tables.json").read_text())
     tables["1"]["rows"]["L"]["fixed"][1] = [0, 0]  # L is no longer a unit there
     (tmp_path / "tables.json").write_text(json.dumps(tables))
@@ -529,11 +526,10 @@ def test_mv_k_groups_match_the_difference_map(flip, multiplier):
 
 
 def test_module_count_statuses():
-    golden = golden_clutchings()
     derived_exact = 0
     asserted = 0
     for key, printed in PRINTED_MV_TABLES.items():
-        derived = mv_k_groups(key[0], golden[key])
+        derived = mv_k_groups(key[0], clutching_multiplier(key))
         for slot in printed:
             if Counter(printed[slot]) == derived[slot]:
                 derived_exact += 1
@@ -546,6 +542,60 @@ def test_module_count_statuses():
 def test_theorem_T():
     assert verify_theorem_T("point")
     assert verify_theorem_T("circle_trivial")
+
+
+def _pair_duals_wrongly(monkeypatch, first, second):
+    """Make `tdual` send the pairs over the circle labelled `first` and
+    `second` to each other, so that duality stays an involution on classes
+    but pairs them wrongly."""
+    pairs = {pair.label(): pair for pair in DualityTable("circle_trivial").pairs}
+    wrong = {pairs[first]: pairs[second], pairs[second]: pairs[first]}
+    true_tdual = tduality.tdual
+
+    def wrong_tdual(pair):
+        result = true_tdual(pair)
+        return TDualResult(wrong.get(pair, result.dual), result.certificate)
+
+    monkeypatch.setattr(tduality, "tdual", wrong_tdual)
+
+
+def _tdual_checks():
+    from kdual.suites import run_suite
+    return {c.id: c for c in run_suite("tdual").checks}
+
+
+def test_theorem_T_fails_on_a_wrong_pairing(monkeypatch):
+    # the pulled-back twist is a shift, so pairing (E0, 0) with
+    # (E0, pi*(t12^2*e)) keeps shift equivariance, but not theorem T
+    _pair_duals_wrongly(monkeypatch, "(E0, 0)", "(E0, pi*(t12^2*e))")
+    table = DualityTable("circle_trivial")
+    assert [c.dual_index for c in table.classes] == [2, 3, 0, 1, 4]
+    assert not table.theorem_T()
+    assert table.shift_equivariant()
+    checks = _tdual_checks()
+    assert checks["theorem-T-circle"].status == "fail"
+    assert checks["shift-equivariance"].status == "pass"
+
+
+def test_shift_equivariance_fails_on_a_wrong_pairing(monkeypatch):
+    # the class (E1[t12*e], h(t12*e)) has no pulled-back part to shift
+    _pair_duals_wrongly(monkeypatch, "(E0, 0)", "(E1[t12*e], h(t12*e))")
+    table = DualityTable("circle_trivial")
+    assert [c.dual_index for c in table.classes] == [4, 3, 2, 1, 0]
+    assert not table.shift_equivariant()
+    assert not table.theorem_T()
+    checks = _tdual_checks()
+    assert checks["shift-equivariance"].status == "fail"
+    assert checks["theorem-T-circle"].status == "fail"
+
+
+def test_clutching_search_check_fails_when_the_rule_is_not_best(monkeypatch):
+    # the search now ranks only "1" best for the base twist, where the rule
+    # gives "t"
+    monkeypatch.setattr(tduality, "search_clutchings",
+                        lambda: {**PINNED_SEARCH, (False, 1, 0): ["1"]})
+    check = _tdual_checks()["clutching-search"]
+    assert (check.status, check.expected, check.actual) == ("fail", "True", "False")
 
 
 def test_theorem_T_on_representatives_explicitly():

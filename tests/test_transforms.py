@@ -289,7 +289,7 @@ def test_point_k_table():
 
 
 def test_kunneth_reproduces_torus_groups():
-    table = kunneth_split("point", "K")
+    table = kunneth_split("K")
     assert dict(table.entry(0, EQ).modules) == {"R": 1, "R/J": 1}
     assert dict(table.entry(1, PM).modules) == {"R": 1, "R/J": 1}
     assert table.entry(1, EQ).group.is_trivial()
@@ -305,7 +305,7 @@ def test_kunneth_reproduces_torus_groups():
 def test_kunneth_split_matches_ring_slices():
     # the split table of the point must agree with the slice table of the
     # flip-circle ring itself
-    split = kunneth_split("point", "K")
+    split = kunneth_split("K")
     direct = k_table_of_ring("kk_circle_flip")
     for level in (0, 1):
         for variant in (EQ, PM):
@@ -313,7 +313,7 @@ def test_kunneth_split_matches_ring_slices():
 
 
 def test_kunneth_h_theory():
-    table = kunneth_split("point", "H")
+    table = kunneth_split("H")
     assert str(table.entry(1, PM).group) == "Z/2 x Z"
     assert str(table.entry(2, EQ).group) == "Z/2 x Z/2"
     assert table.entry(3, EQ).group.is_trivial()
