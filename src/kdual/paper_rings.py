@@ -360,8 +360,11 @@ def _load_tables():
         raise ValueError(f"{path} does not hold an object keyed by dimension")
     out = {}
     for key, table in data.items():
-        n = int(key)
         where_table = f"{path}: dimension {key}"
+        try:
+            n = int(key)
+        except ValueError:
+            raise ValueError(f"{where_table}: the dimension is not an integer") from None
         rows = {}
         for gen, row in golden_field(table, "rows", where_table, dict).items():
             where = f"{path}: row {gen} of dimension {key}"
@@ -371,6 +374,9 @@ def _load_tables():
                         and _is_int_list(term[0]) and type(term[1]) is int):
                     raise ValueError(f"{where}: forgetful term {json.dumps(term)} "
                                      "is not [[index, ...], coefficient] in ints")
+                if not all(1 <= i <= n for i in term[0]):
+                    raise ValueError(f"{where}: forgetful term {json.dumps(term)} "
+                                     f"has an index outside 1..{n}")
             forgetful = ExteriorKClass.build(n, terms)
             points = golden_field(row, "fixed", where)
             for point in points:

@@ -275,9 +275,12 @@ def split_table(table: GradedGroupTable) -> GradedGroupTable:
 
 def kunneth_split(theory: str) -> GradedGroupTable:
     """Graded groups of the flip circle, split off the point's K-table
-    (theory "K") or cohomology table (otherwise)."""
-    return split_table(k_table_of_ring("kk_point") if theory == "K"
-                       else h_table_of_ring("hh_point"))
+    (theory "K") or cohomology table (theory "H")."""
+    if theory == "K":
+        return split_table(k_table_of_ring("kk_point"))
+    if theory == "H":
+        return split_table(h_table_of_ring("hh_point"))
+    raise ValueError(f"unknown theory {theory!r}: want 'K' or 'H'")
 
 
 # ---------------------------------------------------------------------------

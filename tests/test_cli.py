@@ -229,6 +229,15 @@ def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, c
     tables["2"]["generators"] = "C0"
     cases["generators-string"] = (
         tables, "generators-string/tables.json: dimension 2: field 'generators' is not a list")
+    tables = golden()
+    tables["x"] = tables.pop("1")
+    cases["dimension-x"] = (
+        tables, "dimension-x/tables.json: dimension x: the dimension is not an integer")
+    tables = golden()
+    tables["1"]["rows"]["L"]["forgetful"] = [[[5], 1]]
+    cases["index-5"] = (
+        tables, "index-5/tables.json: row L of dimension 1: forgetful term [[5], 1] "
+                "has an index outside 1..1")
     for name, (tables, message) in cases.items():
         directory = tmp_path / name
         directory.mkdir()

@@ -503,6 +503,65 @@ def test_action_must_preserve_relations():
         RModule(2, IntegerMatrix.from_rows([[2], [0]]), IntegerMatrix.from_rows([[0, 1], [1, 0]]))
 
 
+def rmodule_checks(relations, action):
+    """Whether A preserves the relations and whether A^2 - I maps into
+    them, found by solving for each column on its own."""
+    square = triple_loop(action, action)
+    return (all(solve(relations, action.apply(column)) is not None
+                for column in relations.columns()),
+            all(solve(relations, tuple(x - (i == j) for i, x in enumerate(square.column(j))))
+                is not None for j in range(action.rows)))
+
+
+def test_rmodule_checks_match_solving_column_by_column():
+    rng = random.Random(71)
+    # A (2, 0) = (0, 4) leaves span{(2, 0)}, and A^2 - I = I: both checks fail
+    cases = [(IntegerMatrix.from_rows([[2], [0]]), IntegerMatrix.from_rows([[0, 1], [2, 0]]))]
+    for _ in range(150):
+        rank = rng.randint(1, 5)
+        cases.append((random_matrix(rng, rank, rng.randint(0, 3), bound=3),
+                      random_matrix(rng, rank, rank, bound=2)))
+    for _ in range(40):
+        module = rmodule_from_multiset(
+            Counter({name: rng.randint(0, 2) for name in INDECOMPOSABLES}))
+        if module.rank == 0:
+            continue
+        u = random_unimodular(rng, module.rank)
+        relations, action = u @ module.relations, u @ module.action @ inverse_unimodular(u)
+        cases.append((relations, action))
+        # one entry off by 1 or 2 may break either check, or both
+        entries = list(action.entries)
+        entries[rng.randrange(len(entries))] += rng.choice((1, 2))
+        cases.append((relations, IntegerMatrix(module.rank, module.rank, tuple(entries))))
+    seen = Counter()
+    for relations, action in cases:
+        checks = rmodule_checks(relations, action)
+        seen[checks] += 1
+        if checks == (True, True):
+            RModule(action.rows, relations, action)
+        else:
+            # a failed preservation check wins over a failed involution check
+            message = "not an involution" if checks[0] else "does not preserve"
+            with pytest.raises(ValueError, match=message):
+                RModule(action.rows, relations, action)
+    assert len(seen) == 4 and seen[False, False] > 1, seen
+
+
+def test_rank_30_planted_module():
+    rng = random.Random(30)
+    multiset = Counter({"R": 6, "R/I": 5, "R/J": 6, "I/2I": 7})
+    summed = rmodule_from_multiset(multiset)
+    u = random_unimodular(rng, 30, steps=90)
+    relations, action = u @ summed.relations, u @ summed.action @ inverse_unimodular(u)
+    assert max(map(abs, relations.entries)) > 2
+    module = RModule(30, relations, action)
+    assert rmodule_classify(module) == multiset
+    assert module.underlying_group() == cokernel(relations) == multiset_group(multiset)
+    twin = RModule(30, IntegerMatrix.from_rows(relations.to_rows()), action)
+    assert twin == module and hash(twin) == hash(module)
+    assert repr(twin) == repr(module)
+
+
 def test_classification_failure_detected(shared_route_matches):
     # Z/4 is not a sum of the four indecomposables
     module = RModule(1, relation_lattice((4,)), IntegerMatrix.from_rows([[1]]))
@@ -641,22 +700,59 @@ def test_kernel_and_cokernel_groups():
         FGAbelianGroup(()), FGAbelianGroup((6,)))
 
 
+def triple_loop(a, b):
+    return IntegerMatrix(a.rows, b.cols, tuple(
+        sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
 def test_products_match_triple_loop():
     rng = random.Random(31)
-    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (6, 6, 6), (7, 7, 7),
+              (40, 40, 1), (40, 40, 4), (2, 2, 40), (40, 40, 52), (48, 48, 48)]
     shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    shapes += [(rng.randint(1, 48), rng.randint(1, 48), rng.randint(1, 48)) for _ in range(12)]
     for n, k, p in shapes:
         a = random_matrix(rng, n, k, bound=10 ** 12)
         b = random_matrix(rng, k, p, bound=10 ** 12)
-        naive = tuple(sum(a.entry(i, t) * b.entry(t, j) for t in range(k))
-                      for i in range(n) for j in range(p))
-        assert a.mul(b) == IntegerMatrix(n, p, naive)
+        naive = triple_loop(a, b)
+        assert a.mul(b) == naive
         for j in range(p):
-            assert a.apply(b.column(j)) == tuple(naive[i * p + j] for i in range(n))
+            assert a.apply(b.column(j)) == naive.column(j)
     with pytest.raises(DimensionMismatchError):
         IntegerMatrix.zeros(2, 3).mul(IntegerMatrix.zeros(2, 3))
     with pytest.raises(DimensionMismatchError):
         IntegerMatrix.zeros(2, 3).apply((1, 2))
+
+
+def test_products_of_big_and_extreme_entries():
+    rng = random.Random(32)
+    big = 2 ** 3000
+    for n, k, p in ((12, 12, 12), (3, 3, 3), (9, 30, 5)):
+        small = random_matrix(rng, n, k, bound=9)
+        huge_right = random_matrix(rng, k, p, bound=big)
+        huge_left = random_matrix(rng, n, k, bound=big)
+        other = random_matrix(rng, k, p, bound=big)
+        assert max(map(abs, huge_right.entries)).bit_length() > 2990
+        assert min(huge_right.entries) < 0 < max(huge_right.entries)
+        for a, b in ((small, huge_right), (huge_left, random_matrix(rng, k, p, bound=9)),
+                     (huge_left, other), (random_matrix(rng, n, k, bound=2 ** 200), other)):
+            assert a.mul(b) == triple_loop(a, b)
+        # a zero factor against a large one: every slot of the product is 0
+        zero_left, zero_right = IntegerMatrix.zeros(n, k), IntegerMatrix.zeros(k, p)
+        assert zero_left.mul(huge_right) == IntegerMatrix.zeros(n, p)
+        assert huge_left.mul(zero_right) == IntegerMatrix.zeros(n, p)
+        assert zero_left.mul(zero_right) == IntegerMatrix.zeros(n, p)
+    # every entry of the product at the largest value the entries allow,
+    # 8 * top^2, with both signs: each pair of tops sits on either side of
+    # the largest value that slots of 1, 2, 4 and 8 bytes hold
+    for top in (1, 3, 4, 63, 64, 16383, 16384, 2 ** 30 - 1, 2 ** 30, 2 ** 62):
+        for sign in (1, -1):
+            a = IntegerMatrix(8, 8, (sign * top,) * 64)
+            assert a.mul(IntegerMatrix(8, 9, (top,) * 72)) == \
+                IntegerMatrix(8, 9, (sign * 8 * top * top,) * 72), (top, sign)
+            b = IntegerMatrix(8, 9, tuple(rng.choice((top, -top)) for _ in range(72)))
+            assert a.mul(b) == triple_loop(a, b), (top, sign)
 
 
 def test_public_construction_rejects_non_int_entries():

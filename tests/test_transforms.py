@@ -325,6 +325,11 @@ def test_kunneth_h_theory():
             assert table.entry(level, variant).group == direct.entry(level, variant).group
 
 
+def test_kunneth_split_rejects_an_unknown_theory():
+    for theory in ("k", "h", "KO", ""):
+        with pytest.raises(ValueError, match="unknown theory"):
+            kunneth_split(theory)
+
 # --- group cohomology --------------------------------------------------------------------
 
 
