@@ -159,30 +159,21 @@ class IntegerMatrix:
     def mul(self, other):
         """The product self @ other.
 
-        Past the size crossover `_PACKED_CROSSOVER` the rows of one factor
-        are packed into big ints (`_packed_product`): those of other, or
-        those of self's transpose when self has the larger entries, so that
-        the multipliers are the smaller entries.  Below the crossover, or
-        when both factors have entries of more than
-        `_PACKED_MAX_MULTIPLIER_BITS` bits, each entry is one dot product.
+        Past the size crossover `_PACKED_CROSSOVER`, and when the entries
+        of other and of the product stay below `_PACKED_LIMIT` in absolute
+        value, the rows of other are packed into big ints
+        (`_packed_product`); otherwise each entry is one dot product.
         """
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, k, p = self.rows, self.cols, other.cols
         if n * k * p > _PACKED_CROSSOVER * (n * k + k * p + n * p):
-            top_left = max(map(abs, self.entries))
-            top_right = max(map(abs, other.entries))
-            if min(top_left, top_right).bit_length() <= _PACKED_MAX_MULTIPLIER_BITS:
-                bound = max(top_left, top_right, top_left * top_right * k)
-                if top_left <= top_right:
-                    entries = _packed_product(self.entries, other.entries, n, k, p, bound)
-                else:
-                    # (self @ other)^T = other^T @ self^T
-                    entries = _transposed(_packed_product(
-                        _transposed(other.entries, p), _transposed(self.entries, k),
-                        p, k, n, bound), n)
-                return IntegerMatrix._trusted(n, p, entries)
+            # bounds every entry of other and of the product
+            bound = max(map(abs, other.entries)) * max(1, k * max(map(abs, self.entries)))
+            if bound < _PACKED_LIMIT:
+                return IntegerMatrix._trusted(
+                    n, p, _packed_product(self.entries, other.entries, n, k, p, bound))
         columns = [other.entries[j::p] for j in range(p)]
         return IntegerMatrix._trusted(n, p, tuple(
             sum(map(operator.mul, self.row(i), column))
@@ -218,63 +209,41 @@ class IntegerMatrix:
 
 # Kernel choice for an n x k by k x p product.  The scalar loop takes one
 # interpreter step per multiply-add (n*k*p), the packed kernel about one
-# per entry of the three matrices (n*k + k*p + n*p).  With entries of 3
-# bits the packed kernel took 9.3 us against 7.5 us at 3x3x3, 20.6 against
-# 22.9 at 6x6x6, 32.5 against 46.4 at 8x8x8, and 0.83 ms against 5.3 ms at
-# 40x40x52 (2-vCPU VM, Python 3.11.7).  So it runs once the first count is
-# more than twice the second, which keeps every product of
-# `kdual verify all` (at most 6x6) on the scalar loop.
+# per entry of the three matrices (n*k + k*p + n*p).  So it runs once the
+# first count is more than twice the second, which keeps every product of
+# `kdual verify all` (at most 6x6x6) on the scalar loop.
 _PACKED_CROSSOVER = 2
-# A slot holds the bits of both factors, so when both carry big entries the
-# packed rows are twice as long as the entries they hold.  At 40x40x40 the
-# packed kernel took 0.32 times as long as the scalar loop with entries of
-# 128 bits on both sides, 0.76 times at 256 bits, 1.11 at 400 and 1.58 at
-# 1,000.
-_PACKED_MAX_MULTIPLIER_BITS = 256
-
-
-def _transposed(entries, cols):
-    """Row-major entries of the transpose of a matrix with `cols` columns."""
-    return tuple(x for j in range(cols) for x in entries[j::cols])
+# The widest slot `struct` reads is 8 bytes, one bit of them the sign.
+_PACKED_LIMIT = 1 << 63
 
 
 def _packed_product(left, right, n, k, p, bound):
     """Row-major entries of the product of an n x k and a k x p matrix,
     given row-major, by Kronecker substitution; `bound` is at least the
-    absolute value of every entry of the right factor and of the product.
+    absolute value of every entry of the right factor and of the product,
+    and below `_PACKED_LIMIT`.
 
     Row t of the right factor becomes one int, the sum of its entries
-    b_tj * 2^(w*j) for a slot width w that holds every entry of the
-    product with its sign.  Then row i of the product packs into the sum
-    of a_it times packed row t, one big-int multiply-add per nonzero a_it,
-    and is read back from its bytes: adding the bias constant 2^(w-1) in
-    every slot makes each slot hold its entry plus 2^(w-1), in [0, 2^w).
-    Slots of up to 8 bytes are rounded up to 1, 2, 4 or 8 bytes, so that
-    `struct` packs and unpacks a whole row at once.
+    b_tj * 2^(w*j) for a slot width w of 8, 16, 32 or 64 bits that holds
+    every entry with its sign.  Then row i of the product packs into the
+    sum of a_it times packed row t, one big-int multiply-add per nonzero
+    a_it, and is read back by one `struct` unpack: adding the bias
+    constant 2^(w-1) in every slot makes each slot hold its entry plus
+    2^(w-1), in [0, 2^w).
     """
-    size = (bound.bit_length() + 8) // 8  # bytes per slot, a sign bit included
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
-        slots = struct.Struct(f"<{p}{'BHIQ'[size.bit_length() - 1]}")
-        pack, unpack = slots.pack, slots.unpack
-    else:
-        def pack(*values):
-            return b"".join([x.to_bytes(size, "little") for x in values])
-
-        def unpack(data):
-            return [int.from_bytes(data[j:j + size], "little") for j in range(0, len(data), size)]
+    size = 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()  # bytes per slot
+    slots = struct.Struct(f"<{p}{'BHIQ'[size.bit_length() - 1]}")
     half = 1 << (8 * size - 1)
-    width = size * p
-    bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * p, "little")
-    rows = [int.from_bytes(pack(*[x + half for x in right[t * p:(t + 1) * p]]), "little") - bias
-            for t in range(k)]
+    bias = int.from_bytes(slots.pack(*[half] * p), "little")
+    rows = [int.from_bytes(slots.pack(*[x + half for x in right[t * p:(t + 1) * p]]), "little")
+            - bias for t in range(k)]
     out = []
     for i in range(n):
         acc = bias
         for c, row in zip(left[i * k:(i + 1) * k], rows):
             if c:
                 acc += c * row
-        out.extend([x - half for x in unpack(acc.to_bytes(width, "little"))])
+        out.extend([x - half for x in slots.unpack(acc.to_bytes(size * p, "little"))])
     return tuple(out)
 
 
@@ -299,30 +268,12 @@ class SmithDecomposition:
 
     def solve(self, b) -> tuple | None:
         """One integer solution x of M @ x = b, or None."""
-        y = _span_coordinates(self.u, self.diagonal(), b)
-        if y is None:
+        diag = [d for d in self.diagonal() if d]
+        coords = self.u @ IntegerMatrix.from_columns([b])
+        if not _columns_in_lattice(coords, diag):
             return None
+        y = [t // d for t, d in zip(coords.entries, diag)]
         return self.v.apply(y + [0] * (self.v.rows - len(y)))
-
-
-def _span_coordinates(u: IntegerMatrix, diag, b):
-    """Coordinates of b in the basis d_i * (column i of U^-1), i < rank,
-    of the column span of M, or None when b lies outside that span; U and
-    the diagonal are those of the Smith normal form of M."""
-    b = tuple(b)
-    if len(b) != u.rows:
-        raise DimensionMismatchError("vector length does not match rows")
-    ub = u.apply(b)
-    y = []
-    for t, d in zip(ub, diag):
-        if not d:
-            break
-        if t % d:
-            return None
-        y.append(t // d)
-    if any(ub[len(y):]):
-        return None
-    return y
 
 
 def _columns_in_lattice(coords, diag, columns=slice(None)):
@@ -589,7 +540,6 @@ def subquotient_group(big: IntegerMatrix, small: IntegerMatrix) -> "FGAbelianGro
         raise ValueError("small lattice is not contained in the big one")
     return cokernel(_rows_matrix(
         [[x // d for x in coords.row(i)] for i, d in enumerate(diag)], small.cols))
-
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,14 @@ def test_solver_and_kernels():
     m = IntegerMatrix.from_rows([[2, 0], [0, 3]])
     assert solve(m, (4, 9)) == (2, 3)
     assert solve(m, (1, 0)) is None
+    # rank 2 in Z^3: b must be divisible below the rank and zero past it
+    m = IntegerMatrix.from_rows([[2, 0], [0, 6], [0, 0]])
+    assert solve(m, (4, 18, 0)) == (2, 3)
+    assert solve(m, (4, 18, 1)) is None
+    assert solve(m, (4, 9, 0)) is None
+    assert solve(IntegerMatrix.zeros(2, 3), (0, 0)) == (0, 0, 0)
+    with pytest.raises(DimensionMismatchError):
+        solve(m, (4, 18))
     k = kernel_basis(IntegerMatrix.from_rows([[1, 1]]))
     assert k.cols == 1
     x = k.column(0)
@@ -712,9 +720,11 @@ def test_products_match_triple_loop():
               (40, 40, 1), (40, 40, 4), (2, 2, 40), (40, 40, 52), (48, 48, 48)]
     shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
     shapes += [(rng.randint(1, 48), rng.randint(1, 48), rng.randint(1, 48)) for _ in range(12)]
-    for n, k, p in shapes:
-        a = random_matrix(rng, n, k, bound=10 ** 12)
-        b = random_matrix(rng, k, p, bound=10 ** 12)
+    # entries up to 9 take the packed kernel past the crossover, entries up
+    # to 10^12 the scalar loop (their products pass _PACKED_LIMIT)
+    for (n, k, p), bound in product(shapes, (9, 10 ** 12)):
+        a = random_matrix(rng, n, k, bound=bound)
+        b = random_matrix(rng, k, p, bound=bound)
         naive = triple_loop(a, b)
         assert a.mul(b) == naive
         for j in range(p):
@@ -738,15 +748,19 @@ def test_products_of_big_and_extreme_entries():
         for a, b in ((small, huge_right), (huge_left, random_matrix(rng, k, p, bound=9)),
                      (huge_left, other), (random_matrix(rng, n, k, bound=2 ** 200), other)):
             assert a.mul(b) == triple_loop(a, b)
-        # a zero factor against a large one: every slot of the product is 0
+        # a zero factor against a large one
         zero_left, zero_right = IntegerMatrix.zeros(n, k), IntegerMatrix.zeros(k, p)
         assert zero_left.mul(huge_right) == IntegerMatrix.zeros(n, p)
         assert huge_left.mul(zero_right) == IntegerMatrix.zeros(n, p)
         assert zero_left.mul(zero_right) == IntegerMatrix.zeros(n, p)
     # every entry of the product at the largest value the entries allow,
     # 8 * top^2, with both signs: each pair of tops sits on either side of
-    # the largest value that slots of 1, 2, 4 and 8 bytes hold
+    # the largest value that slots of 1, 2, 4 and 8 bytes hold, the last
+    # of them on either side of _PACKED_LIMIT
     for top in (1, 3, 4, 63, 64, 16383, 16384, 2 ** 30 - 1, 2 ** 30, 2 ** 62):
+        # the slots must also hold the right factor when the left one is 0
+        assert IntegerMatrix.zeros(8, 8).mul(IntegerMatrix(8, 9, (top,) * 72)) == \
+            IntegerMatrix.zeros(8, 9), top
         for sign in (1, -1):
             a = IntegerMatrix(8, 8, (sign * top,) * 64)
             assert a.mul(IntegerMatrix(8, 9, (top,) * 72)) == \

@@ -330,6 +330,7 @@ def test_kunneth_split_rejects_an_unknown_theory():
         with pytest.raises(ValueError, match="unknown theory"):
             kunneth_split(theory)
 
+
 # --- group cohomology --------------------------------------------------------------------
 
 
