@@ -326,10 +326,10 @@ def suite_transform() -> Report:
     _check(checks, "obstruction-is-delta", "degree-3 obstruction of the twisting bundle",
            str(parse_expression(hhc, "t12^2*e")), str(hhc.gen("t12") * euler))
     # circle-bundle tables over the trivial circle
-    tab0 = transforms.gysin_cohomology(hhc, hhc.zero(), window=3)
+    tab0 = transforms.gysin_cohomology(hhc, hhc.zero())
     _check(checks, "total-space-trivial", "degree-3 classes on the product bundle",
            "Z/2 x Z/2", str(tab0.entry(3, EQ).group))
-    tab1 = transforms.gysin_cohomology(hhc, euler, window=3)
+    tab1 = transforms.gysin_cohomology(hhc, euler)
     _check(checks, "total-space-twisted", "degree-3 classes on the flip bundle",
            "Z/2", str(tab1.entry(3, EQ).group))
     return Report("transform", tuple(checks))

@@ -343,11 +343,7 @@ def tdual(pair: Pair) -> TDualResult:
     if not cup.is_zero():
         raise NoSolutionError("the two Chern classes do not cup to zero")
 
-    try:
-        seed = dual_total.section_class(chern)
-    except NoSolutionError:
-        raise NoSolutionError(
-            "no class on the dual bundle pushes forward to the Chern class")
+    seed = dual_total.section_class(chern)
 
     orbits = set()
     remaining = {H3Element(dual_bundle, q, seed.k) for q in dual_total.q_values}
@@ -401,10 +397,8 @@ def tdual(pair: Pair) -> TDualResult:
 class PairClass:
     index: int
     representative: Pair
-    orbit_size: int
     dual_index: int
     label: str
-    dual_label: str
 
 
 class DualityTable:
@@ -427,9 +421,6 @@ class DualityTable:
                     self._orbits.update((Pair(bundle, member), orbit) for member in orbit)
         self._duals = {pair: tdual(pair).dual for pair in self.pairs}
 
-    def orbit(self, pair: Pair) -> frozenset:
-        return self._orbits[pair]
-
     def canonical(self, pair: Pair) -> Pair:
         return Pair(pair.bundle, orbit_representative(self._orbits[pair]))
 
@@ -442,8 +433,7 @@ class DualityTable:
         smallest members."""
         reps = [pair for pair in self.pairs if self.canonical(pair) == pair]
         index = {rep: i for i, rep in enumerate(reps)}
-        out = [PairClass(i, rep, len(self.orbit(rep)), index[self.canonical(self.dual(rep))],
-                         rep.label(), self.dual(rep).label())
+        out = [PairClass(i, rep, index[self.canonical(self.dual(rep))], rep.label())
                for i, rep in enumerate(reps)]
         for cls in out:
             if out[cls.dual_index].dual_index != cls.index:

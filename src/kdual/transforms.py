@@ -202,7 +202,6 @@ def t_power_table(k: int) -> dict:
 class TableEntry:
     group: FGAbelianGroup
     modules: tuple | None = None  # sorted (name, multiplicity) pairs
-    ambiguous: bool = False
 
     @classmethod
     def from_counter(cls, counter: Counter):
@@ -210,67 +209,62 @@ class TableEntry:
 
 
 class GradedGroupTable:
-    """Map from (level, variant) to a group, with optional module refinement."""
+    """Map from (level, variant) to a group, with optional module refinement.
 
-    def __init__(self, theory: str, entries: dict):
+    `compute(level, variant)` works an entry out; each entry is computed
+    when it is first read and kept, so at most once per table.  K-tables
+    are 2-periodic: their levels are read modulo 2.
+    """
+
+    def __init__(self, theory: str, compute):
         if theory not in ("K", "H"):
             raise ValueError("theory must be 'K' or 'H'")
         self.theory = theory
-        self.entries = dict(entries)
+        self._compute = compute
+        self._entries = {}
 
     def entry(self, level, variant) -> TableEntry:
         if self.theory == "K":
             level %= 2
-        return self.entries.get((level, variant),
-                                TableEntry(FGAbelianGroup(), None, False))
+        key = (level, variant)
+        if key not in self._entries:
+            self._entries[key] = self._compute(level, variant)
+        return self._entries[key]
 
 
 def k_table_of_ring(name: str) -> GradedGroupTable:
     """Module-refined table of a K-type built-in ring, from its slices."""
     ring = build_ring(name)
     t = ring.gen("t")
-    entries = {}
-    for level in (0, 1):
-        for variant in (EQ, PM):
-            slice_ = degree_component(ring, Degree(level, variant))
-            if slice_.dim:
-                module = RModule(slice_.dim, relation_lattice(slice_.orders),
-                                 slice_.matrix(lambda e: t * e))
-                modules = rmodule_classify(module)
-                entries[(level, variant)] = TableEntry.from_counter(modules)
-            else:
-                entries[(level, variant)] = TableEntry(FGAbelianGroup(), ())
-    return GradedGroupTable("K", entries)
+
+    def compute(level, variant):
+        slice_ = degree_component(ring, Degree(level, variant))
+        if not slice_.dim:
+            return TableEntry(FGAbelianGroup(), ())
+        module = RModule(slice_.dim, relation_lattice(slice_.orders),
+                         slice_.matrix(lambda e: t * e))
+        return TableEntry.from_counter(rmodule_classify(module))
+    return GradedGroupTable("K", compute)
 
 
-def h_table_of_ring(name: str, window: int = 6) -> GradedGroupTable:
+def h_table_of_ring(name: str) -> GradedGroupTable:
     ring = build_ring(name)
-    entries = {}
-    for level in range(window + 1):
-        for variant in (EQ, PM):
-            slice_ = degree_component(ring, Degree(level, variant))
-            entries[(level, variant)] = TableEntry(slice_.group)
-    return GradedGroupTable("H", entries)
+    return GradedGroupTable("H", lambda level, variant: TableEntry(
+        degree_component(ring, Degree(level, variant)).group))
 
 
 def split_table(table: GradedGroupTable) -> GradedGroupTable:
     """Table of the product with the flip circle: each degree is the sum of
     the same degree and the variant-flipped degree one level down."""
-    entries = {}
-    levels = (0, 1) if table.theory == "K" else sorted({lvl for lvl, _ in table.entries})
-    for level in levels:
-        for variant in (EQ, PM):
-            flipped = PM if variant == EQ else EQ
-            here = table.entry(level, variant)
-            below = table.entry(level - 1, flipped)
-            group = here.group.direct_sum(below.group)
-            if here.modules is None:
-                modules = None
-            else:
-                merged = Counter(dict(here.modules)) + Counter(dict(below.modules or ()))
-                modules = tuple(sorted(merged.items()))
-            entries[(level, variant)] = TableEntry(group, modules)
-    return GradedGroupTable(table.theory, entries)
+    def compute(level, variant):
+        here = table.entry(level, variant)
+        below = table.entry(level - 1, PM if variant == EQ else EQ)
+        group = here.group.direct_sum(below.group)
+        if here.modules is None:
+            return TableEntry(group)
+        merged = Counter(dict(here.modules)) + Counter(dict(below.modules or ()))
+        return TableEntry(group, tuple(sorted(merged.items())))
+    return GradedGroupTable(table.theory, compute)
 
 
 def kunneth_split(theory: str) -> GradedGroupTable:
@@ -313,6 +307,10 @@ def group_cohomology_z2(m: int, n: int) -> FGAbelianGroup:
 # total-space cohomology from multiplication by an Euler class
 
 
+class ExtensionError(RuntimeError):
+    """The circle-bundle exact sequence does not decide a total-space group."""
+
+
 @dataclass(frozen=True)
 class GysinDegreeData:
     """Degree-n data of the circle-bundle exact sequence over a base ring,
@@ -337,18 +335,6 @@ class GysinDegreeData:
     def kernel_group(self) -> FGAbelianGroup:
         return subquotient_group(self.kernel_vectors, relation_lattice(self.kernel_slice.orders))
 
-    def total_group(self) -> FGAbelianGroup:
-        return self.cokernel_group().direct_sum(self.kernel_group())
-
-    def ambiguous(self) -> bool:
-        if self.split_certified:
-            return False
-        ker = self.kernel_group()
-        cok = self.cokernel_group()
-        if ker.is_trivial() or cok.is_trivial():
-            return False
-        return bool(ker.torsion_orders)
-
 
 def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str) -> GysinDegreeData:
     flipped = PM if variant == EQ else EQ
@@ -368,25 +354,27 @@ def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str) -
     )
 
 
-def gysin_cohomology(base_ring, euler: RingElement, window: int = 4) -> GradedGroupTable:
+def gysin_cohomology(base_ring, euler: RingElement) -> GradedGroupTable:
     """Total-space cohomology table of the circle bundle with the given
     Euler class, assembled degree by degree from the kernel and cokernel
     of cup product with the Euler class.
 
-    Extensions are never resolved silently: an entry whose kernel part
-    has torsion while both parts are nonzero is flagged ambiguous (the
-    direct sum is still reported), except for the zero Euler class where
-    the section splits the sequence.
+    Extensions are never resolved silently: reading an entry whose kernel
+    part has torsion while the cokernel part is nonzero raises
+    ExtensionError, except for the zero Euler class, where the section
+    splits the sequence.
     """
     if euler.ring != base_ring:
         raise ValueError("Euler class must live in the base ring")
     if not euler.is_zero() and not euler.is_homogeneous(Degree(2, PM)):
         raise ValueError("Euler class must be homogeneous of degree (2, pm)")
-    entries = {}
-    for level in range(window + 1):
-        for variant in (EQ, PM):
-            data = gysin_degree_data(base_ring, euler, level, variant)
-            entries[(level, variant)] = TableEntry(
-                data.total_group(), None, data.ambiguous())
-    return GradedGroupTable("H", entries)
 
+    def compute(level, variant):
+        data = gysin_degree_data(base_ring, euler, level, variant)
+        ker, cok = data.kernel_group(), data.cokernel_group()
+        if not data.split_certified and ker.torsion_orders and not cok.is_trivial():
+            raise ExtensionError(
+                f"the extension of {ker} by {cok} in degree ({level}, {variant}) "
+                "is left open by the sequence")
+        return TableEntry(cok.direct_sum(ker))
+    return GradedGroupTable("H", compute)

@@ -185,3 +185,22 @@ def test_every_import_is_used():
                 unused.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                               if (alias.asname or alias.name.partition(".")[0]) not in read)
     assert unused == []
+
+
+def test_every_field_is_read():
+    # an annotated field of a kdual class is live when some attribute load
+    # in the package, the benchmark or the tests reads it by name
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in [*sorted(PACKAGE.glob("*.py")), *sorted(PERFBENCH.glob("*.py")),
+                          *sorted(Path(__file__).parent.glob("*.py"))]]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                unread.extend(f"{node.name}.{field.target.id}" for field in node.body
+                              if isinstance(field, ast.AnnAssign)
+                              and isinstance(field.target, ast.Name)
+                              and field.target.id not in read)
+    assert unread == []

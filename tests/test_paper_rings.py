@@ -335,6 +335,18 @@ def test_flip_substitution_certified():
     assert verify_kk_flip_via_oracle()
 
 
+def test_flip_substitution_check_fails_for_the_identity(monkeypatch):
+    # the identity fixes every class, so it cannot swap the fixed points
+    from kdual import paper_rings
+    from kdual.suites import run_suite
+    ring = build_ring("kk_circle_flip")
+    monkeypatch.setattr(paper_rings, "kk_flip_substitution",
+                        lambda: {g.name: ring.gen(g.name) for g in ring.generators})
+    assert not verify_kk_flip_via_oracle()
+    failed = [c.id for c in run_suite("oracle").checks if c.status == "fail"]
+    assert failed == ["flip-substitution"]
+
+
 def test_nu_substitution_certified():
     ring = build_ring("hh_circle_flip")
     images = nu_substitution()

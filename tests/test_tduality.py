@@ -239,7 +239,7 @@ def test_duality_table_agrees_with_the_pairwise_functions():
     table = tduality.DualityTable("circle_trivial")
     assert len(table.pairs) == 6
     for pair in table.pairs:
-        assert table.orbit(pair) == gauge_orbit(pair)
+        assert table._orbits[pair] == gauge_orbit(pair)
         assert table.canonical(pair) == canonical_pair(pair)
         assert table.dual(pair) == tdual(pair).dual
     assert table.classes == enumerate_pair_classes("circle_trivial")

@@ -18,8 +18,12 @@ from kdual.graded_algebra import (
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual import transforms
 from kdual.transforms import (
+    ExtensionError,
+    GradedGroupTable,
+    TableEntry,
     group_cohomology_z2,
     gysin_cohomology,
+    h_table_of_ring,
     k_table_of_ring,
     kunneth_split,
     pullback_circle_to_torus,
@@ -277,6 +281,15 @@ def test_power_table_bounds():
         t_power_table(17)
 
 
+def test_pushforward_section_check_fails_without_chi2(monkeypatch):
+    # without the chi2 factor the push-forward kills the pulled-back class
+    from kdual.suites import run_suite
+    monkeypatch.setattr(transforms, "suspension_section",
+                        lambda element: pullback_circle_to_torus(1, element))
+    failed = [c.id for c in run_suite("transform").checks if c.status == "fail"]
+    assert failed == ["pushforward-section"]
+
+
 # --- Künneth splitting ----------------------------------------------------------------
 
 
@@ -318,9 +331,8 @@ def test_kunneth_h_theory():
     assert str(table.entry(2, EQ).group) == "Z/2 x Z/2"
     assert table.entry(3, EQ).group.is_trivial()
     # matches the slice table of the flip-circle ring
-    from kdual.transforms import h_table_of_ring
-    direct = h_table_of_ring("hh_circle_flip", window=5)
-    for level in range(5):
+    direct = h_table_of_ring("hh_circle_flip")
+    for level in range(9):
         for variant in (EQ, PM):
             assert table.entry(level, variant).group == direct.entry(level, variant).group
 
@@ -358,13 +370,12 @@ def test_group_cohomology_bad_twist():
 
 def test_gysin_trivial_bundle_over_circle():
     ring = build_ring("hh_circle_trivial")
-    table = gysin_cohomology(ring, ring.zero(), window=4)
+    table = gysin_cohomology(ring, ring.zero())
     assert str(table.entry(3, EQ).group) == "Z/2 x Z/2"
-    assert not table.entry(3, EQ).ambiguous
-    # cross-check: the same total space through the split product table
-    from kdual.transforms import h_table_of_ring
-    split = split_table(h_table_of_ring("hh_circle_trivial", window=5))
-    for level in range(5):
+    # cross-check: the same total space through the split product table;
+    # the zero Euler class splits the sequence, so no entry raises
+    split = split_table(h_table_of_ring("hh_circle_trivial"))
+    for level in range(9):
         for variant in (EQ, PM):
             assert table.entry(level, variant).group == split.entry(level, variant).group
 
@@ -372,40 +383,97 @@ def test_gysin_trivial_bundle_over_circle():
 def test_gysin_twisted_bundle_over_circle():
     ring = build_ring("hh_circle_trivial")
     euler = parse_expression(ring, "t12*e")
-    table = gysin_cohomology(ring, euler, window=4)
+    table = gysin_cohomology(ring, euler)
     assert str(table.entry(3, EQ).group) == "Z/2"
     assert str(table.entry(0, EQ).group) == "Z"
 
 
 def test_gysin_over_point_gives_flip_circle():
     ring = build_ring("hh_point")
-    table = gysin_cohomology(ring, ring.zero(), window=5)
+    table = gysin_cohomology(ring, ring.zero())
     flip = build_ring("hh_circle_flip")
-    for level in range(5):
+    for level in range(9):
         for variant in (EQ, PM):
-            from kdual.graded_algebra import degree_component
             expected = degree_component(flip, Degree(level, variant)).group
             assert table.entry(level, variant).group == expected
 
 
 def test_gysin_universal_total_space():
     ring = build_ring("hh_universal_base")
-    table = gysin_cohomology(ring, ring.gen("c"), window=4)
+    table = gysin_cohomology(ring, ring.gen("c"))
     expected = {
         (0, EQ): "Z", (1, EQ): "0", (2, EQ): "Z/2", (3, EQ): "Z/2 x Z", (4, EQ): "Z/2 x Z",
-        (0, PM): "0", (1, PM): "Z/2", (2, PM): "Z", (3, PM): "Z/2", (4, PM): "Z/2 x Z/2",
+        (0, PM): "0", (1, PM): "Z/2", (2, PM): "Z", (3, PM): "Z/2",
     }
     for key, value in expected.items():
         assert str(table.entry(*key).group) == value, key
-    # the one undetermined extension in the window is flagged, never resolved
-    assert table.entry(4, PM).ambiguous
-    assert not table.entry(3, EQ).ambiguous  # free complement: certified split
+    # the first undetermined extension, Z/2 by Z/2, is never resolved;
+    # (3, eq) above reads fine, since its kernel part Z is free
+    for _ in range(2):
+        with pytest.raises(ExtensionError, match=r"Z/2 by Z/2 in degree \(4, pm\)"):
+            table.entry(4, PM)
+
+
+def test_tables_read_past_the_levels_of_their_callers():
+    # a degree is worked out when it is read, so there is no window past
+    # which a table reads 0
+    flip = build_ring("hh_circle_flip")
+    for level in (7, 8, 12):
+        for variant in (EQ, PM):
+            expected = degree_component(flip, Degree(level, variant)).group
+            assert kunneth_split("H").entry(level, variant).group == expected
+    assert str(kunneth_split("H").entry(7, PM).group) == "Z/2 x Z/2"
+    ring = build_ring("hh_circle_trivial")
+    twisted = gysin_cohomology(ring, parse_expression(ring, "t12*e"))
+    assert str(twisted.entry(5, EQ).group) == "Z/2"
+    # the base is Z/2 in every degree from 2 on, and the total space
+    # repeats with period 2 from degree 3 on
+    for level in range(5, 11):
+        for variant in (EQ, PM):
+            assert twisted.entry(level, variant) == twisted.entry(level - 2, variant)
+
+
+def test_each_entry_is_worked_out_once_per_table(monkeypatch):
+    calls = []
+
+    def compute(level, variant):
+        calls.append((level, variant))
+        return TableEntry(group_cohomology_z2(0, level))
+    table = GradedGroupTable("K", compute)
+    for level in (0, 1, 2, 3, -1, 0):
+        for variant in (EQ, PM):
+            table.entry(level, variant)
+    assert sorted(calls) == [(0, EQ), (0, PM), (1, EQ), (1, PM)]
+
+    # a split table reads each entry of the table under it once
+    calls.clear()
+    split = split_table(GradedGroupTable("H", compute))
+    for _ in range(2):
+        for level in range(4):
+            split.entry(level, EQ)
+            split.entry(level, PM)
+    assert sorted(calls) == sorted((level, variant) for level in range(-1, 4)
+                                   for variant in (EQ, PM))
+
+    # a Gysin table builds each degree's data when it is first read, once
+    built = []
+    degree_data = transforms.gysin_degree_data
+    monkeypatch.setattr(transforms, "gysin_degree_data",
+                        lambda ring, euler, level, variant: built.append((level, variant))
+                        or degree_data(ring, euler, level, variant))
+    ring = build_ring("hh_circle_trivial")
+    twisted = gysin_cohomology(ring, parse_expression(ring, "t12*e"))
+    assert built == []
+    for _ in range(3):
+        for level in range(6):
+            twisted.entry(level, EQ)
+    assert built == [(level, EQ) for level in range(6)]
 
 
 def test_gysin_rejects_bad_euler_class():
     ring = build_ring("hh_circle_trivial")
     with pytest.raises(ValueError):
-        gysin_cohomology(ring, ring.gen("e"), window=2)
+        gysin_cohomology(ring, ring.gen("e"))
 
 
 # --- connecting maps -------------------------------------------------------------------------
