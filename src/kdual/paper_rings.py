@@ -387,11 +387,18 @@ def _load_tables():
             if len(fixed) != 2 ** n:
                 raise ValueError(f"{where} has {len(fixed)} fixed points, wanted {2 ** n}")
             rows[gen] = FOracleImage(n, forgetful, fixed)
+        generators = tuple(golden_field(table, "generators", where_table))
+        for gen in generators:
+            if not isinstance(gen, str) or gen not in rows:
+                raise ValueError(f"{where_table} has no row for generator {json.dumps(gen)}")
         out[n] = {
             "fixed_points": tuple(golden_field(table, "fixed_points", where_table)),
-            "generators": tuple(golden_field(table, "generators", where_table)),
+            "generators": generators,
             "rows": rows,
         }
+    for n in (1, 2, 3):
+        if n not in out:
+            raise ValueError(f"{path}: there is no table for dimension {n}")
     return out
 
 

@@ -23,10 +23,11 @@ bundle over the circle has no q part at all).
 The dual of a pair is computed by direct linear solving: the dual bundle
 is forced by the push-forward of the class, candidate dual classes form a
 coset, and gauge orbits cut the coset down.  When several orbits remain
-(only the trivial-times-trivial situation over the built-in bases), the
-agreement of the two pull-backs on the correspondence space is computed
-honestly on the product ring; otherwise a single surviving orbit is
-itself the certificate, since any two true duals are gauge equivalent.
+(only the trivial-times-trivial situation over the built-in bases), both
+push-forwards are zero, so the pull-backs to the correspondence space
+agree exactly when the two base parts q do; otherwise a single surviving
+orbit is itself the certificate, since any two true duals are gauge
+equivalent.
 
 Twisted K-groups over the circle with trivial involution come from the
 Mayer-Vietoris sequence of the two-arc cover.  Its difference map on two
@@ -58,8 +59,8 @@ from .exact_abelian import (
     solve,
 )
 from .expressions import parse_expression
-from .graded_algebra import EQ, PM, Degree, PresentedRing, apply_ring_hom, degree_component
-from .paper_rings import PRESENTATIONS, build_ring, kk_flip_substitution, per_golden_dir
+from .graded_algebra import EQ, PM, Degree, apply_ring_hom, degree_component
+from .paper_rings import build_ring, kk_flip_substitution, per_golden_dir
 from .transforms import gysin_degree_data, kunneth_split
 
 
@@ -117,8 +118,7 @@ class RealCircleBundle:
     def from_chern(cls, base: BaseSpace, chern_element):
         if not (chern_element.is_zero() or chern_element.is_homogeneous(Degree(2, PM))):
             raise ValueError("the Chern class must be homogeneous of degree (2, pm)")
-        coords = base.h2pm.reduce_coords(base.h2pm.coords(chern_element))
-        return cls(base.name, coords)
+        return cls(base.name, base.h2pm.coords(chern_element))
 
     @property
     def base(self) -> BaseSpace:
@@ -197,7 +197,7 @@ class TotalSpaceH3:
         if solve(self._kernel_vectors, coords) is None:
             raise NoSolutionError(
                 f"{base_h2pm_element} is not a push-forward over {self.bundle.label()}")
-        return H3Element(self.bundle, self.zero().q, self.kernel_slice.reduce_coords(coords))
+        return H3Element(self.bundle, self.zero().q, coords)
 
     def add(self, first: "H3Element", second: "H3Element") -> "H3Element":
         if not self.split_certified:
@@ -276,13 +276,8 @@ def gauge_orbit(pair: Pair) -> frozenset:
     total = pair.total()
     base = pair.bundle.base
     down = total.pushforward(pair.h)
-    shifts = (_in_slice(base.h3eq, down * base.h1pm.element(coords))
-              for coords in _slice_coordinates(base.h1pm))
+    shifts = (down * base.h1pm.element(coords) for coords in _slice_coordinates(base.h1pm))
     return frozenset(total.add(pair.h, total.pullback_from_base(s)) for s in shifts)
-
-
-def _in_slice(slice_, element):
-    return slice_.element(slice_.reduce_coords(slice_.coords(element)))
 
 
 def orbit_representative(orbit) -> H3Element:
@@ -303,35 +298,15 @@ class TDualResult:
     certificate: tuple  # sorted key/value pairs
 
 
-@per_golden_dir
-def _product_ring(base_ring_name) -> PresentedRing:
-    """Base ring extended by the classes of two trivial flip-circle factors."""
-    generators, rules, period = PRESENTATIONS[base_ring_name]
-    return PresentedRing.define(
-        f"{base_ring_name}_x_torus",
-        generators + [("chi1", 1, PM, 0), ("chi2", 1, PM, 0)],
-        rules + [({"chi1": 2}, [({"t12": 1, "chi1": 1}, 1)]),
-                 ({"chi2": 2}, [({"t12": 1, "chi2": 1}, 1)])],
-        period)
-
-
-def _correspondence_pullback(pair: Pair, which: int):
-    """p^* (which = 1) or phat^* (which = 2) of the class of a pair on a
-    trivial bundle, valued in the product ring of the double torus."""
-    total = pair.total()
-    if not total.split_certified:
-        raise ValueError("correspondence model only applies to trivial bundles")
-    base = pair.bundle.base.ring
-    ring = _product_ring(base.name)
-    images = {g.name: ring.gen(g.name) for g in base.generators}
-    pulled = total.base_slice.element(pair.h.q)
-    return (apply_ring_hom(base, ring, images, pulled)
-            + apply_ring_hom(base, ring, images, total.pushforward(pair.h))
-            * ring.gen(f"chi{which}"))
-
-
 def tdual(pair: Pair) -> TDualResult:
-    """The T-dual pair, with a certificate of the defining identities."""
+    """The T-dual pair, with a certificate of the defining identities.
+
+    The dual class is the one gauge orbit that pushes forward to the
+    source's Chern class ("gauge-orbit-unique"), or, when both bundles are
+    trivial, the orbit with the pair's own base part ("base-parts-agree").
+    Raises NoSolutionError when the Chern classes do not cup to zero and
+    AmbiguityError when several orbits remain over a nontrivial bundle.
+    """
     base = pair.bundle.base
     total = pair.total()
     dual_chern = total.pushforward(pair.h)
@@ -355,23 +330,14 @@ def tdual(pair: Pair) -> TDualResult:
     if len(orbits) == 1:
         chosen = next(iter(orbits))
         correspondence = "gauge-orbit-unique"
+    elif total.split_certified and dual_total.split_certified:
+        # both bundles are trivial, so both push-forwards are zero and
+        # p^*h - phat^*hhat = pi^*(q - q') on the correspondence space: the
+        # dual keeps the base part of the class
+        chosen = gauge_orbit(Pair(dual_bundle, H3Element(dual_bundle, pair.h.q, seed.k)))
+        correspondence = "base-parts-agree"
     else:
-        if not (total.split_certified and dual_total.split_certified):
-            raise AmbiguityError(
-                "several gauge orbits satisfy the push-forward constraints")
-        lhs = _correspondence_pullback(pair, 1)
-        surviving = []
-        for orbit in orbits:
-            rep = orbit_representative(orbit)
-            rhs = _correspondence_pullback(Pair(dual_bundle, rep), 2)
-            if lhs == rhs:
-                surviving.append(orbit)
-        if not surviving:
-            raise NoSolutionError("no candidate matches on the correspondence space")
-        if len(surviving) > 1:
-            raise AmbiguityError("several orbits match on the correspondence space")
-        chosen = surviving[0]
-        correspondence = "computed-on-product-model"
+        raise AmbiguityError("several gauge orbits satisfy the push-forward constraints")
 
     dual_h = orbit_representative(chosen)
     pushed = dual_total.pushforward(dual_h)

@@ -128,6 +128,16 @@ KGROUPS_SHA256 = {
 }
 
 
+# sha256 of the stdout of `kdual [--format FORMAT] tdual enumerate --base
+# BASE`, the duality table of each base
+ENUMERATE_SHA256 = {
+    ("json", "circle-trivial"): "3c24c92d36040ad8132ed8fde8e3cdb20221558b1b9d4340ee49aaf02c721a17",
+    ("json", "point"): "fc26cc78672cc21dc66120e1306cf3a9076ef713bab5a38a2af56ae4eb1d8925",
+    ("text", "circle-trivial"): "d619ebab496b6a7be60f99632cbfee65998f69752c9161c31ae831d70b1ab4db",
+    ("text", "point"): "e2e92ba3a970d2ce01ebfe0f776e5f5b63695a9d296b57377bdc36210d6c2d36",
+}
+
+
 def test_verify_all_report_bytes_are_pinned(capsys):
     for fmt, digest in REPORT_SHA256.items():
         code, out, _ = run(capsys, "--format", fmt, "verify", "all")
@@ -141,6 +151,13 @@ def test_tdual_kgroups_bytes_are_pinned(capsys):
                            "--base", "circle-trivial")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
+def test_tdual_enumerate_bytes_are_pinned(capsys):
+    for (fmt, base), digest in ENUMERATE_SHA256.items():
+        code, out, _ = run(capsys, "--format", fmt, "tdual", "enumerate", "--base", base)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (fmt, base)
 
 
 # --- a minimal validator for the shipped report schema ----------------------
@@ -238,6 +255,14 @@ def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, c
     cases["index-5"] = (
         tables, "index-5/tables.json: row L of dimension 1: forgetful term [[5], 1] "
                 "has an index outside 1..1")
+    tables = golden()
+    del tables["3"]
+    cases["no-dimension-3"] = (
+        tables, "no-dimension-3/tables.json: there is no table for dimension 3")
+    tables = golden()
+    del tables["1"]["rows"]["L"]
+    cases["no-row-L"] = (
+        tables, 'no-row-L/tables.json: dimension 1 has no row for generator "L"')
     for name, (tables, message) in cases.items():
         directory = tmp_path / name
         directory.mkdir()

@@ -13,11 +13,12 @@ from kdual.exact_abelian import (
     relation_lattice,
     rmodule_classify,
 )
-from kdual.graded_algebra import EQ, PM, Degree, GeneratorSpec
+from kdual.graded_algebra import EQ, PM
 from kdual import tduality
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual.tduality import (
     PRINTED_MV_TABLES,
+    AmbiguityError,
     DualityTable,
     InvariantError,
     Pair,
@@ -145,7 +146,7 @@ def test_trivial_pair_is_self_dual():
     result = tdual(pair)
     assert result.dual == pair
     cert = dict(result.certificate)
-    assert cert["correspondence"] == "computed-on-product-model"
+    assert cert["correspondence"] == "base-parts-agree"
     assert cert["cup_product"] == "0"
 
 
@@ -153,6 +154,15 @@ def test_pulled_back_twist_is_self_dual():
     pair = pair_from_expressions("circle_trivial", "0", "t12^2*e", "0")
     result = tdual(pair)
     assert canonical_pair(result.dual) == canonical_pair(pair)
+
+
+def test_several_orbits_over_a_nontrivial_bundle_are_ambiguous(monkeypatch):
+    # with every gauge orbit cut down to one class, the two candidate duals
+    # of (E1[t12*e], 0) stay apart, and only trivial bundles have a rule
+    # that chooses between orbits
+    monkeypatch.setattr(tduality, "gauge_orbit", lambda pair: frozenset({pair.h}))
+    with pytest.raises(AmbiguityError, match="several gauge orbits"):
+        tdual(pair_from_expressions("circle_trivial", "t12*e"))
 
 
 def test_fiber_twist_dualizes_to_twisted_bundle():
@@ -621,16 +631,16 @@ def test_uniqueness_witness():
         dual = result.dual
         dual_total = dual.total()
         chern = pair.bundle.chern()
-        # the full set of valid duals: same push-forward, and equal
-        # pull-backs on the correspondence model whenever it applies
+        # the full set of valid duals: same push-forward, and, when both
+        # bundles are trivial, equal base parts (both push-forwards are zero,
+        # so the pull-backs to the correspondence space differ by
+        # pi^*(q - q'))
         valid = []
         for candidate in dual_total.elements():
             if dual_total.pushforward(candidate) != chern:
                 continue
             if total.split_certified and dual_total.split_certified:
-                lhs = tduality._correspondence_pullback(pair, 1)
-                rhs = tduality._correspondence_pullback(Pair(dual.bundle, candidate), 2)
-                if lhs != rhs:
+                if candidate.q != pair.h.q:
                     continue
             valid.append(candidate)
         assert dual.h in valid
@@ -643,52 +653,6 @@ def test_uniqueness_witness():
                 base.h3eq.element(base.h3eq.reduce_coords(base.h3eq.coords(cup))))
             reachable.add(dual_total.add(dual.h, shift))
         assert set(valid) <= reachable
-
-
-def _renamed_correspondence_pullback(pair, which):
-    # the lift into the product ring rebuilt every monomial from generator
-    # names; this copy of that route pins the ring-map route
-    total = pair.total()
-    ring = tduality._product_ring(pair.bundle.base.ring.name)
-
-    def lift(element):
-        return ring.from_named_terms(
-            ({g.name: e for g, e in zip(element.ring.generators, exps) if e}, c)
-            for exps, c in element.terms)
-
-    pulled = total.base_slice.element(pair.h.q)
-    return lift(pulled) + lift(total.pushforward(pair.h)) * ring.gen(f"chi{which}")
-
-
-@pytest.mark.parametrize("base_name", ("point", "circle_trivial"))
-def test_correspondence_pullback_equals_the_renaming_route(base_name):
-    bundle = next(b for b in enumerate_bundles(get_base(base_name)) if b.is_trivial())
-    pairs = [Pair(bundle, h) for h in _total_space(bundle).elements()]
-    assert pairs
-    for pair in pairs:
-        for which in (1, 2):
-            assert (tduality._correspondence_pullback(pair, which)
-                    == _renamed_correspondence_pullback(pair, which))
-
-
-def test_product_ring_extends_the_presentation_without_changing_it():
-    from copy import deepcopy
-    from kdual.paper_rings import PRESENTATIONS
-    shipped = deepcopy(PRESENTATIONS)
-    tduality._product_ring.cache_clear()
-    for name in ("hh_point", "hh_circle_trivial"):
-        base, ring = build_ring(name), tduality._product_ring(name)
-        assert set(ring.generators) == set(base.generators) | {
-            GeneratorSpec("chi1", Degree(1, PM)), GeneratorSpec("chi2", Degree(1, PM))}
-        assert len(ring.rules) == len(base.rules) + 2
-    assert PRESENTATIONS == shipped
-
-
-def test_correspondence_pullback_rejects_a_nontrivial_bundle():
-    pair = pair_from_expressions("circle_trivial", "t12*e")
-    assert not pair.bundle.is_trivial()
-    with pytest.raises(ValueError, match="only applies to trivial bundles"):
-        tduality._correspondence_pullback(pair, 1)
 
 
 def test_twist_invariants():
