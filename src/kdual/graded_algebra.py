@@ -122,6 +122,10 @@ class PresentedRing:
         specs = sorted(
             (GeneratorSpec(n, Degree(lvl, var), order) for n, lvl, var, order in generators),
             key=lambda g: _generator_rank(g.name))
+        for g in specs:  # slices without a period are enumerated as if levels only grow
+            if period is None and g.degree.level < 0:
+                raise ValueError(f"{name}: generator {g.name!r} has negative level "
+                                 f"{g.degree.level} in a ring without a period")
         ring = cls.__new__(cls)
         ring.name = name
         ring.generators = tuple(specs)
@@ -553,7 +557,7 @@ def default_bound(ring: PresentedRing, degree: Degree) -> int:
     return len(ring.generators) + 2
 
 
-def degree_component(ring: PresentedRing, degree: Degree, exponent_bound=None) -> Slice:
+def degree_component(ring: PresentedRing, degree: Degree) -> Slice:
     """Monomial basis of the homogeneous slice in the given degree.
 
     The bound must be stable: enumerating with bound + 1 must give the
@@ -561,7 +565,7 @@ def degree_component(ring: PresentedRing, degree: Degree, exponent_bound=None) -
     bound + 1 decides both: the slice is its monomials of total exponent
     at most bound, and it is stable exactly when none has bound + 1.
     """
-    bound = default_bound(ring, degree) if exponent_bound is None else exponent_bound
+    bound = default_bound(ring, degree)
     monomials = normal_monomials(ring, bound + 1, degree)
     if monomials and sum(monomials[-1]) > bound:
         raise InstabilityError(

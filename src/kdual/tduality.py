@@ -61,7 +61,7 @@ from .exact_abelian import (
 from .expressions import parse_expression
 from .graded_algebra import EQ, PM, Degree, apply_ring_hom, degree_component
 from .paper_rings import build_ring, kk_flip_substitution, per_golden_dir
-from .transforms import gysin_degree_data, kunneth_split
+from .transforms import flip_circle_slices, gysin_degree_data, kunneth_split
 
 
 class NoSolutionError(RuntimeError):
@@ -472,17 +472,11 @@ MULTIPLIER_NAMES = ("1", "t", "L", "t*L")
 
 
 @per_golden_dir
-def _kk_slices():
-    ring = build_ring("kk_circle_flip")
-    return (ring, degree_component(ring, Degree(0, EQ)), degree_component(ring, Degree(1, PM)))
-
-
-@per_golden_dir
 def _clutching_operators() -> dict:
     """The operators that clutching data composes, each as its matrices on
     the even and odd slices: multiplication by each multiplier (the one by
     t is also the module action), and the deck flip under key "flip"."""
-    ring, even, odd = _kk_slices()
+    ring, even, odd = flip_circle_slices()
     t = ring.gen("t")
     line = ring.one() - ring.gen("sigma") * ring.gen("chi")
     multipliers = {"1": ring.one(), "t": t, "L": line, "t*L": t * line}
@@ -520,10 +514,16 @@ def _kernel_module(op: IntegerMatrix, action: IntegerMatrix) -> Counter:
     return rmodule_classify(module)
 
 
-@per_golden_dir
-def mv_k_groups(flip: bool, multiplier: str):
+def mv_k_groups(flip: bool, multiplier: str) -> dict:
     """The four twisted K-groups of the circle bundle with the given
-    clutching, as module multisets keyed by (degree, side).
+    clutching, as module multisets keyed by (degree, side); fresh
+    Counters on each call, so a caller may change them."""
+    return {slot: Counter(modules) for slot, modules in _mv_k_groups(flip, multiplier).items()}
+
+
+@per_golden_dir
+def _mv_k_groups(flip: bool, multiplier: str) -> dict:
+    """The groups of `mv_k_groups`, once per set of golden tables.
 
     Over the two-arc cover, each slice S gives the difference map
     (a, b) -> (a - b, a - g(b)) on S + S.  Its kernel is the diagonal copy

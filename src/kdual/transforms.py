@@ -18,7 +18,7 @@ generator images and applied by `apply_ring_hom`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .exact_abelian import (
     FGAbelianGroup,
@@ -111,47 +111,47 @@ def _geometric_transform(element: RingElement) -> RingElement:
     return pushforward_torus2(2, kernel * pullback_circle_to_torus(1, element))
 
 
-@dataclass(frozen=True)
-class _TransformMatrix:
-    """The transform on the free module spanned by the six normal
-    monomials of the flip circle (its (0, eq) and (1, pm) slices): column
-    j holds the coordinates of the image of basis[j]."""
-
-    ring: object
-    basis: tuple   # exponent tuples in monomial order
-    index: dict    # exponent tuple -> position in basis
-    matrix: IntegerMatrix
-
-    def coords(self, element: RingElement) -> tuple:
-        if element.ring != self.ring:
-            raise ValueError("element must live in the flip-circle ring")
-        vec = [0] * len(self.basis)
-        for exps, coeff in element.terms:
-            if exps not in self.index:
-                raise InvariantError(
-                    f"{self.ring.monomial_str(exps)} is outside the transform's basis")
-            vec[self.index[exps]] = coeff
-        return tuple(vec)
-
-    def element(self, coords) -> RingElement:
-        # the basis monomials are normal and free, so these terms are
-        # already a normal form
-        return RingElement(self.ring, tuple(
-            (m, c) for m, c in zip(self.basis, coords) if c))
+@per_golden_dir
+def flip_circle_slices() -> tuple:
+    """The flip circle's ring with its (0, eq) and (1, pm) slices.  Their
+    six normal monomials are free and a basis of the ring over Z: the
+    basis on which the transform and the Mayer-Vietoris clutchings act."""
+    ring = build_ring("kk_circle_flip")
+    return ring, degree_component(ring, Degree(0, EQ)), degree_component(ring, Degree(1, PM))
 
 
 @per_golden_dir
-def _transform_matrix() -> _TransformMatrix:
-    """The transform's matrix, derived from the geometric definition."""
-    ring = build_ring("kk_circle_flip")
-    basis = tuple(sorted(
-        (m for d in (Degree(0, EQ), Degree(1, PM)) for m in degree_component(ring, d).monomials),
-        key=ring.monomial_key))
-    if any(ring.monomial_additive_order(m) for m in basis):
+def _transform() -> tuple:
+    """The ring, the basis (even monomials, then odd monomials), each
+    monomial's position, the positions in monomial order, and the matrix
+    of the geometric transform on that basis."""
+    ring, even, odd = flip_circle_slices()
+    if any(even.orders + odd.orders):
         raise InvariantError("the transform's basis has a torsion monomial")
-    transform = _TransformMatrix(ring, basis, {m: i for i, m in enumerate(basis)}, None)
-    columns = [transform.coords(_geometric_transform(ring.element({m: 1}))) for m in basis]
-    return replace(transform, matrix=IntegerMatrix.from_columns(columns, rows=len(basis)))
+    # T swaps the slices, so its matrix is block anti-diagonal
+    matrix = (IntegerMatrix.zeros(even.dim, even.dim)
+              .hstack(odd.matrix(_geometric_transform, even))
+              .vstack(even.matrix(_geometric_transform, odd)
+                      .hstack(IntegerMatrix.zeros(odd.dim, odd.dim))))
+    basis = even.monomials + odd.monomials
+    order = tuple(sorted(range(len(basis)), key=lambda i: ring.monomial_key(basis[i])))
+    return ring, basis, {m: i for i, m in enumerate(basis)}, order, matrix
+
+
+def _apply(transform: tuple, matrix: IntegerMatrix, element: RingElement) -> RingElement:
+    """The matrix, on the transform's basis, applied to the element."""
+    ring, basis, index, order, _ = transform
+    if element.ring != ring:
+        raise ValueError("element must live in the flip-circle ring")
+    vec = [0] * len(basis)
+    for exps, coeff in element.terms:
+        if exps not in index:
+            raise InvariantError(f"{ring.monomial_str(exps)} is outside the transform's basis")
+        vec[index[exps]] = coeff
+    image = matrix.apply(vec)
+    # the basis monomials are normal and free, so these terms, taken in
+    # monomial order, are already a normal form
+    return RingElement(ring, tuple((basis[i], image[i]) for i in order if image[i]))
 
 
 def t_transform(element: RingElement) -> RingElement:
@@ -159,24 +159,21 @@ def t_transform(element: RingElement) -> RingElement:
 
     Additive and linear over Z[t]/(t^2 - 1); exchanges the two variant
     summands with a level shift of -1.  Applied as a 6x6 integer matrix
-    on the normal monomials of degrees (0, eq) and (1, pm), derived from
-    the geometric composite once per set of golden tables.
+    on the normal monomials of the two slices of `flip_circle_slices`,
+    whose blocks `Slice.matrix` derives from the geometric composite once
+    per set of golden tables.
     """
-    transform = _transform_matrix()
-    return transform.element(transform.matrix.apply(transform.coords(element)))
-
-
-@per_golden_dir
-def _t_basis() -> dict:
-    ring = build_ring("kk_circle_flip")
-    from .expressions import parse_expression
-    return {label: parse_expression(ring, label) for label in T_BASIS_LABELS}
+    transform = _transform()
+    return _apply(transform, transform[-1], element)
 
 
 def t_basis() -> dict:
-    """The six module basis elements of the flip circle, keyed by label;
-    a fresh dict on each call, parsed once per set of golden tables."""
-    return dict(_t_basis())
+    """The six module basis elements of the flip circle, the monomials of
+    `flip_circle_slices`, keyed by label in the order of T_BASIS_LABELS;
+    a fresh dict on each call."""
+    ring, even, odd = flip_circle_slices()
+    elements = {ring.monomial_str(m): ring.element({m: 1}) for m in even.monomials + odd.monomials}
+    return {label: elements[label] for label in T_BASIS_LABELS}
 
 
 def t_power_table(k: int) -> dict:
@@ -184,14 +181,13 @@ def t_power_table(k: int) -> dict:
     circle, read off T^k computed by repeated squaring."""
     if not 1 <= k <= 16:
         raise ValueError("power must be between 1 and 16")
-    transform = _transform_matrix()
-    power, square = IntegerMatrix.identity(len(transform.basis)), transform.matrix
+    transform = _transform()
+    power, square = IntegerMatrix.identity(len(transform[1])), transform[-1]
     while k:
         if k & 1:
             power = power.mul(square)
         square, k = square.mul(square), k >> 1
-    return {label: transform.element(power.apply(transform.coords(elem)))
-            for label, elem in t_basis().items()}
+    return {label: _apply(transform, power, elem) for label, elem in t_basis().items()}
 
 
 # ---------------------------------------------------------------------------

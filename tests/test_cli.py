@@ -138,6 +138,30 @@ ENUMERATE_SHA256 = {
 }
 
 
+# sha256 of the stdout of `kdual [--format FORMAT] transform t --power K`, the
+# values of T^K on the six basis elements
+TRANSFORM_SHA256 = {
+    ("json", 1): "8563bcba022a94768bc50ad6b8ea3bcc73500872ed607011073e96b1bd355708",
+    ("json", 2): "301ca9ed66108f41939624edc80a99784a2f28f23fdc949991c59f3542b50e59",
+    ("json", 3): "bf5490e31e5eea33ee862a57eaaab141efca39c4f907715557e0ef033ca7f64c",
+    ("json", 4): "f92c24cb2dec012f584974751c59a6b5c605e1f058160e51e6e54de0417c9d8b",
+    ("json", 5): "13275411ed971a1617ffadf4194f8404814628a066f23d9c1ff25330b66a1f7b",
+    ("json", 6): "6fb7adad030e3f6d3c70d5d204e2d41f5a47bbabc91082f90cb26c7a89a9fa99",
+    ("json", 7): "3b2743f240a6ac971434e99f2bdc7ae6a47637f5141f3b8633ece77eb3bd3a33",
+    ("json", 8): "338e59b604dc68d615edebd054b97f8b8afae051be0f24045c78eb4b6006418b",
+    ("json", 16): "443515b4c6c2c660c4e56aebb1a8ee5053df2aec0b612a357be810a96dc9c1f9",
+    ("text", 1): "1285562de7d0cb20a03bbd1c56782dfd3959dc0e0e3a6dd34dc8dc9d86236f7c",
+    ("text", 2): "5e9f703e2cbaaa75f2c3c0ad03f926fb6052a9ad33f986a9ea559ed1e90d4e97",
+    ("text", 3): "b2a7377838b2d8d1b455c1ef9273118b4ab72bbe4fc08257f3c1f67922000ac9",
+    ("text", 4): "615ce8965c1c0d8fd2dbf74c79442aef3363b6ee2da78d347d91fb8fcefa7946",
+    ("text", 5): "ee47bf197c0b91b1b694b890df44b5637b1b9b3fa8f850d49586d6dba6e900b7",
+    ("text", 6): "5ee982e22676953572ecc658ef080f363efc37d47d760bae23b2f10ad8e193b4",
+    ("text", 7): "b9942463b5a824b9ef746fbfd9a89a16458f337554ba34b4f3024c3b617c26b5",
+    ("text", 8): "a8ce6c2c2760f771df3f987bc743a1aea17efcab48e32b1d666305688f5982d5",
+    ("text", 16): "e6e628e3069e84fd48f882d456c0fe0089839f017202be17be84442bf6fa4fdb",
+}
+
+
 def test_verify_all_report_bytes_are_pinned(capsys):
     for fmt, digest in REPORT_SHA256.items():
         code, out, _ = run(capsys, "--format", fmt, "verify", "all")
@@ -158,6 +182,13 @@ def test_tdual_enumerate_bytes_are_pinned(capsys):
         code, out, _ = run(capsys, "--format", fmt, "tdual", "enumerate", "--base", base)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (fmt, base)
+
+
+def test_transform_power_bytes_are_pinned(capsys):
+    for (fmt, power), digest in TRANSFORM_SHA256.items():
+        code, out, _ = run(capsys, "--format", fmt, "transform", "t", "--power", str(power))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (fmt, power)
 
 
 # --- a minimal validator for the shipped report schema ----------------------

@@ -190,12 +190,23 @@ def test_degree_component_classifying_space():
 
 
 def test_degree_component_instability():
-    hh = build_ring("hh_cp_infty")
-    with pytest.raises(InstabilityError):
-        degree_component(hh, Degree(8, EQ), exponent_bound=3)
-    stable = degree_component(hh, Degree(8, EQ), exponent_bound=8)
+    # a free generator of level 0 puts every power of it in degree (0, eq),
+    # so that slice still grows at the default bound
+    ring = PresentedRing.define("free_level_0", [("c", 0, EQ, 0)])
+    with pytest.raises(InstabilityError, match="still grows past exponent bound 0"):
+        degree_component(ring, Degree(0, EQ))
+    stable = degree_component(build_ring("hh_cp_infty"), Degree(8, EQ))
     assert set(stable.labels) == {"c^4", "t12^4*c^2", "t12^8"}
     assert stable.group == FGAbelianGroup((2, 2, 0))
+
+
+def test_negative_level_needs_a_period():
+    generators = [("c", 1, EQ, 0), ("ell", -1, EQ, 0)]
+    with pytest.raises(ValueError, match="generator 'ell' has negative level -1"):
+        PresentedRing.define("neg", generators)
+    # periodic rings reduce levels, so a negative one is allowed there
+    ring = PresentedRing.define("neg", generators, [({"c": 2}, []), ({"ell": 2}, [])], 2)
+    assert degree_component(ring, Degree(0, EQ)).labels == ("1", "c*ell")
 
 
 def _brute_force_monomials(ring, bound):
@@ -235,20 +246,15 @@ def test_degree_component_matches_brute_force():
         for level in range(2 if ring.period else 8):
             for variant in (EQ, PM):
                 degree = Degree(level, variant)
-                for bound in (None, 3):
-                    b = default_bound(ring, degree) if bound is None else bound
-                    target = ring.reduce_degree(degree)
-                    found = [m for m in _brute_force_monomials(ring, b + 1)
-                             if ring.monomial_degree(m) == target]
-                    if any(sum(m) > b for m in found):
-                        with pytest.raises(InstabilityError):
-                            degree_component(ring, degree, bound)
-                    else:
-                        slice_ = degree_component(ring, degree, bound)
-                        assert slice_.monomials == tuple(found), (name, degree, bound)
-                        assert slice_.degree == target
-                        assert slice_.orders == tuple(
-                            ring.monomial_additive_order(m) for m in found)
+                bound = default_bound(ring, degree)
+                target = ring.reduce_degree(degree)
+                found = [m for m in _brute_force_monomials(ring, bound + 1)
+                         if ring.monomial_degree(m) == target]
+                assert all(sum(m) <= bound for m in found), (name, degree)
+                slice_ = degree_component(ring, degree)
+                assert slice_.monomials == tuple(found), (name, degree)
+                assert slice_.degree == target
+                assert slice_.orders == tuple(ring.monomial_additive_order(m) for m in found)
 
 
 def test_periodic_slices_agree_modulo_period():

@@ -229,6 +229,21 @@ def test_dictionary_products_are_decided_once_per_ring():
     assert out.split() == ["0", "3", "3", "3"]
 
 
+@pytest.mark.parametrize("dim,row,point,message", [
+    ("3", "H23", 2, r"^kk_circle_flip: odd product chi \* chi fails the 3-torus check$"),
+    ("2", "H", 1, r"^kk_circle_flip: mixed product sigma\*chi \* chi fails the 2-torus check$"),
+], ids=["odd", "mixed"])
+def test_odd_product_certification_fails_on_a_changed_table(tmp_path, monkeypatch,
+                                                            dim, row, point, message):
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
+    tables = json.loads((tmp_path / "tables.json").read_text())
+    tables[dim]["rows"][row]["fixed"][point] = [5, 0]
+    (tmp_path / "tables.json").write_text(json.dumps(tables))
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    with pytest.raises(CertificationError, match=message):
+        build_ring("kk_circle_flip")
+
+
 def test_dictionary_failure_names_the_product(tmp_path, monkeypatch):
     ring = build_ring("kk_circle_flip")
     assert dictionary_failure(ring) is None

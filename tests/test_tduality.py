@@ -45,7 +45,7 @@ from kdual.tduality import (
     _total_space,
     _twist_invariants,
 )
-from kdual.transforms import gysin_degree_data
+from kdual.transforms import flip_circle_slices, gysin_degree_data
 
 
 # --- bundles and total spaces -----------------------------------------------------
@@ -225,7 +225,7 @@ def test_mv_k_groups_checks_the_clutching_commutes_with_t(monkeypatch):
     monkeypatch.setattr(tduality, "_clutching_matrices",
                         lambda flip, multiplier: (g_even, swap, t_even, t_odd))
     with pytest.raises(InvariantError, match="does not commute with t"):
-        mv_k_groups.__wrapped__(False, "1")
+        tduality._mv_k_groups.__wrapped__(False, "1")
 
 
 def test_enumeration_checks_duality_is_an_involution(monkeypatch):
@@ -436,6 +436,7 @@ def test_golden_dir_switch_reaches_the_tduality_caches(tmp_path, monkeypatch):
     (tmp_path / "tables.json").write_text(json.dumps(tables))
 
     shipped = mv_k_groups(False, "L")
+    cached = tduality._mv_k_groups(False, "L")
     shipped_base = get_base("circle_trivial")
     monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
     with pytest.raises(CertificationError):
@@ -443,14 +444,15 @@ def test_golden_dir_switch_reaches_the_tduality_caches(tmp_path, monkeypatch):
     with pytest.raises(CertificationError):
         mv_k_groups(False, "L")
     with pytest.raises(CertificationError):
-        tduality._kk_slices()
+        flip_circle_slices()
     # rings that the oracle does not certify are rebuilt too, and every
     # cache hands out the ring build_ring now returns
     assert get_base("circle_trivial").ring is build_ring("hh_circle_trivial")
     bundle = enumerate_bundles(get_base("circle_trivial"))[0]
     assert _total_space(bundle).base_slice.ring is build_ring("hh_circle_trivial")
     monkeypatch.delenv(GOLDEN_DIR_ENV)
-    assert mv_k_groups(False, "L") is shipped
+    assert tduality._mv_k_groups(False, "L") is cached
+    assert mv_k_groups(False, "L") == shipped
     assert mv_k_groups(flip=False, multiplier="L") == shipped
     assert get_base("circle_trivial") is shipped_base
 
@@ -461,7 +463,7 @@ def _clutching_matrices_by_ring_arithmetic(flip, multiplier):
     once."""
     from kdual.graded_algebra import apply_ring_hom
     from kdual.paper_rings import kk_flip_substitution
-    ring, even, odd = tduality._kk_slices()
+    ring, even, odd = flip_circle_slices()
     t = ring.gen("t")
     line = ring.one() - ring.gen("sigma") * ring.gen("chi")
     mult = {"1": ring.one(), "t": t, "L": line, "t*L": t * line}[multiplier]
@@ -508,6 +510,16 @@ def test_mv_k_groups_of_every_clutching(flip, multiplier):
     derived = mv_k_groups(flip, multiplier)
     assert set(derived) == set(slots)
     assert [dict(derived[slot]) for slot in slots] == MV_GROUPS[(flip, multiplier)]
+
+
+def test_mv_k_groups_hands_out_copies():
+    groups = mv_k_groups(False, "1")
+    groups[(0, EQ)]["R"] += 5
+    del groups[(1, PM)]
+    again = mv_k_groups(False, "1")
+    assert again[(0, EQ)] == Counter({_R: 1, _RJ: 1})
+    assert set(again) == {(0, EQ), (0, PM), (1, EQ), (1, PM)}
+    assert again[(0, EQ)] is not groups[(0, EQ)]
 
 
 def _difference_map(g):

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from kdual.exact_abelian import InvariantError
+from kdual.exact_abelian import InvariantError, cokernel
 from kdual.expressions import parse_expression
 from kdual.graded_algebra import (
     Degree,
@@ -216,6 +216,21 @@ def test_matrix_transform_equals_geometric_composite():
         assert t_transform(element) == _composite(element), element
 
 
+def test_transform_matrix_is_block_anti_diagonal_on_the_slices():
+    _, even, odd = transforms.flip_circle_slices()
+    _, basis, _, _, matrix = transforms._transform()
+    assert basis == even.monomials + odd.monomials
+    assert matrix.rows == matrix.cols == 6
+    for i in range(6):
+        for j in range(6):
+            if (i < even.dim) == (j < even.dim):
+                assert matrix.entry(i, j) == 0, (i, j)
+    # each off-diagonal block is invertible over Z: T carries each slice
+    # onto the other
+    for block in (odd.matrix(t_transform, even), even.matrix(t_transform, odd)):
+        assert cokernel(block).is_trivial()
+
+
 def test_power_table_equals_iterated_transform():
     basis = t_basis()
     for k in range(1, 17):
@@ -255,12 +270,11 @@ def test_golden_dir_switch_reaches_the_transform(tmp_path, monkeypatch):
     assert t_transform(chi) == shipped
 
 
-def test_basis_is_parsed_once_per_golden_dir(tmp_path, monkeypatch):
+def test_basis_is_a_fresh_dict_per_golden_dir(tmp_path, monkeypatch):
     shipped = t_basis()
-    parses = transforms._t_basis.cache_info().misses
     assert t_basis() is not shipped  # a fresh dict, so callers may change it
-    assert transforms._t_basis.cache_info().misses == parses
     assert t_basis() == shipped
+    assert tuple(shipped) == transforms.T_BASIS_LABELS
     shipped.clear()
     assert len(t_basis()) == 6
     shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
