@@ -587,8 +587,14 @@ def apply_ring_hom(source: PresentedRing, target: PresentedRing, images: dict,
             raise UnknownGeneratorError(f"no image given for generator {g.name!r}")
         if images[g.name].ring != target:
             raise ValueError(f"the image of {g.name!r} is an element of a different ring")
+    return _image_of_terms(source, target, images, element.terms)
+
+
+def _image_of_terms(source, target, images, terms) -> RingElement:
+    """The image of a sum of (exps, coeff) terms of source, which need not
+    be in normal form."""
     raw = {}
-    for exps, coeff in element.terms:
+    for exps, coeff in terms:
         term = {(0,) * len(target.generators): coeff}
         for e, g in zip(exps, source.generators):
             for _ in range(e):
@@ -620,10 +626,8 @@ def verify_ring_hom(source: PresentedRing, target: PresentedRing, images: dict,
         if g.additive_order and not (g.additive_order * img).is_zero():
             return False
     for lhs, rhs in source.rules:
-        lhs_elem = source.element({lhs: 1})
-        rhs_elem = source.element({mono: c for mono, c in rhs})
-        image = (apply_ring_hom(source, target, images, lhs_elem)
-                 - apply_ring_hom(source, target, images, rhs_elem))
-        if not image.is_zero():
+        # lhs - rhs as raw terms: normalizing it in source would give zero
+        rule = ((lhs, 1),) + tuple((mono, -c) for mono, c in rhs)
+        if not _image_of_terms(source, target, images, rule).is_zero():
             return False
     return True

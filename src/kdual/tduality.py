@@ -304,8 +304,10 @@ def tdual(pair: Pair) -> TDualResult:
     The dual class is the one gauge orbit that pushes forward to the
     source's Chern class ("gauge-orbit-unique"), or, when both bundles are
     trivial, the orbit with the pair's own base part ("base-parts-agree").
-    Raises NoSolutionError when the Chern classes do not cup to zero and
-    AmbiguityError when several orbits remain over a nontrivial bundle.
+    Raises AmbiguityError when several orbits remain over a nontrivial
+    bundle.  The two Chern classes always cup to zero, since every class
+    that `TotalSpaceH3` offers pushes forward into the kernel of cup
+    product with the Chern class; a nonzero cup raises InvariantError.
     """
     base = pair.bundle.base
     total = pair.total()
@@ -316,7 +318,7 @@ def tdual(pair: Pair) -> TDualResult:
     chern = pair.bundle.chern()
     cup = chern * dual_chern
     if not cup.is_zero():
-        raise NoSolutionError("the two Chern classes do not cup to zero")
+        raise InvariantError("the two Chern classes do not cup to zero")
 
     seed = dual_total.section_class(chern)
 

@@ -340,6 +340,24 @@ def test_bogus_map_rejected():
     assert not verify_ring_hom(kk, kk, images)
 
 
+def test_image_in_another_ring_rejected():
+    circle = build_ring("kk_circle_flip")
+    torus = build_ring("kk_torus2")
+    images = {"t": circle.gen("t"), "sigma": circle.gen("sigma"), "chi": circle.gen("chi")}
+    assert verify_ring_hom(circle, circle, images)
+    assert not verify_ring_hom(circle, torus, images)
+
+
+def test_rule_with_nonzero_image_rejected():
+    # t -> -t keeps every degree, but the rule t*sigma -> -sigma maps to
+    # sigma - (-sigma) = 2*sigma; the left side is taken as a raw monomial,
+    # since in normal form it is its right side and the check would pass
+    kk = build_ring("kk_circle_flip")
+    images = {"t": -kk.gen("t"), "sigma": kk.gen("sigma"), "chi": kk.gen("chi")}
+    assert all(img.is_homogeneous(g.degree) for g, img in zip(kk.generators, images.values()))
+    assert not verify_ring_hom(kk, kk, images)
+
+
 def test_wrong_torsion_rejected():
     hh = build_ring("hh_point")
     target = nonequivariant_ring("h_circle")

@@ -13,6 +13,8 @@ from kdual.graded_algebra import Degree, EQ, apply_ring_hom, degree_component, v
 from kdual.paper_rings import (
     GOLDEN_DIR_ENV,
     CertificationError,
+    DICTIONARIES,
+    Dictionary,
     EVEN_EMBEDDING_2,
     ExteriorKClass,
     ODD_EMBEDDING_2,
@@ -261,6 +263,20 @@ def test_dictionary_failure_names_the_product(tmp_path, monkeypatch):
         build_ring("kk_circle_flip")
     monkeypatch.delenv(GOLDEN_DIR_ENV)
     assert dictionary_failure(ring) is None
+
+
+def test_dictionary_failure_names_a_basis_mismatch(tmp_path, monkeypatch):
+    ring = build_ring("kk_circle_flip")
+    circle = dictionary("circle")
+    # a golden dir of its own, so that no cached answer is read or left
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    monkeypatch.setitem(DICTIONARIES, "circle", Dictionary(
+        circle.ring_name, circle.torus_dim, circle.entries[:2]))
+    assert dictionary_failure(ring) == (
+        "degree-zero basis ['1', 'sigma*chi', 't'] does not match the dictionary")
+    with pytest.raises(CertificationError, match="^kk_circle_flip: degree-zero basis"):
+        build_ring("kk_circle_flip")
 
 
 def test_embedding_images_are_cached_per_embedding():

@@ -22,6 +22,7 @@ from kdual.tduality import (
     DualityTable,
     InvariantError,
     Pair,
+    RealCircleBundle,
     TwistedKTable,
     canonical_pair,
     clutching_multiplier,
@@ -207,6 +208,16 @@ def test_tdual_checks_pushforward_of_the_dual_class(monkeypatch):
 
     monkeypatch.setattr(TotalSpaceH3, "pushforward", skewed)
     with pytest.raises(InvariantError, match="not to the Chern class"):
+        tdual(pair)
+
+
+def test_tdual_checks_the_chern_classes_cup_to_zero(monkeypatch):
+    # every offered class pushes forward into ker(e cup -), so the cup is
+    # zero unless the source's Chern class is forged: here it becomes 1
+    pair = pair_from_expressions("circle_trivial", "0", "0", "t12*e")
+    assert dict(tdual(pair).certificate)["cup_product"] == "0"
+    monkeypatch.setattr(RealCircleBundle, "chern", lambda bundle: bundle.base.ring.one())
+    with pytest.raises(InvariantError, match="^the two Chern classes do not cup to zero$"):
         tdual(pair)
 
 
