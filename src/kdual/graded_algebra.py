@@ -16,7 +16,13 @@ overlap of a rule with the torsion relation 2*g = 0 of an order-2
 generator g, must reduce to one normal form both ways.  By Newman's
 lemma the two checks together prove that every element has a unique
 normal form, so a presentation that is not confluent is rejected with
-ConfluenceError before any element is built.
+ConfluenceError before any element is built.  Last, construction proves
+the degree slices finite (Cox, Little & O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 5 sec. 3): a normal monomial has exponent below a in a
+generator whose a-th power is a rule's left-hand side, and, without a
+period, total exponent at most L in the generators of positive level at
+level L.  A generator neither caps has infinitely many normal powers in
+degree (0, eq), and `degree_component` refuses the slices of its ring.
 
 Normal forms are computed largest monomial first.  A heap pops each
 monomial of the working sum once, in descending monomial order; its
@@ -57,8 +63,8 @@ class ConfluenceError(ValueError):
     """Two rewrites of one overlap reach different normal forms."""
 
 
-class InstabilityError(ValueError):
-    """A degree slice changed when the exponent bound was raised."""
+class UnboundedSliceError(ValueError):
+    """No rule caps the powers of a generator, so slices may be infinite."""
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,8 @@ class PresentedRing:
 
     :meth:`define` is the only constructor; it sorts the generators into
     the global order, validates that every rewrite is degree-homogeneous
-    and strictly decreasing, proves the rules confluent, and freezes the
-    result.
+    and strictly decreasing, proves the rules confluent and the degree
+    slices finite, and freezes the result.
     """
 
     # -- construction --------------------------------------------------------
@@ -141,6 +147,7 @@ class PresentedRing:
             (tuple((i, e) for i, e in enumerate(rule[0]) if e), rule) for rule in ring.rules)
         ring._validate_rules()
         ring._check_confluence()
+        ring._slice_slack, ring._uncapped = ring._prove_slices_finite()
         return ring
 
     def _exps_from_dict(self, monomial):
@@ -203,6 +210,21 @@ class PresentedRing:
                         f"{self.name}: 2*{self.monomial_str(m)} is 0 by the torsion "
                         f"of {g.name}, but the rule for {self.monomial_str(lhs_i)} "
                         f"reduces it to {left}")
+
+    def _prove_slices_finite(self):
+        """(slack, uncapped): slices at level L have total exponent at most
+        slack + max(L, 0), or slack with a period; slack sums a - 1 over the
+        least caps x^a, and uncapped is the first generator lacking a needed cap."""
+        slack = 0
+        for i, g in enumerate(self.generators):
+            if self.period is None and g.degree.level > 0:
+                continue  # its exponents add up to at most the level
+            caps = [e for support, _ in self._rule_index for j, e in support
+                    if j == i and len(support) == 1]
+            if not caps:
+                return slack, g.name
+            slack += min(caps) - 1
+        return slack, None
 
     # -- identity ------------------------------------------------------------
 
@@ -551,25 +573,18 @@ def normal_monomials(ring: PresentedRing, bound: int, degree: Degree | None = No
     return sorted(found, key=ring.monomial_key)
 
 
-def default_bound(ring: PresentedRing, degree: Degree) -> int:
-    if ring.period is None:
-        return max(degree.level, 0)
-    return len(ring.generators) + 2
-
-
 def degree_component(ring: PresentedRing, degree: Degree) -> Slice:
     """Monomial basis of the homogeneous slice in the given degree.
 
-    The bound must be stable: enumerating with bound + 1 must give the
-    same slice, otherwise InstabilityError is raised.  One enumeration at
-    bound + 1 decides both: the slice is its monomials of total exponent
-    at most bound, and it is stable exactly when none has bound + 1.
+    Enumerated once, at the exponent bound that `PresentedRing.define`
+    proved from the rules, or UnboundedSliceError if it proved none.
     """
-    bound = default_bound(ring, degree)
-    monomials = normal_monomials(ring, bound + 1, degree)
-    if monomials and sum(monomials[-1]) > bound:
-        raise InstabilityError(
-            f"slice of {ring.name} at {degree} still grows past exponent bound {bound}")
+    if ring._uncapped is not None:
+        raise UnboundedSliceError(
+            f"{ring.name}: no rule caps the powers of {ring._uncapped!r}, "
+            f"so the slice at {degree} need not be finite")
+    bound = ring._slice_slack + (max(degree.level, 0) if ring.period is None else 0)
+    monomials = normal_monomials(ring, bound, degree)
     return Slice(ring, ring.reduce_degree(degree), tuple(monomials),
                  tuple(ring.monomial_additive_order(m) for m in monomials))
 

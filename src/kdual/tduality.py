@@ -15,10 +15,9 @@ both finite over the built-in bases:
 where k is the push-forward pi_* of the class (the Chern class of the
 dual bundle, as in topological T-duality) and q parametrizes the fiber
 of the push-forward over k (a torsor under the image of the pull-back).
-Adding an element with k = 0 is canonical; adding two elements with
-nonzero k would need the extension, which the built-in cases never
-require (the trivial bundle is split by its section, and the nontrivial
-bundle over the circle has no q part at all).
+The one addition offered adds a pulled-back base class, which moves q
+and keeps k; that is canonical.  Adding two classes with nonzero k would
+need the extension, and no computation here asks for it.
 
 The dual of a pair is computed by direct linear solving: the dual bundle
 is forced by the push-forward of the class, candidate dual classes form a
@@ -96,9 +95,6 @@ class BaseSpace:
         self.h1pm = degree_component(self.ring, Degree(1, PM))
         self.h2pm = degree_component(self.ring, Degree(2, PM))
         self.h3eq = degree_component(self.ring, Degree(3, EQ))
-        for slice_ in (self.h1pm, self.h2pm, self.h3eq):
-            if any(order == 0 for order in slice_.orders):
-                raise ValueError(f"base {name} has an infinite low-degree slice")
 
 
 @per_golden_dir
@@ -139,7 +135,10 @@ def enumerate_bundles(base: BaseSpace):
 
 
 def _slice_coordinates(slice_):
+    """Every reduced coordinate vector of a slice of torsion monomials."""
     from itertools import product as iproduct
+    if 0 in slice_.orders:
+        raise ValueError(f"{slice_.ring.name}: the slice at {slice_.degree} has a free monomial")
     return [tuple(c) for c in iproduct(*(range(o) for o in slice_.orders))]
 
 
@@ -157,7 +156,6 @@ class TotalSpaceH3:
         data = gysin_degree_data(base.ring, bundle.chern(), 3, EQ)
         self.base_slice = data.base_slice
         self.kernel_slice = data.kernel_slice
-        self.split_certified = data.split_certified
         self._kernel_vectors = data.kernel_vectors
         # the image of cup product with the Chern class, as reduced vectors
         self._image = {self.base_slice.reduce_coords(data.into.apply(a))
@@ -182,10 +180,6 @@ class TotalSpaceH3:
     def elements(self):
         return [H3Element(self.bundle, q, k) for q in self.q_values for k in self.k_values]
 
-    def pullback_from_base(self, base_element) -> "H3Element":
-        return H3Element(self.bundle, self._q(self.base_slice.coords(base_element)),
-                         self.zero().k)
-
     def pushforward(self, element: "H3Element"):
         """The degree-(2, pm) base class the element pushes down to."""
         return self.kernel_slice.element(element.k)
@@ -199,14 +193,10 @@ class TotalSpaceH3:
                 f"{base_h2pm_element} is not a push-forward over {self.bundle.label()}")
         return H3Element(self.bundle, self.zero().q, coords)
 
-    def add(self, first: "H3Element", second: "H3Element") -> "H3Element":
-        if not self.split_certified:
-            if any(second.k) and any(first.k):
-                raise ValueError("sum of two lifted classes needs the extension")
-        return H3Element(self.bundle,
-                         self._q(x + y for x, y in zip(first.q, second.q)),
-                         self.kernel_slice.reduce_coords(
-                             x + y for x, y in zip(first.k, second.k)))
+    def add_pullback(self, element: "H3Element", base_element) -> "H3Element":
+        """element plus the pull-back of a degree-(3, eq) base class."""
+        q = self._q(x + y for x, y in zip(element.q, self.base_slice.coords(base_element)))
+        return H3Element(self.bundle, q, element.k)
 
     # -- display ----------------------------------------------------------------
 
@@ -259,11 +249,8 @@ def pair_from_expressions(base_name, chern_text, h_base_text="0", h_fiber_text="
     chern = parse_expression(base.ring, chern_text)
     bundle = RealCircleBundle.from_chern(base, chern)
     total = _total_space(bundle)
-    h = total.pullback_from_base(parse_expression(base.ring, h_base_text))
-    fiber = parse_expression(base.ring, h_fiber_text)
-    if not fiber.is_zero():
-        h = total.add(h, total.section_class(fiber))
-    return Pair(bundle, h)
+    h = total.section_class(parse_expression(base.ring, h_fiber_text))
+    return Pair(bundle, total.add_pullback(h, parse_expression(base.ring, h_base_text)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +264,7 @@ def gauge_orbit(pair: Pair) -> frozenset:
     base = pair.bundle.base
     down = total.pushforward(pair.h)
     shifts = (down * base.h1pm.element(coords) for coords in _slice_coordinates(base.h1pm))
-    return frozenset(total.add(pair.h, total.pullback_from_base(s)) for s in shifts)
+    return frozenset(total.add_pullback(pair.h, s) for s in shifts)
 
 
 def orbit_representative(orbit) -> H3Element:
@@ -310,8 +297,7 @@ def tdual(pair: Pair) -> TDualResult:
     product with the Chern class; a nonzero cup raises InvariantError.
     """
     base = pair.bundle.base
-    total = pair.total()
-    dual_chern = total.pushforward(pair.h)
+    dual_chern = pair.total().pushforward(pair.h)
     dual_bundle = RealCircleBundle.from_chern(base, dual_chern)
     dual_total = _total_space(dual_bundle)
 
@@ -332,7 +318,7 @@ def tdual(pair: Pair) -> TDualResult:
     if len(orbits) == 1:
         chosen = next(iter(orbits))
         correspondence = "gauge-orbit-unique"
-    elif total.split_certified and dual_total.split_certified:
+    elif pair.bundle.is_trivial() and dual_bundle.is_trivial():
         # both bundles are trivial, so both push-forwards are zero and
         # p^*h - phat^*hhat = pi^*(q - q') on the correspondence space: the
         # dual keeps the base part of the class
@@ -435,9 +421,8 @@ class DualityTable:
             total, dual_total = pair.total(), dual.total()
             for coords in _slice_coordinates(h3eq):
                 eta = h3eq.element(coords)
-                shifted = Pair(pair.bundle, total.add(pair.h, total.pullback_from_base(eta)))
-                expected = Pair(dual.bundle,
-                                dual_total.add(dual.h, dual_total.pullback_from_base(eta)))
+                shifted = Pair(pair.bundle, total.add_pullback(pair.h, eta))
+                expected = Pair(dual.bundle, dual_total.add_pullback(dual.h, eta))
                 if self.canonical(self.dual(shifted)) != self.canonical(expected):
                     return False
         return True

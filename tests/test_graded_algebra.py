@@ -11,11 +11,10 @@ from kdual.graded_algebra import (
     ConfluenceError,
     Degree,
     GeneratorSpec,
-    InstabilityError,
     PresentedRing,
+    UnboundedSliceError,
     UnknownGeneratorError,
     apply_ring_hom,
-    default_bound,
     degree_component,
     normal_monomials,
     verify_ring_hom,
@@ -191,9 +190,11 @@ def test_degree_component_classifying_space():
 
 def test_degree_component_instability():
     # a free generator of level 0 puts every power of it in degree (0, eq),
-    # so that slice still grows at the default bound
+    # and no rule caps those powers
     ring = PresentedRing.define("free_level_0", [("c", 0, EQ, 0)])
-    with pytest.raises(InstabilityError, match="still grows past exponent bound 0"):
+    with pytest.raises(UnboundedSliceError,
+                       match="free_level_0: no rule caps the powers of 'c', "
+                             r"so the slice at \(0, eq\) need not be finite"):
         degree_component(ring, Degree(0, EQ))
     stable = degree_component(build_ring("hh_cp_infty"), Degree(8, EQ))
     assert set(stable.labels) == {"c^4", "t12^4*c^2", "t12^8"}
@@ -207,6 +208,24 @@ def test_negative_level_needs_a_period():
     # periodic rings reduce levels, so a negative one is allowed there
     ring = PresentedRing.define("neg", generators, [({"c": 2}, []), ({"ell": 2}, [])], 2)
     assert degree_component(ring, Degree(0, EQ)).labels == ("1", "c*ell")
+
+
+def test_slices_of_odd_generators_in_a_period_two_ring_are_unbounded():
+    # every (0, eq) monomial has even total exponent, so c^(2i)*ell^(2j) are
+    # infinitely many normal monomials there
+    ring = PresentedRing.define("p", [("c", 1, EQ, 0), ("ell", 1, EQ, 0)], period=2)
+    with pytest.raises(UnboundedSliceError, match="p: no rule caps the powers of 'c'"):
+        degree_component(ring, Degree(0, EQ))
+    with pytest.raises(UnboundedSliceError):
+        degree_component(ring, Degree(1, PM))
+
+
+def test_a_capped_level_0_generator_bounds_its_slices():
+    # x^2 -> 0 caps x; y has positive level, so it needs no cap
+    ring = PresentedRing.define("z", [("x", 0, EQ, 0), ("y", 1, EQ, 0)], [({"x": 2}, [])])
+    assert degree_component(ring, Degree(1, EQ)).labels == ("y", "x*y")
+    assert degree_component(ring, Degree(0, EQ)).labels == ("1", "x")
+    assert degree_component(ring, Degree(2, EQ)).labels == ("y^2", "x*y^2")
 
 
 def _brute_force_monomials(ring, bound):
@@ -241,15 +260,19 @@ def test_degree_component_leaves_no_reference_cycle():
 
 
 def test_degree_component_matches_brute_force():
+    # brute force at total exponent 8, which is past every slice's proved
+    # bound here and does not depend on the proof
+    limit = 8
     for name in RING_NAMES:
         ring = build_ring(name)
+        monomials = _brute_force_monomials(ring, limit)
         for level in range(2 if ring.period else 8):
             for variant in (EQ, PM):
                 degree = Degree(level, variant)
-                bound = default_bound(ring, degree)
+                bound = ring._slice_slack + (0 if ring.period else level)
+                assert bound < limit, (name, degree)
                 target = ring.reduce_degree(degree)
-                found = [m for m in _brute_force_monomials(ring, bound + 1)
-                         if ring.monomial_degree(m) == target]
+                found = [m for m in monomials if ring.monomial_degree(m) == target]
                 assert all(sum(m) <= bound for m in found), (name, degree)
                 slice_ = degree_component(ring, degree)
                 assert slice_.monomials == tuple(found), (name, degree)

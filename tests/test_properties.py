@@ -5,7 +5,9 @@ hypothesis is not installed.  `RModule.quotient_and_kernel` is compared
 with the separate Smith forms it replaced (see conftest.py).  The
 normal-form checks at the end compare `PresentedRing.element` with a
 reference that rewrites by re-sorting and scanning every rule, over drawn,
-exhaustive and high-power inputs.
+exhaustive and high-power inputs.  Degree slices of generated rings are
+compared with brute force past the bound that `PresentedRing.define`
+proves.
 """
 
 from collections import Counter
@@ -26,7 +28,15 @@ from kdual.exact_abelian import (
     smith_normal_form,
 )
 from kdual.expressions import parse_expression
-from kdual.graded_algebra import _raw_product
+from kdual.graded_algebra import (
+    EQ,
+    PM,
+    Degree,
+    PresentedRing,
+    UnboundedSliceError,
+    _raw_product,
+    degree_component,
+)
 from kdual.paper_rings import RING_NAMES, build_ring
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -195,3 +205,47 @@ def test_high_powers_match_the_sort_and_scan_reference(name, text, k):
     for _ in range(k):
         raw = _raw_product(raw.items(), base.terms)
     assert (base ** k).terms == sort_and_scan_terms(ring, raw)
+
+
+@st.composite
+def monomial_rings(draw):
+    """1-3 generators of level 0-2, with or without period 2, and rules
+    that send monomials to zero, which are always confluent."""
+    names = ("u", "v", "w")[:draw(st.integers(1, 3))]
+    generators = [(name, draw(st.integers(0, 2)), draw(st.sampled_from((EQ, PM))),
+                   draw(st.sampled_from((0, 2)))) for name in names]
+    powers = [draw(st.sampled_from((None, 1, 2, 3))) for _ in names]
+    monomials = st.dictionaries(st.sampled_from(names), st.integers(1, 3), min_size=1)
+    rules = [({name: a}, []) for name, a in zip(names, powers) if a]
+    rules += [(lhs, []) for lhs in draw(st.lists(monomials, max_size=3))]
+    return PresentedRing.define("generated", generators, rules, draw(st.sampled_from((None, 2))))
+
+
+@PROPERTY
+@given(monomial_rings())
+def test_slices_of_generated_rings_match_brute_force_past_the_proved_bound(ring):
+    n = len(ring.generators)
+    pure_powers = {i for lhs, _ in ring.rules for i, e in enumerate(lhs) if e == sum(lhs)}
+    uncapped = [i for i, g in enumerate(ring.generators)
+                if (ring.period is not None or g.degree.level == 0) and i not in pure_powers]
+    degrees = [Degree(level, variant) for level in range(-1, 5) for variant in (EQ, PM)]
+    if uncapped:
+        for degree in degrees:
+            with pytest.raises(UnboundedSliceError):
+                degree_component(ring, degree)
+        # the even powers of an uncapped generator are infinitely many
+        # normal monomials of degree (0, eq)
+        power = tuple(2 * (ring._slice_slack + 5) * (i == uncapped[0]) for i in range(n))
+        assert ring.monomial_is_normal(power)
+        assert ring.monomial_degree(power) == Degree(0, EQ)
+        return
+    largest = ring._slice_slack + 4 + 2
+    normal = [m for m in product(range(largest + 1), repeat=n)
+              if sum(m) <= largest and ring.monomial_is_normal(m)]
+    for degree in degrees:
+        bound = ring._slice_slack + (0 if ring.period else max(degree.level, 0))
+        target = ring.reduce_degree(degree)
+        found = sorted((m for m in normal
+                        if sum(m) <= bound + 2 and ring.monomial_degree(m) == target),
+                       key=ring.monomial_key)
+        assert degree_component(ring, degree).monomials == tuple(found), degree

@@ -13,7 +13,8 @@ from kdual.exact_abelian import (
     relation_lattice,
     rmodule_classify,
 )
-from kdual.graded_algebra import EQ, PM
+from kdual.expressions import parse_expression
+from kdual.graded_algebra import EQ, PM, Degree, degree_component
 from kdual import tduality
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual.tduality import (
@@ -43,6 +44,7 @@ from kdual.tduality import (
     TDualResult,
     TotalSpaceH3,
     _kernel_module,
+    _slice_coordinates,
     _total_space,
     _twist_invariants,
 )
@@ -112,6 +114,26 @@ def test_section_class_rejects_a_class_that_is_not_a_push_forward():
     with pytest.raises(NoSolutionError, match="t12\\*e is not a push-forward over E1"):
         total.section_class(fiber)
     assert total.section_class(fiber.ring.zero()) == total.zero()
+
+
+def test_listing_the_classes_of_a_free_slice_is_an_error():
+    # Z.c has infinitely many classes; listing none would read as "no class"
+    free = degree_component(build_ring("hh_cp_infty"), Degree(2, PM))
+    with pytest.raises(ValueError, match=r"hh_cp_infty: the slice at \(2, pm\) has a free "
+                                         "monomial"):
+        _slice_coordinates(free)
+    torsion = degree_component(build_ring("hh_cp_infty"), Degree(2, EQ))
+    assert _slice_coordinates(torsion) == [(0,), (1,)]
+
+
+def test_adding_a_pulled_back_class_moves_only_q():
+    pair = pair_from_expressions("circle_trivial", "0", "0", "t12*e")
+    total = pair.total()
+    eta = parse_expression(total.base_slice.ring, "t12^2*e")
+    shifted = total.add_pullback(pair.h, eta)
+    assert shifted.k == pair.h.k and shifted.q != pair.h.q
+    assert shifted == pair_from_expressions("circle_trivial", "0", "t12^2*e", "t12*e").h
+    assert total.add_pullback(shifted, eta) == pair.h
 
 
 # --- gauge orbits -------------------------------------------------------------------
@@ -649,7 +671,6 @@ def test_uniqueness_witness():
     base = get_base("circle_trivial")
     for cls in enumerate_pair_classes("circle_trivial"):
         pair = cls.representative
-        total = pair.total()
         result = tdual(pair)
         dual = result.dual
         dual_total = dual.total()
@@ -662,7 +683,7 @@ def test_uniqueness_witness():
         for candidate in dual_total.elements():
             if dual_total.pushforward(candidate) != chern:
                 continue
-            if total.split_certified and dual_total.split_certified:
+            if pair.bundle.is_trivial() and dual.bundle.is_trivial():
                 if candidate.q != pair.h.q:
                     continue
             valid.append(candidate)
@@ -671,10 +692,7 @@ def test_uniqueness_witness():
         reachable = {dual.h}
         for coords in [(0,), (1,)]:
             a = base.h1pm.element(coords)
-            cup = chern * a
-            shift = dual_total.pullback_from_base(
-                base.h3eq.element(base.h3eq.reduce_coords(base.h3eq.coords(cup))))
-            reachable.add(dual_total.add(dual.h, shift))
+            reachable.add(dual_total.add_pullback(dual.h, chern * a))
         assert set(valid) <= reachable
 
 
