@@ -121,10 +121,8 @@ def cmd_tdual_enumerate(args):
 
 def cmd_tdual_kgroups(args):
     base = args.base.replace("-", "_")
-    rows = []
-    for cls in tduality.enumerate_pair_classes(base):
-        table = tduality.twisted_k_mv(cls.representative.bundle, cls.representative.h)
-        rows.append(table.to_json())
+    rows = [tduality.twisted_k_mv(cls.representative).to_json()
+            for cls in tduality.enumerate_pair_classes(base)]
     text_lines = []
     for row in rows:
         text_lines.append(row["pair"])

@@ -362,9 +362,10 @@ def suite_tdual() -> Report:
            True, circle.shift_equivariant())
     # twisted K-groups: compare the difference-map output with the recorded tables
     for cls in classes:
-        table = tduality.twisted_k_mv(cls.representative.bundle, cls.representative.h)
-        for (degree, side), mods, status in table.entries:
-            actual = format_multiset(Counter(dict(mods)))
+        table = tduality.twisted_k_mv(cls.representative)
+        for degree, side in sorted(table.derived):
+            actual = format_multiset(table.derived[degree, side])
+            status = table.status(degree, side)
             asserted = status == "paper-asserted"
             _check(checks, f"K[{cls.label}][{degree},{side}]",
                    "twisted K-group over the circle",

@@ -5,8 +5,8 @@ A Real circle bundle over a built-in base is recorded by its Chern class
 in the degree-(2, pm) slice of the base ring; the classes available as
 the second member of a pair live in the degree-(3, eq) cohomology of the
 total space, which is assembled from the circle-bundle exact sequence.
-Every element is a pair (q, k) of coordinate vectors on two base slices,
-both finite over the built-in bases:
+A pair is one frozen value `Pair(bundle, q, k)`: the bundle and two
+coordinate vectors on base slices, both finite over the built-in bases:
 
     q in H^3_eq modulo the image of euler cup: H^1_pm -> H^3_eq,
       stored as the smallest reduced vector of its coset;
@@ -15,9 +15,10 @@ both finite over the built-in bases:
 where k is the push-forward pi_* of the class (the Chern class of the
 dual bundle, as in topological T-duality) and q parametrizes the fiber
 of the push-forward over k (a torsor under the image of the pull-back).
-The one addition offered adds a pulled-back base class, which moves q
-and keeps k; that is canonical.  Adding two classes with nonzero k would
-need the extension, and no computation here asks for it.
+Two pairs are equal exactly when they have the same bundle and the same
+class.  The one addition offered adds a pulled-back base class, which
+moves q and keeps k; that is canonical.  Adding two classes with nonzero
+k would need the extension, and no computation here asks for it.
 
 The dual of a pair is computed by direct linear solving: the dual bundle
 is forced by the push-forward of the class, candidate dual classes form a
@@ -112,7 +113,7 @@ class RealCircleBundle:
 
     @classmethod
     def from_chern(cls, base: BaseSpace, chern_element):
-        if not (chern_element.is_zero() or chern_element.is_homogeneous(Degree(2, PM))):
+        if not chern_element.is_homogeneous(Degree(2, PM)):
             raise ValueError("the Chern class must be homogeneous of degree (2, pm)")
         return cls(base.name, base.h2pm.coords(chern_element))
 
@@ -172,50 +173,43 @@ class TotalSpaceH3:
         return min(self.base_slice.reduce_coords(x + y for x, y in zip(coords, shift))
                    for shift in self._image)
 
-    # -- elements -------------------------------------------------------------
+    # -- pairs on this bundle -------------------------------------------------
 
-    def zero(self) -> "H3Element":
-        return H3Element(self.bundle, (0,) * self.base_slice.dim, (0,) * self.kernel_slice.dim)
+    def zero(self) -> "Pair":
+        return Pair(self.bundle, (0,) * self.base_slice.dim, (0,) * self.kernel_slice.dim)
 
     def elements(self):
-        return [H3Element(self.bundle, q, k) for q in self.q_values for k in self.k_values]
+        return [Pair(self.bundle, q, k) for q in self.q_values for k in self.k_values]
 
-    def pushforward(self, element: "H3Element"):
-        """The degree-(2, pm) base class the element pushes down to."""
-        return self.kernel_slice.element(element.k)
+    def pushforward(self, pair: "Pair"):
+        """The degree-(2, pm) base class the pair's class pushes down to."""
+        return self.kernel_slice.element(pair.k)
 
-    def section_class(self, base_h2pm_element) -> "H3Element":
-        """The canonical element with the given push-forward and zero
+    def section_class(self, base_h2pm_element) -> "Pair":
+        """The canonical pair with the given push-forward and zero
         pull-back part."""
         coords = self.kernel_slice.coords(base_h2pm_element)
         if solve(self._kernel_vectors, coords) is None:
             raise NoSolutionError(
                 f"{base_h2pm_element} is not a push-forward over {self.bundle.label()}")
-        return H3Element(self.bundle, self.zero().q, coords)
+        return Pair(self.bundle, self.zero().q, coords)
 
-    def add_pullback(self, element: "H3Element", base_element) -> "H3Element":
-        """element plus the pull-back of a degree-(3, eq) base class."""
-        q = self._q(x + y for x, y in zip(element.q, self.base_slice.coords(base_element)))
-        return H3Element(self.bundle, q, element.k)
+    def add_pullback(self, pair: "Pair", base_element) -> "Pair":
+        """The pair's class plus the pull-back of a degree-(3, eq) base class."""
+        q = self._q(x + y for x, y in zip(pair.q, self.base_slice.coords(base_element)))
+        return Pair(self.bundle, q, pair.k)
 
     # -- display ----------------------------------------------------------------
 
-    def describe(self, element: "H3Element") -> str:
+    def describe(self, pair: "Pair") -> str:
         parts = []
-        pulled = self.base_slice.element(element.q)
+        pulled = self.base_slice.element(pair.q)
         if not pulled.is_zero():
             parts.append(f"pi*({pulled})")
-        down = self.pushforward(element)
+        down = self.pushforward(pair)
         if not down.is_zero():
             parts.append(f"h({down})")
         return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class H3Element:
-    bundle: RealCircleBundle
-    q: tuple  # smallest reduced degree-(3, eq) base coordinates in the coset
-    k: tuple  # reduced degree-(2, pm) base coordinates of the push-forward
 
 
 @per_golden_dir
@@ -226,20 +220,17 @@ def _total_space(bundle: RealCircleBundle) -> TotalSpaceH3:
 @dataclass(frozen=True)
 class Pair:
     """A Real circle bundle together with a degree-(3, eq) class on its
-    total space."""
+    total space, in the coordinates of the module docstring."""
 
     bundle: RealCircleBundle
-    h: H3Element
-
-    def __post_init__(self):
-        if self.h.bundle != self.bundle:
-            raise ValueError("class lives on a different bundle")
+    q: tuple  # smallest reduced degree-(3, eq) base coordinates in the coset
+    k: tuple  # reduced degree-(2, pm) base coordinates of the push-forward
 
     def total(self) -> TotalSpaceH3:
         return _total_space(self.bundle)
 
     def label(self) -> str:
-        return f"({self.bundle.label()}, {self.total().describe(self.h)})"
+        return f"({self.bundle.label()}, {self.total().describe(self)})"
 
 
 def pair_from_expressions(base_name, chern_text, h_base_text="0", h_fiber_text="0") -> Pair:
@@ -247,10 +238,9 @@ def pair_from_expressions(base_name, chern_text, h_base_text="0", h_fiber_text="
     base ring, the class from a pulled-back part and a push-forward part."""
     base = get_base(base_name)
     chern = parse_expression(base.ring, chern_text)
-    bundle = RealCircleBundle.from_chern(base, chern)
-    total = _total_space(bundle)
-    h = total.section_class(parse_expression(base.ring, h_fiber_text))
-    return Pair(bundle, total.add_pullback(h, parse_expression(base.ring, h_base_text)))
+    total = _total_space(RealCircleBundle.from_chern(base, chern))
+    fiber = total.section_class(parse_expression(base.ring, h_fiber_text))
+    return total.add_pullback(fiber, parse_expression(base.ring, h_base_text))
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +248,21 @@ def pair_from_expressions(base_name, chern_text, h_base_text="0", h_fiber_text="
 
 
 def gauge_orbit(pair: Pair) -> frozenset:
-    """All classes reachable from the pair by bundle automorphisms:
+    """All pairs reachable from the pair by bundle automorphisms:
     h + pi^*(pi_* h cup a) for a running over the degree-(1, pm) slice."""
     total = pair.total()
     base = pair.bundle.base
-    down = total.pushforward(pair.h)
+    down = total.pushforward(pair)
     shifts = (down * base.h1pm.element(coords) for coords in _slice_coordinates(base.h1pm))
-    return frozenset(total.add_pullback(pair.h, s) for s in shifts)
+    return frozenset(total.add_pullback(pair, s) for s in shifts)
 
 
-def orbit_representative(orbit) -> H3Element:
-    return min(orbit, key=lambda e: (e.q, e.k))
+def orbit_representative(orbit) -> Pair:
+    return min(orbit, key=lambda p: (p.q, p.k))
 
 
 def canonical_pair(pair: Pair) -> Pair:
-    return Pair(pair.bundle, orbit_representative(gauge_orbit(pair)))
+    return orbit_representative(gauge_orbit(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +287,7 @@ def tdual(pair: Pair) -> TDualResult:
     product with the Chern class; a nonzero cup raises InvariantError.
     """
     base = pair.bundle.base
-    dual_chern = pair.total().pushforward(pair.h)
+    dual_chern = pair.total().pushforward(pair)
     dual_bundle = RealCircleBundle.from_chern(base, dual_chern)
     dual_total = _total_space(dual_bundle)
 
@@ -308,12 +298,7 @@ def tdual(pair: Pair) -> TDualResult:
 
     seed = dual_total.section_class(chern)
 
-    orbits = set()
-    remaining = {H3Element(dual_bundle, q, seed.k) for q in dual_total.q_values}
-    while remaining:
-        orbit = gauge_orbit(Pair(dual_bundle, remaining.pop()))
-        orbits.add(orbit)
-        remaining -= set(orbit)
+    orbits = {gauge_orbit(Pair(dual_bundle, q, seed.k)) for q in dual_total.q_values}
 
     if len(orbits) == 1:
         chosen = next(iter(orbits))
@@ -322,17 +307,16 @@ def tdual(pair: Pair) -> TDualResult:
         # both bundles are trivial, so both push-forwards are zero and
         # p^*h - phat^*hhat = pi^*(q - q') on the correspondence space: the
         # dual keeps the base part of the class
-        chosen = gauge_orbit(Pair(dual_bundle, H3Element(dual_bundle, pair.h.q, seed.k)))
+        chosen = gauge_orbit(Pair(dual_bundle, pair.q, seed.k))
         correspondence = "base-parts-agree"
     else:
         raise AmbiguityError("several gauge orbits satisfy the push-forward constraints")
 
-    dual_h = orbit_representative(chosen)
-    pushed = dual_total.pushforward(dual_h)
+    dual = orbit_representative(chosen)
+    pushed = dual_total.pushforward(dual)
     if pushed != chern:
         raise InvariantError(
             f"the dual class pushes forward to {pushed}, not to the Chern class {chern}")
-    dual_pair = Pair(dual_bundle, dual_h)
     certificate = (
         ("chern_of_dual", str(dual_chern)),
         ("correspondence", correspondence),
@@ -340,7 +324,7 @@ def tdual(pair: Pair) -> TDualResult:
         ("pushforward_of_dual_class", str(pushed)),
         ("pushforward_of_class", str(dual_chern)),
     )
-    return TDualResult(dual_pair, certificate)
+    return TDualResult(dual, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +340,27 @@ class PairClass:
 
 
 class DualityTable:
-    """Every raw pair over a base, with its gauge orbit and its dual, each
-    computed once, for the report, the classes, shift equivariance and
-    theorem T to share.  A table is built afresh for each caller and calls
-    `tdual` through this module, so it always reflects the function in
-    force."""
+    """Every raw pair over a base, with its orbit representative and its
+    dual, each computed once, for the report, the classes, shift
+    equivariance and theorem T to share.  A table is built afresh for each
+    caller and calls `tdual` through this module, so it always reflects the
+    function in force."""
 
     def __init__(self, base_name):
         self.base = get_base(base_name)
-        self.pairs = []   # bundles in order, classes sorted by (q, k)
-        self._orbits = {}
-        for bundle in enumerate_bundles(self.base):
-            for h in sorted(_total_space(bundle).elements(), key=lambda e: (e.q, e.k)):
-                pair = Pair(bundle, h)
-                self.pairs.append(pair)
-                if pair not in self._orbits:
-                    orbit = gauge_orbit(pair)
-                    self._orbits.update((Pair(bundle, member), orbit) for member in orbit)
+        # bundles in order, classes sorted by (q, k)
+        self.pairs = [pair for bundle in enumerate_bundles(self.base)
+                      for pair in sorted(_total_space(bundle).elements(),
+                                         key=lambda p: (p.q, p.k))]
+        self._canonical = {}  # each pair to its orbit representative
+        for pair in self.pairs:
+            if pair not in self._canonical:
+                orbit = gauge_orbit(pair)
+                self._canonical.update(dict.fromkeys(orbit, orbit_representative(orbit)))
         self._duals = {pair: tdual(pair).dual for pair in self.pairs}
 
     def canonical(self, pair: Pair) -> Pair:
-        return Pair(pair.bundle, orbit_representative(self._orbits[pair]))
+        return self._canonical[pair]
 
     def dual(self, pair: Pair) -> Pair:
         return self._duals[pair]
@@ -421,8 +405,8 @@ class DualityTable:
             total, dual_total = pair.total(), dual.total()
             for coords in _slice_coordinates(h3eq):
                 eta = h3eq.element(coords)
-                shifted = Pair(pair.bundle, total.add_pullback(pair.h, eta))
-                expected = Pair(dual.bundle, dual_total.add_pullback(dual.h, eta))
+                shifted = total.add_pullback(pair, eta)
+                expected = dual_total.add_pullback(dual, eta)
                 if self.canonical(self.dual(shifted)) != self.canonical(expected):
                     return False
         return True
@@ -431,9 +415,8 @@ class DualityTable:
         """See `verify_theorem_T`; over the circle only."""
         for cls in self.classes:
             pair = cls.representative
-            dual = self.dual(pair)
-            if not _shift_dual(twisted_k_mv(pair.bundle, pair.h).modules,
-                               twisted_k_mv(dual.bundle, dual.h).modules):
+            if not _shift_dual(twisted_k_mv(pair).modules,
+                               twisted_k_mv(self.dual(pair)).modules):
                 return False
         return True
 
@@ -598,28 +581,24 @@ def clutching_multiplier(key) -> str:
 
 @dataclass(frozen=True)
 class TwistedKTable:
-    """Twisted K-groups of a pair over the circle, with provenance."""
+    """Twisted K-groups of a pair over the circle, with provenance: the
+    derived and the printed modules, each a dict from (degree mod 2, side)
+    to a Counter of its own."""
 
     pair_label: str
     clutching: tuple  # (flip, multiplier)
-    entries: tuple    # ((degree, side), modules tuple, status), sorted
-    printed: tuple    # ((degree, side), printed modules tuple), sorted
+    derived: dict
+    printed: dict
 
     def modules(self, degree, side) -> Counter:
-        return Counter(dict(self._row(self.entries, degree, side)[1]))
+        return Counter(self.derived[degree % 2, side])
 
     def printed_modules(self, degree, side) -> Counter:
-        return Counter(dict(self._row(self.printed, degree, side)[1]))
+        return Counter(self.printed[degree % 2, side])
 
     def status(self, degree, side) -> str:
-        return self._row(self.entries, degree, side)[2]
-
-    @staticmethod
-    def _row(rows, degree, side):
-        for row in rows:
-            if row[0] == (degree % 2, side):
-                return row
-        raise KeyError((degree, side))
+        slot = (degree % 2, side)
+        return mv_status(self.printed[slot], self.derived[slot])
 
     def to_json(self):
         from .exact_abelian import format_multiset
@@ -627,39 +606,35 @@ class TwistedKTable:
             "pair": self.pair_label,
             "clutching": {"flip": self.clutching[0], "multiplier": self.clutching[1]},
             "groups": [
-                {"degree": key[0], "side": key[1],
-                 "modules": format_multiset(Counter(dict(mods))), "status": status}
-                for key, mods, status in self.entries
+                {"degree": degree, "side": side,
+                 "modules": format_multiset(self.derived[degree, side]),
+                 "status": self.status(degree, side)}
+                for degree, side in sorted(self.derived)
             ],
         }
 
 
 def _twist_invariants(pair: Pair):
-    base_part = 1 if any(pair.h.q) else 0
-    fiber_part = 1 if any(pair.h.k) else 0
+    base_part = 1 if any(pair.q) else 0
+    fiber_part = 1 if any(pair.k) else 0
     return (not pair.bundle.is_trivial(), base_part, fiber_part)
 
 
-def twisted_k_mv(bundle: RealCircleBundle, h: H3Element) -> TwistedKTable:
+def twisted_k_mv(pair: Pair) -> TwistedKTable:
     """Twisted K-groups over the circle with trivial involution, computed
     by the two-arc Mayer-Vietoris difference map for the clutching that
     `clutching_multiplier` works out from the pair's twist invariants.
 
-    Each entry carries its `mv_status` against the printed table, whose
-    refinement the table records alongside.
+    The table records the printed refinement alongside, so that each slot's
+    `mv_status` against it can be read off.
     """
-    if bundle.base_name != "circle_trivial":
+    if pair.bundle.base_name != "circle_trivial":
         raise ValueError("the Mayer-Vietoris model is for the circle base")
-    pair = Pair(bundle, h)
     key = _twist_invariants(pair)
     multiplier = clutching_multiplier(key)
-    derived = mv_k_groups(key[0], multiplier)
-    printed = PRINTED_MV_TABLES[key]
-    slots = sorted(printed)
-    entries = tuple((slot, tuple(sorted(derived[slot].items())),
-                     mv_status(printed[slot], derived[slot])) for slot in slots)
-    printed_rows = tuple((slot, tuple(sorted(printed[slot].items()))) for slot in slots)
-    return TwistedKTable(pair.label(), (key[0], multiplier), entries, printed_rows)
+    printed = {slot: Counter(modules) for slot, modules in PRINTED_MV_TABLES[key].items()}
+    return TwistedKTable(pair.label(), (key[0], multiplier),
+                         mv_k_groups(key[0], multiplier), printed)
 
 
 def _shift_dual(modules, dual_modules) -> bool:
@@ -677,6 +652,4 @@ def verify_theorem_T(base_name) -> bool:
         table = kunneth_split("K")
         modules = lambda n, side: table.entry(n % 2, side).modules
         return _shift_dual(modules, modules)
-    if base_name != "circle_trivial":
-        raise ValueError("base must be 'point' or 'circle_trivial'")
     return DualityTable(base_name).theorem_T()

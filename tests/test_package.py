@@ -20,7 +20,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TEST_REFERENCES = {"canonical_pair", "inverse_unimodular", "rmodule_from_multiset",
                    "IntegerMatrix.block_diagonal",
                    "SmithDecomposition.rank", "ExteriorKClass.zero", "ExteriorKClass.is_zero",
-                   "PresentedRing.from_named_terms", "TwistedKTable.status"}
+                   "PresentedRing.from_named_terms"}
 
 
 def test_import_loads_only_what_the_caller_uses():
@@ -119,22 +119,14 @@ def _is_method(node):
         node.name.startswith("__") and node.name.endswith("__"))
 
 
-def test_every_definition_has_a_caller():
-    # A non-dunder method of a kdual class is live when it runs while the
-    # README command lines run (they include `kdual verify all`), when
-    # `perfbench/*.py` calls it as an attribute, or when TEST_REFERENCES
-    # lists it as `Class.method`; matching methods by bare name would keep a
-    # dead method alive whenever another class's method of that name runs.
-    # A top-level function or class is live when module-level code of the
-    # package, the benchmark, a live method or a live definition names it; a
-    # live class's body counts without its methods.  `__init__.py` only
-    # re-exports, so its imports, `_LAZY` and `__all__` do not count.
-    ran = _methods_run_by_readme_commands()
-    benchmark = [ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.glob("*.py"))]
+def _definitions_and_live(references, ran, benchmark):
+    """Every definition of the package, top-level names and methods as
+    `Class.method`, and the live ones among them when `references` are the
+    test references."""
     bench_calls = {n.func.attr for tree in benchmark for n in ast.walk(tree)
                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
-    definitions, bodies, dead_methods = set(), {}, []
-    roots = set(TEST_REFERENCES)
+    definitions, bodies, methods, live_methods = set(), {}, set(), set()
+    roots = set(references)
     for tree in benchmark:
         roots.update(_names(tree))
     for path in sorted(PACKAGE.glob("*.py")):
@@ -146,11 +138,11 @@ def test_every_definition_has_a_caller():
                     # a decorated function's code starts at its first decorator
                     first = min(n.lineno for n in [method, *method.decorator_list])
                     qualname = f"{node.name}.{method.name}"
+                    methods.add(qualname)
                     if ((path.name, first) in ran or method.name in bench_calls
-                            or qualname in TEST_REFERENCES):
+                            or qualname in references):
                         roots.update(_names(method))
-                    else:
-                        dead_methods.append(qualname)
+                        live_methods.add(qualname)
                 body = [*node.bases, *node.keywords, *node.decorator_list,
                         *(n for n in node.body if not _is_method(n))]
             elif isinstance(node, ast.FunctionDef):
@@ -167,8 +159,28 @@ def test_every_definition_has_a_caller():
             live.add(name)
             todo.extend(m for node in bodies[name] for m in _names(node)
                         if m in definitions)
-    dead = sorted(definitions - live) + sorted(dead_methods)
-    assert not dead, dead
+    return definitions | methods, live | live_methods
+
+
+def test_every_definition_has_a_caller():
+    # A non-dunder method of a kdual class is live when it runs while the
+    # README command lines run (they include `kdual verify all`), when
+    # `perfbench/*.py` calls it as an attribute, or when TEST_REFERENCES
+    # lists it as `Class.method`; matching methods by bare name would keep a
+    # dead method alive whenever another class's method of that name runs.
+    # A top-level function or class is live when module-level code of the
+    # package, the benchmark, a live method or a live definition names it; a
+    # live class's body counts without its methods.  `__init__.py` only
+    # re-exports, so its imports, `_LAZY` and `__all__` do not count.
+    ran = _methods_run_by_readme_commands()
+    benchmark = [ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.glob("*.py"))]
+    definitions, live = _definitions_and_live(TEST_REFERENCES, ran, benchmark)
+    assert not definitions - live, sorted(definitions - live)
+    # an entry of TEST_REFERENCES that is live without the list is stale
+    _, live_without_references = _definitions_and_live(set(), ran, benchmark)
+    stale = TEST_REFERENCES & live_without_references
+    assert not stale, sorted(stale)
+    assert TEST_REFERENCES <= definitions
 
 
 def test_every_import_is_used():

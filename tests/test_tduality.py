@@ -1,6 +1,7 @@
 import json
 import shutil
 from collections import Counter
+from dataclasses import fields
 from itertools import product
 from math import prod
 
@@ -20,6 +21,7 @@ from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, go
 from kdual.tduality import (
     PRINTED_MV_TABLES,
     AmbiguityError,
+    BaseSpace,
     DualityTable,
     InvariantError,
     Pair,
@@ -61,6 +63,21 @@ def test_bundles_over_builtin_bases():
     assert sum(1 for b in circle_bundles if b.is_trivial()) == 1
 
 
+def test_an_unknown_base_is_named_by_the_base_space():
+    message = r"^base must be one of \('point', 'circle_trivial'\)$"
+    with pytest.raises(ValueError, match=message):
+        BaseSpace("torus")
+    with pytest.raises(ValueError, match=message):
+        verify_theorem_T("torus")
+
+
+def test_a_chern_class_of_the_wrong_degree_is_refused():
+    base = get_base("circle_trivial")
+    with pytest.raises(ValueError, match=r"must be homogeneous of degree \(2, pm\)"):
+        RealCircleBundle.from_chern(base, base.ring.gen("e"))
+    assert RealCircleBundle.from_chern(base, base.ring.zero()).is_trivial()
+
+
 def test_total_space_class_counts():
     base = get_base("circle_trivial")
     trivial, twisted = sorted(enumerate_bundles(base), key=lambda b: b.chern_coords)
@@ -70,12 +87,21 @@ def test_total_space_class_counts():
     assert len(_total_space(point_bundle).elements()) == 1
 
 
+def test_a_pair_is_its_bundle_and_two_coordinate_vectors():
+    assert [field.name for field in fields(Pair)] == ["bundle", "q", "k"]
+    pair = pair_from_expressions("circle_trivial", "0", "t12^2*e", "t12*e")
+    same = Pair(pair.bundle, pair.q, pair.k)
+    assert same == pair and hash(same) == hash(pair)
+    twisted = pair_from_expressions("circle_trivial", "t12*e").bundle
+    assert Pair(twisted, pair.q, pair.k) != pair
+
+
 def test_pushforward_and_pullback_parts():
     pair = pair_from_expressions("circle_trivial", "0", "0", "t12*e")
     total = pair.total()
-    assert str(total.pushforward(pair.h)) == "t12*e"
+    assert str(total.pushforward(pair)) == "t12*e"
     pulled = pair_from_expressions("circle_trivial", "0", "t12^2*e", "0")
-    assert total.pushforward(pulled.h).is_zero()
+    assert total.pushforward(pulled).is_zero()
 
 
 def _slice_vectors(slice_):
@@ -130,10 +156,11 @@ def test_adding_a_pulled_back_class_moves_only_q():
     pair = pair_from_expressions("circle_trivial", "0", "0", "t12*e")
     total = pair.total()
     eta = parse_expression(total.base_slice.ring, "t12^2*e")
-    shifted = total.add_pullback(pair.h, eta)
-    assert shifted.k == pair.h.k and shifted.q != pair.h.q
-    assert shifted == pair_from_expressions("circle_trivial", "0", "t12^2*e", "t12*e").h
-    assert total.add_pullback(shifted, eta) == pair.h
+    shifted = total.add_pullback(pair, eta)
+    assert shifted.bundle == pair.bundle
+    assert shifted.k == pair.k and shifted.q != pair.q
+    assert shifted == pair_from_expressions("circle_trivial", "0", "t12^2*e", "t12*e")
+    assert total.add_pullback(shifted, eta) == pair
 
 
 # --- gauge orbits -------------------------------------------------------------------
@@ -151,14 +178,14 @@ def test_orbit_of_fiber_class_has_two_elements():
     orbit = gauge_orbit(pair)
     assert len(orbit) == 2
     shifted = pair_from_expressions("circle_trivial", "0", "t12^2*e", "t12*e")
-    assert shifted.h in orbit
+    assert shifted in orbit
     assert canonical_pair(shifted) == canonical_pair(pair)
 
 
 def test_orbits_over_point_are_singletons():
     bundle = enumerate_bundles(get_base("point"))[0]
-    for h in _total_space(bundle).elements():
-        assert len(gauge_orbit(Pair(bundle, h))) == 1
+    for pair in _total_space(bundle).elements():
+        assert gauge_orbit(pair) == {pair}
 
 
 # --- the dual -------------------------------------------------------------------------
@@ -183,7 +210,7 @@ def test_several_orbits_over_a_nontrivial_bundle_are_ambiguous(monkeypatch):
     # with every gauge orbit cut down to one class, the two candidate duals
     # of (E1[t12*e], 0) stay apart, and only trivial bundles have a rule
     # that chooses between orbits
-    monkeypatch.setattr(tduality, "gauge_orbit", lambda pair: frozenset({pair.h}))
+    monkeypatch.setattr(tduality, "gauge_orbit", lambda pair: frozenset({pair}))
     with pytest.raises(AmbiguityError, match="several gauge orbits"):
         tdual(pair_from_expressions("circle_trivial", "t12*e"))
 
@@ -192,7 +219,7 @@ def test_fiber_twist_dualizes_to_twisted_bundle():
     pair = pair_from_expressions("circle_trivial", "0", "0", "t12*e")
     result = tdual(pair)
     assert not result.dual.bundle.is_trivial()
-    assert result.dual.total().pushforward(result.dual.h).is_zero()
+    assert result.dual.total().pushforward(result.dual).is_zero()
     cert = dict(result.certificate)
     assert cert["chern_of_dual"] == "t12*e"
     assert cert["correspondence"] == "gauge-orbit-unique"
@@ -212,8 +239,8 @@ def test_certificate_identities():
             cert = dict(result.certificate)
             assert cert["cup_product"] == "0"
             dual_total = result.dual.total()
-            assert str(dual_total.pushforward(result.dual.h)) == str(pair.bundle.chern())
-            assert str(pair.total().pushforward(pair.h)) == cert["chern_of_dual"]
+            assert str(dual_total.pushforward(result.dual)) == str(pair.bundle.chern())
+            assert str(pair.total().pushforward(pair)) == cert["chern_of_dual"]
 
 
 # --- invariant checks (named errors, so that they survive python -O) --------------
@@ -281,8 +308,8 @@ def test_enumeration_and_involution():
 def test_duality_table_agrees_with_the_pairwise_functions():
     table = tduality.DualityTable("circle_trivial")
     assert len(table.pairs) == 6
+    assert set(table._canonical) == set(table.pairs)
     for pair in table.pairs:
-        assert table._orbits[pair] == gauge_orbit(pair)
         assert table.canonical(pair) == canonical_pair(pair)
         assert table.dual(pair) == tdual(pair).dual
     assert table.classes == enumerate_pair_classes("circle_trivial")
@@ -337,7 +364,7 @@ def _modules(table: TwistedKTable, degree, side):
 
 def test_untwisted_product_groups():
     pair = pair_from_expressions("circle_trivial", "0", "0", "0")
-    table = twisted_k_mv(pair.bundle, pair.h)
+    table = twisted_k_mv(pair)
     for degree in (0, 1):
         for side in (EQ, PM):
             assert _modules(table, degree, side) == {"R": 1, "R/J": 1}
@@ -346,20 +373,21 @@ def test_untwisted_product_groups():
 
 def test_fiber_twisted_groups():
     pair = pair_from_expressions("circle_trivial", "0", "0", "t12*e")
-    table = twisted_k_mv(pair.bundle, pair.h)
+    table = twisted_k_mv(pair)
     assert _modules(table, 0, EQ) == {"R/I": 1, "R/J": 1}
     assert _modules(table, 1, EQ) == {"R": 1}
     assert _modules(table, 0, PM) == {"R/I": 1, "R/J": 1}
     assert _modules(table, 1, PM) == {"R": 1}
-    assert all(status == "derived" for _, _, status in table.entries)
+    assert all(table.status(*slot) == "derived" for slot in table.derived)
     # gauge-equivalent twist gives the same table
     shifted = pair_from_expressions("circle_trivial", "0", "t12^2*e", "t12*e")
-    assert twisted_k_mv(shifted.bundle, shifted.h).entries == table.entries
+    shifted_table = twisted_k_mv(shifted)
+    assert (shifted_table.derived, shifted_table.printed) == (table.derived, table.printed)
 
 
 def test_base_twisted_groups_and_statuses():
     pair = pair_from_expressions("circle_trivial", "0", "t12^2*e", "0")
-    table = twisted_k_mv(pair.bundle, pair.h)
+    table = twisted_k_mv(pair)
     assert _modules(table, 0, EQ) == {"R/I": 1}
     assert _modules(table, 1, PM) == {"R/I": 1}
     assert table.status(0, EQ) == "derived"
@@ -375,11 +403,11 @@ def test_base_twisted_groups_and_statuses():
 
 def test_twisted_bundle_groups():
     untwisted = pair_from_expressions("circle_trivial", "t12*e", "0", "0")
-    table = twisted_k_mv(untwisted.bundle, untwisted.h)
+    table = twisted_k_mv(untwisted)
     assert _modules(table, 0, EQ) == {"R": 1}
     assert _modules(table, 1, EQ) == {"R/I": 1, "R/J": 1}
     twisted = pair_from_expressions("circle_trivial", "t12*e", "0", "t12*e")
-    table = twisted_k_mv(twisted.bundle, twisted.h)
+    table = twisted_k_mv(twisted)
     for degree in (0, 1):
         for side in (EQ, PM):
             assert _modules(table, degree, side) == {"R/I": 1}
@@ -388,9 +416,24 @@ def test_twisted_bundle_groups():
 
 def test_mv_requires_circle_base():
     bundle = enumerate_bundles(get_base("point"))[0]
-    h = _total_space(bundle).zero()
-    with pytest.raises(ValueError):
-        twisted_k_mv(bundle, h)
+    with pytest.raises(ValueError, match="for the circle base"):
+        twisted_k_mv(_total_space(bundle).zero())
+
+
+def test_twisted_k_tables_own_their_dicts():
+    # a caller may change one table's modules without touching the cached
+    # groups, the printed tables or the next table
+    pair = pair_from_expressions("circle_trivial", "0", "t12^2*e", "0")
+    key = _twist_invariants(pair)
+    printed = {slot: dict(modules) for slot, modules in PRINTED_MV_TABLES[key].items()}
+    table = twisted_k_mv(pair)
+    before = table.to_json()
+    for modules in (table.derived, table.printed):
+        modules[0, EQ]["R/I"] += 1
+        modules[1, PM].clear()
+    assert table.to_json() != before
+    assert twisted_k_mv(pair).to_json() == before
+    assert PRINTED_MV_TABLES[key] == printed
 
 
 def test_clutching_search_agrees_with_the_rule():
@@ -437,7 +480,7 @@ def test_mismatch_path(monkeypatch):
     # no multiplier derives (R)^2, not even at the level of groups
     monkeypatch.setitem(PRINTED_MV_TABLES[(False, 0, 0)], (0, EQ), {"R": 2})
     pair = pair_from_expressions("circle_trivial", "0")
-    table = twisted_k_mv(pair.bundle, pair.h)
+    table = twisted_k_mv(pair)
     assert table.status(0, EQ) == "mismatch"
     assert table.printed_modules(0, EQ) == Counter({"R": 2})
     assert table.status(1, EQ) == "derived"
@@ -657,8 +700,8 @@ def test_theorem_T_on_representatives_explicitly():
     for cls in enumerate_pair_classes("circle_trivial"):
         pair = cls.representative
         dual = tdual(pair).dual
-        table = twisted_k_mv(pair.bundle, pair.h)
-        dual_table = twisted_k_mv(dual.bundle, dual.h)
+        table = twisted_k_mv(pair)
+        dual_table = twisted_k_mv(dual)
         for n in (0, 1):
             assert table.modules(n, EQ) == dual_table.modules(n - 1, PM)
             assert table.modules(n, PM) == dual_table.modules(n - 1, EQ)
@@ -684,15 +727,15 @@ def test_uniqueness_witness():
             if dual_total.pushforward(candidate) != chern:
                 continue
             if pair.bundle.is_trivial() and dual.bundle.is_trivial():
-                if candidate.q != pair.h.q:
+                if candidate.q != pair.q:
                     continue
             valid.append(candidate)
-        assert dual.h in valid
+        assert dual in valid
         # pairwise differences lie in pi^*(chern cup H^1_pm)
-        reachable = {dual.h}
+        reachable = {dual}
         for coords in [(0,), (1,)]:
             a = base.h1pm.element(coords)
-            reachable.add(dual_total.add_pullback(dual.h, chern * a))
+            reachable.add(dual_total.add_pullback(dual, chern * a))
         assert set(valid) <= reachable
 
 
