@@ -19,7 +19,8 @@ from __future__ import annotations
 import operator
 import struct
 from collections import Counter
-from dataclasses import dataclass
+
+from .frozen import Frozen
 
 
 class DimensionMismatchError(ValueError):
@@ -44,18 +45,31 @@ def _require_plain_ints(values, what):
             raise ValueError(f"{what} must be plain ints")
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Frozen):
     """Dense integer matrix, entries stored row-major."""
 
+    __slots__ = ("rows", "cols", "entries")
     rows: int
     cols: int
     entries: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, rows, cols, entries):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", tuple(entries))
         self._check_shape()
         _require_plain_ints(self.entries, "entries")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntegerMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     def _check_shape(self):
         if self.rows < 0 or self.cols < 0:
@@ -251,13 +265,23 @@ def _packed_product(left, right, n, k, p, bound):
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Frozen):
     """U @ M @ V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
 
+    __slots__ = ("u", "d", "v")
     u: IntegerMatrix
     d: IntegerMatrix
     v: IntegerMatrix
+
+    def __init__(self, u, d, v):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "v", v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.u, self.d, self.v) == (other.u, other.d, other.v)
 
     def diagonal(self):
         n = min(self.d.rows, self.d.cols)
@@ -551,19 +575,20 @@ def subquotient_group(big: IntegerMatrix, small: IntegerMatrix) -> "FGAbelianGro
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Frozen):
     """Invariant factors: torsion orders (each > 1, each dividing the next)
     followed by one 0 per free summand."""
 
-    invariant_factors: tuple = ()
+    __slots__ = ("invariant_factors",)
+    invariant_factors: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
-        _require_plain_ints(self.invariant_factors, "invariant factors")
-        tors = [f for f in self.invariant_factors if f != 0]
-        zeros = [f for f in self.invariant_factors if f == 0]
-        if list(self.invariant_factors) != tors + zeros:
+    def __init__(self, invariant_factors=()):
+        invariant_factors = tuple(invariant_factors)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        _require_plain_ints(invariant_factors, "invariant factors")
+        tors = [f for f in invariant_factors if f != 0]
+        zeros = [f for f in invariant_factors if f == 0]
+        if list(invariant_factors) != tors + zeros:
             raise ValueError("torsion factors must come before free factors")
         for f in tors:
             if f <= 1:
@@ -571,6 +596,14 @@ class FGAbelianGroup:
         for prev, nxt in zip(tors, tors[1:]):
             if nxt % prev:
                 raise ValueError("each torsion order must divide the next")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self):
+        return hash((self.invariant_factors,))
 
     @classmethod
     def from_orders(cls, orders):
@@ -648,39 +681,54 @@ INDECOMPOSABLE_PRESENTATIONS = {
 INDECOMPOSABLES = tuple(INDECOMPOSABLE_PRESENTATIONS)
 
 
-@dataclass(frozen=True)
-class RModule:
+class RModule(Frozen):
     """Z^rank modulo the column span of `relations`, with an involution.
 
     The action matrix must preserve the relation lattice and square to the
     identity modulo it.
     """
 
+    __slots__ = ("rank", "relations", "action", "_smith_diagonal")
     rank: int
     relations: IntegerMatrix
     action: IntegerMatrix
 
-    def __post_init__(self):
-        if self.relations.rows != self.rank:
+    def __init__(self, rank, relations, action):
+        if relations.rows != rank:
             raise DimensionMismatchError("relations live in the wrong rank")
-        if (self.action.rows, self.action.cols) != (self.rank, self.rank):
+        if (action.rows, action.cols) != (rank, rank):
             raise DimensionMismatchError("action matrix must be square of the rank")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "action", action)
         # both conditions are membership in the relation lattice of the
         # columns of [A @ relations | A^2 - I], which U and the diagonal of
         # its Smith form decide from one product U @ [...]
-        diag, u, _ = _smith(self.relations, track_u=True)
-        images = list((self.action @ self.relations.hstack(self.action)).entries)
-        width = self.relations.cols + self.rank
-        for i in range(self.rank):
-            images[i * width + self.relations.cols + i] -= 1
-        coords = _rows_matrix(u, self.rank) @ IntegerMatrix._trusted(
-            self.rank, width, tuple(images))
-        if not _columns_in_lattice(coords, diag, slice(self.relations.cols)):
+        diag, u, _ = _smith(relations, track_u=True)
+        images = list((action @ relations.hstack(action)).entries)
+        width = relations.cols + rank
+        for i in range(rank):
+            images[i * width + relations.cols + i] -= 1
+        coords = _rows_matrix(u, rank) @ IntegerMatrix._trusted(rank, width, tuple(images))
+        if not _columns_in_lattice(coords, diag, slice(relations.cols)):
             raise ValueError("action does not preserve the relations")
-        if not _columns_in_lattice(coords, diag, slice(self.relations.cols, None)):
+        if not _columns_in_lattice(coords, diag, slice(relations.cols, None)):
             raise ValueError("action is not an involution modulo the relations")
-        # not a field, so equality and hashing see only the presentation
+        # not a field, so equality, hashing and repr see only the presentation
         object.__setattr__(self, "_smith_diagonal", tuple(diag))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rank, self.relations, self.action)
+                == (other.rank, other.relations, other.action))
+
+    def __hash__(self):
+        return hash((self.rank, self.relations, self.action))
+
+    def __repr__(self):
+        return (f"RModule(rank={self.rank!r}, relations={self.relations!r}, "
+                f"action={self.action!r})")
 
     def underlying_group(self) -> FGAbelianGroup:
         return _group_of_diagonal(self._smith_diagonal, self.rank)

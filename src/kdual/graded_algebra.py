@@ -41,11 +41,11 @@ reduce levels modulo the period; rings of H-type keep integer levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 
 from .exact_abelian import FGAbelianGroup, IntegerMatrix
+from .frozen import Frozen
 
 EQ = "eq"
 PM = "pm"
@@ -67,14 +67,27 @@ class UnboundedSliceError(ValueError):
     """No rule caps the powers of a generator, so slices may be infinite."""
 
 
-@dataclass(frozen=True)
-class Degree:
+class Degree(Frozen):
+    __slots__ = ("level", "variant")
     level: int
-    variant: str = EQ
+    variant: str
 
-    def __post_init__(self):
-        if self.variant not in (EQ, PM):
+    def __init__(self, level, variant=EQ):
+        if variant not in (EQ, PM):
             raise ValueError(f"variant must be {EQ!r} or {PM!r}")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "variant", variant)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level and self.variant == other.variant
+
+    def __hash__(self):
+        return hash((self.level, self.variant))
+
+    def __repr__(self):
+        return f"Degree(level={self.level!r}, variant={self.variant!r})"
 
     def __add__(self, other):
         variant = EQ if self.variant == other.variant else PM
@@ -84,15 +97,27 @@ class Degree:
         return f"({self.level}, {self.variant})"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Frozen):
+    __slots__ = ("name", "degree", "additive_order")
     name: str
     degree: Degree
-    additive_order: int = 0
+    additive_order: int
 
-    def __post_init__(self):
-        if self.additive_order not in (0, 2):
+    def __init__(self, name, degree, additive_order=0):
+        if additive_order not in (0, 2):
             raise ValueError("additive orders other than 0 and 2 are not supported")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "additive_order", additive_order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.degree, self.additive_order)
+                == (other.name, other.degree, other.additive_order))
+
+    def __hash__(self):
+        return hash((self.name, self.degree, self.additive_order))
 
 
 def _heap_key(exps):
@@ -476,14 +501,20 @@ class RingElement:
         }
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(Frozen):
     """Monomial basis of one homogeneous degree of a ring."""
 
+    __slots__ = ("ring", "degree", "monomials", "orders")
     ring: PresentedRing
     degree: Degree
     monomials: tuple  # exponent tuples in monomial order
     orders: tuple     # additive order per basis monomial (0 = free)
+
+    def __init__(self, ring, degree, monomials, orders):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "monomials", monomials)
+        object.__setattr__(self, "orders", orders)
 
     @property
     def labels(self):

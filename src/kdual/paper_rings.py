@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
 from pathlib import Path
 
 from . import expressions
 from .exact_abelian import IntegerMatrix, cokernel
+from .frozen import Frozen
 from .graded_algebra import (
     EQ,
     PM,
@@ -128,8 +128,7 @@ def nonequivariant_ring(name):
 # exterior-algebra model of the K-theory of the torus
 
 
-@dataclass(frozen=True)
-class ExteriorKClass:
+class ExteriorKClass(Frozen):
     """Element of the exterior algebra on n odd generators x_1..x_n.
 
     Terms map a sorted index tuple to an integer coefficient; the even
@@ -137,8 +136,18 @@ class ExteriorKClass:
     the usual alternating signs and x_i^2 = 0.
     """
 
+    __slots__ = ("n", "terms")
     n: int
     terms: tuple  # sorted tuple of (index tuple, coeff)
+
+    def __init__(self, n, terms):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
 
     @classmethod
     def build(cls, n, data):
@@ -209,12 +218,21 @@ class ExteriorKClass:
         return dict(self.terms)
 
 
-@dataclass(frozen=True)
-class RElt:
+class RElt(Frozen):
     """Element a + b*t of Z[t]/(t^2 - 1)."""
 
-    a: int = 0
-    b: int = 0
+    __slots__ = ("a", "b")
+    a: int
+    b: int
+
+    def __init__(self, a=0, b=0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -248,8 +266,7 @@ R_ONE = RElt(1, 0)
 R_T = RElt(0, 1)
 
 
-@dataclass(frozen=True)
-class FOracleImage:
+class FOracleImage(Frozen):
     """Value of the restriction homomorphism F on the n-torus.
 
     `forgetful` is the underlying non-equivariant class; `fixed_points`
@@ -258,9 +275,21 @@ class FOracleImage:
     equivariant classes because F is injective.
     """
 
+    __slots__ = ("n", "forgetful", "fixed_points")
     n: int
     forgetful: ExteriorKClass
     fixed_points: tuple
+
+    def __init__(self, n, forgetful, fixed_points):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "forgetful", forgetful)
+        object.__setattr__(self, "fixed_points", fixed_points)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.forgetful, self.fixed_points)
+                == (other.n, other.forgetful, other.fixed_points))
 
     def _check(self, other):
         if not isinstance(other, FOracleImage) or other.n != self.n:
@@ -502,14 +531,19 @@ def verify_f_injective(n) -> bool:
 # dictionaries between ring bases and geometric classes
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(Frozen):
     """Invertible correspondence between a ring's degree-zero monomial
     basis and expressions in the oracle generators."""
 
+    __slots__ = ("ring_name", "torus_dim", "entries")
     ring_name: str
     torus_dim: int
     entries: tuple  # ((monomial label, oracle expression), ...)
+
+    def __init__(self, ring_name, torus_dim, entries):
+        object.__setattr__(self, "ring_name", ring_name)
+        object.__setattr__(self, "torus_dim", torus_dim)
+        object.__setattr__(self, "entries", entries)
 
     def as_dict(self):
         return dict(self.entries)

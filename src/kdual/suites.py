@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 from .exact_abelian import format_multiset
 from .expressions import parse_expression
+from .frozen import Frozen
 from .graded_algebra import (
     EQ,
     PM,
@@ -45,19 +45,34 @@ from . import transforms
 from . import tduality
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
+    __slots__ = ("id", "reference", "status", "expected", "actual")
     id: str
     reference: str
     status: str  # pass | fail | paper-asserted
     expected: str
     actual: str
 
+    def __init__(self, id, reference, status, expected, actual):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
-@dataclass(frozen=True)
-class Report:
+    def to_json(self):
+        return {"id": self.id, "reference": self.reference, "status": self.status,
+                "expected": self.expected, "actual": self.actual}
+
+
+class Report(Frozen):
+    __slots__ = ("suite", "checks")
     suite: str
     checks: tuple
+
+    def __init__(self, suite, checks):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def failed(self):
@@ -73,7 +88,7 @@ class Report:
             "passed": sum(1 for c in self.checks if c.status == "pass"),
             "paper_asserted": sum(1 for c in self.checks if c.status == "paper-asserted"),
             "failed": len(self.failed),
-            "checks": [vars(c) for c in self.checks],
+            "checks": [c.to_json() for c in self.checks],
         }
 
     def to_text(self):

@@ -18,7 +18,9 @@ of the push-forward over k (a torsor under the image of the pull-back).
 Two pairs are equal exactly when they have the same bundle and the same
 class.  The one addition offered adds a pulled-back base class, which
 moves q and keeps k; that is canonical.  Adding two classes with nonzero
-k would need the extension, and no computation here asks for it.
+k would need the extension, and no computation here asks for it.  A
+total space reads only pairs on its own bundle; a pair on another bundle
+raises ValueError naming both.
 
 The dual of a pair is computed by direct linear solving: the dual bundle
 is forced by the push-forward of the class, candidate dual classes form a
@@ -45,7 +47,6 @@ overridden.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exact_abelian import (
@@ -59,6 +60,7 @@ from .exact_abelian import (
     solve,
 )
 from .expressions import parse_expression
+from .frozen import Frozen
 from .graded_algebra import EQ, PM, Degree, apply_ring_hom, degree_component
 from .paper_rings import build_ring, kk_flip_substitution, per_golden_dir
 from .transforms import flip_circle_slices, gysin_degree_data, kunneth_split
@@ -103,13 +105,25 @@ def get_base(name) -> BaseSpace:
     return BaseSpace(name)
 
 
-@dataclass(frozen=True)
-class RealCircleBundle:
+class RealCircleBundle(Frozen):
     """A Real circle bundle over a built-in base, recorded by the
     coordinates of its Chern class in the degree-(2, pm) slice."""
 
+    __slots__ = ("base_name", "chern_coords")
     base_name: str
     chern_coords: tuple
+
+    def __init__(self, base_name, chern_coords):
+        object.__setattr__(self, "base_name", base_name)
+        object.__setattr__(self, "chern_coords", chern_coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base_name == other.base_name and self.chern_coords == other.chern_coords
+
+    def __hash__(self):
+        return hash((self.base_name, self.chern_coords))
 
     @classmethod
     def from_chern(cls, base: BaseSpace, chern_element):
@@ -181,9 +195,18 @@ class TotalSpaceH3:
     def elements(self):
         return [Pair(self.bundle, q, k) for q in self.q_values for k in self.k_values]
 
+    def _own(self, pair: "Pair") -> "Pair":
+        """The pair, once it is seen to live on this bundle."""
+        if pair.bundle != self.bundle:
+            theirs, ours = pair.bundle, self.bundle
+            raise ValueError(
+                f"a pair on {theirs.label()} over {theirs.base_name} is not a class on "
+                f"the total space of {ours.label()} over {ours.base_name}")
+        return pair
+
     def pushforward(self, pair: "Pair"):
         """The degree-(2, pm) base class the pair's class pushes down to."""
-        return self.kernel_slice.element(pair.k)
+        return self.kernel_slice.element(self._own(pair).k)
 
     def section_class(self, base_h2pm_element) -> "Pair":
         """The canonical pair with the given push-forward and zero
@@ -196,14 +219,15 @@ class TotalSpaceH3:
 
     def add_pullback(self, pair: "Pair", base_element) -> "Pair":
         """The pair's class plus the pull-back of a degree-(3, eq) base class."""
-        q = self._q(x + y for x, y in zip(pair.q, self.base_slice.coords(base_element)))
+        q = self._q(x + y for x, y in zip(self._own(pair).q,
+                                          self.base_slice.coords(base_element)))
         return Pair(self.bundle, q, pair.k)
 
     # -- display ----------------------------------------------------------------
 
     def describe(self, pair: "Pair") -> str:
         parts = []
-        pulled = self.base_slice.element(pair.q)
+        pulled = self.base_slice.element(self._own(pair).q)
         if not pulled.is_zero():
             parts.append(f"pi*({pulled})")
         down = self.pushforward(pair)
@@ -217,14 +241,27 @@ def _total_space(bundle: RealCircleBundle) -> TotalSpaceH3:
     return TotalSpaceH3(bundle)
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Frozen):
     """A Real circle bundle together with a degree-(3, eq) class on its
     total space, in the coordinates of the module docstring."""
 
+    __slots__ = ("bundle", "q", "k")
     bundle: RealCircleBundle
     q: tuple  # smallest reduced degree-(3, eq) base coordinates in the coset
     k: tuple  # reduced degree-(2, pm) base coordinates of the push-forward
+
+    def __init__(self, bundle, q, k):
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bundle, self.q, self.k) == (other.bundle, other.q, other.k)
+
+    def __hash__(self):
+        return hash((self.bundle, self.q, self.k))
 
     def total(self) -> TotalSpaceH3:
         return _total_space(self.bundle)
@@ -269,10 +306,14 @@ def canonical_pair(pair: Pair) -> Pair:
 # the dual of a pair
 
 
-@dataclass(frozen=True)
-class TDualResult:
+class TDualResult(Frozen):
+    __slots__ = ("dual", "certificate")
     dual: Pair
     certificate: tuple  # sorted key/value pairs
+
+    def __init__(self, dual, certificate):
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def tdual(pair: Pair) -> TDualResult:
@@ -331,12 +372,24 @@ def tdual(pair: Pair) -> TDualResult:
 # enumeration of isomorphism classes
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(Frozen):
+    __slots__ = ("index", "representative", "dual_index", "label")
     index: int
     representative: Pair
     dual_index: int
     label: str
+
+    def __init__(self, index, representative, dual_index, label):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "dual_index", dual_index)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.index, self.representative, self.dual_index, self.label)
+                == (other.index, other.representative, other.dual_index, other.label))
 
 
 class DualityTable:
@@ -579,16 +632,22 @@ def clutching_multiplier(key) -> str:
     return MULTIPLIER_NAMES[base_twist + 2 * fiber_twist]
 
 
-@dataclass(frozen=True)
-class TwistedKTable:
+class TwistedKTable(Frozen):
     """Twisted K-groups of a pair over the circle, with provenance: the
     derived and the printed modules, each a dict from (degree mod 2, side)
     to a Counter of its own."""
 
+    __slots__ = ("pair_label", "clutching", "derived", "printed")
     pair_label: str
     clutching: tuple  # (flip, multiplier)
     derived: dict
     printed: dict
+
+    def __init__(self, pair_label, clutching, derived, printed):
+        object.__setattr__(self, "pair_label", pair_label)
+        object.__setattr__(self, "clutching", clutching)
+        object.__setattr__(self, "derived", derived)
+        object.__setattr__(self, "printed", printed)
 
     def modules(self, degree, side) -> Counter:
         return Counter(self.derived[degree % 2, side])

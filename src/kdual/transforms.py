@@ -18,7 +18,6 @@ generator images and applied by `apply_ring_hom`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .exact_abelian import (
     FGAbelianGroup,
@@ -33,6 +32,7 @@ from .exact_abelian import (
     rmodule_classify,
     subquotient_group,
 )
+from .frozen import Frozen
 from .graded_algebra import (
     EQ,
     PM,
@@ -194,10 +194,19 @@ def t_power_table(k: int) -> dict:
 # graded group tables and the Künneth splitting
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Frozen):
+    __slots__ = ("group", "modules")
     group: FGAbelianGroup
-    modules: tuple | None = None  # sorted (name, multiplicity) pairs
+    modules: tuple | None  # sorted (name, multiplicity) pairs
+
+    def __init__(self, group, modules=None):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "modules", modules)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.modules == other.modules
 
     @classmethod
     def from_counter(cls, counter: Counter):
@@ -307,8 +316,7 @@ class ExtensionError(RuntimeError):
     """The circle-bundle exact sequence does not decide a total-space group."""
 
 
-@dataclass(frozen=True)
-class GysinDegreeData:
+class GysinDegreeData(Frozen):
     """Degree-n data of the circle-bundle exact sequence over a base ring,
     in the coordinates of two base slices.
 
@@ -319,11 +327,19 @@ class GysinDegreeData:
     with the Euler class (the image of the pull-back).
     """
 
+    __slots__ = ("base_slice", "kernel_slice", "into", "kernel_vectors", "split_certified")
     base_slice: Slice          # degree (n, v) of the base
     kernel_slice: Slice        # degree (n-1, flip v) of the base
     into: IntegerMatrix        # euler cup: degree (n-2, flip v) -> base_slice
     kernel_vectors: IntegerMatrix  # columns spanning ker(euler cup) on kernel_slice
     split_certified: bool
+
+    def __init__(self, base_slice, kernel_slice, into, kernel_vectors, split_certified):
+        object.__setattr__(self, "base_slice", base_slice)
+        object.__setattr__(self, "kernel_slice", kernel_slice)
+        object.__setattr__(self, "into", into)
+        object.__setattr__(self, "kernel_vectors", kernel_vectors)
+        object.__setattr__(self, "split_certified", split_certified)
 
     def cokernel_group(self) -> FGAbelianGroup:
         return cokernel(relation_lattice(self.base_slice.orders).hstack(self.into))

@@ -33,6 +33,17 @@ def test_import_loads_only_what_the_caller_uses():
     assert out.split() == []
 
 
+def test_cold_start_loads_no_code_generator():
+    # a dataclass runs `exec` for its methods, and `import dataclasses` loads
+    # `inspect`, so the command line starts faster without either
+    code = ("import sys, kdual.cli, kdual.suites\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
+
+
 def test_every_public_name_resolves():
     for name in kdual.__all__:
         assert getattr(kdual, name) is not None

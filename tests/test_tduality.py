@@ -1,7 +1,6 @@
 import json
 import shutil
 from collections import Counter
-from dataclasses import fields
 from itertools import product
 from math import prod
 
@@ -88,12 +87,25 @@ def test_total_space_class_counts():
 
 
 def test_a_pair_is_its_bundle_and_two_coordinate_vectors():
-    assert [field.name for field in fields(Pair)] == ["bundle", "q", "k"]
+    assert Pair.__slots__ == ("bundle", "q", "k")
     pair = pair_from_expressions("circle_trivial", "0", "t12^2*e", "t12*e")
     same = Pair(pair.bundle, pair.q, pair.k)
     assert same == pair and hash(same) == hash(pair)
     twisted = pair_from_expressions("circle_trivial", "t12*e").bundle
     assert Pair(twisted, pair.q, pair.k) != pair
+
+
+def test_a_pair_of_another_bundle_is_refused():
+    twisted = pair_from_expressions("circle_trivial", "t12*e", "0", "t12*e")
+    trivial = pair_from_expressions("circle_trivial", "0").total()
+    message = (r"a pair on E1\[t12\*e\] over circle_trivial is not a class on "
+               r"the total space of E0 over circle_trivial")
+    for use in (lambda: trivial.add_pullback(twisted, 0),
+                lambda: trivial.add_pullback(twisted, trivial.bundle.base.ring.zero()),
+                lambda: trivial.pushforward(twisted),
+                lambda: trivial.describe(twisted)):
+        with pytest.raises(ValueError, match=message):
+            use()
 
 
 def test_pushforward_and_pullback_parts():
