@@ -3,16 +3,6 @@ K-theory, including the T-duality transform for Real circle bundles."""
 
 from importlib import import_module
 
-from .exact_abelian import (
-    ClassificationError,
-    FGAbelianGroup,
-    IntegerMatrix,
-    RModule,
-    SmithDecomposition,
-    cokernel,
-    rmodule_classify,
-    smith_normal_form,
-)
 from .graded_algebra import (
     EQ,
     PM,
@@ -34,9 +24,13 @@ from .paper_rings import (
 )
 from .expressions import ParseError, parse_expression
 
-# Names from the heavier modules resolve on first use (PEP 562), so that
-# `import kdual` loads only the rings, the oracle and the linear algebra.
+# Names from the other modules resolve on first use (PEP 562), so that
+# `import kdual` loads only the rings, their rewriting, the oracle and the
+# expression parser; the linear algebra loads when a name of it is read.
 _LAZY = {
+    "exact_abelian": ("ClassificationError", "FGAbelianGroup", "IntegerMatrix", "RModule",
+                      "SmithDecomposition", "cokernel", "rmodule_classify",
+                      "smith_normal_form"),
     "transforms": ("GradedGroupTable", "group_cohomology_z2", "gysin_cohomology",
                    "kunneth_split", "pushforward_torus2", "t_power_table",
                    "t_transform"),

@@ -795,6 +795,9 @@ def rmodule_classify(module: RModule) -> Counter:
     These separate all sums of the four indecomposables; a mismatch on any
     of them raises ClassificationError.  Each operator's quotient and
     kernel come from one Smith form (see `RModule.quotient_and_kernel`).
+    A kernel's free rank always equals its quotient's (rank-nullity over
+    Q), so the kernels' 2-torsion is the only evidence they add: it is what
+    tells R/2R + R/I + R/J from R + (I/2I)^2.
     """
     ident = IntegerMatrix.identity(module.rank)
     one_minus = IntegerMatrix._trusted(module.rank, module.rank, tuple(

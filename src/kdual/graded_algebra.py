@@ -44,7 +44,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 
-from .exact_abelian import FGAbelianGroup, IntegerMatrix
 from .frozen import Frozen
 
 EQ = "eq"
@@ -522,6 +521,7 @@ class Slice(Frozen):
 
     @property
     def group(self) -> FGAbelianGroup:
+        from .exact_abelian import FGAbelianGroup
         return FGAbelianGroup.from_orders(self.orders)
 
     @property
@@ -550,6 +550,7 @@ class Slice(Frozen):
         """Matrix of the additive map fn from this slice to target (this
         slice by default): column j holds the target coordinates of fn
         applied to the j-th basis monomial."""
+        from .exact_abelian import IntegerMatrix
         target = self if target is None else target
         return IntegerMatrix.from_columns(
             [target.coords(fn(self.ring.element({m: 1}))) for m in self.monomials],

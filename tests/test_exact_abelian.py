@@ -638,6 +638,19 @@ def test_classification_rejects_r_mod_2r(shared_route_matches):
         rmodule_classify(module)
 
 
+def test_classification_rejects_a_kernel_mismatch(shared_route_matches):
+    # R/2R + R/I + R/J: the group and both quotients match R + (I/2I)^2,
+    # so the guard passes; only the kernels' 2-torsion, one Z/2 each where
+    # that sum has two, tells the modules apart
+    module = RModule(4, IntegerMatrix.from_rows([[2, 0], [0, 2], [0, 0], [0, 0]]),
+                     IntegerMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0],
+                                              [0, 0, 1, 0], [0, 0, 0, -1]]))
+    shared_route_matches(module)
+    with pytest.raises(ClassificationError,
+                       match=r"fingerprint mismatch: .*computed .*'k_minus': \(1, 1\)"):
+        rmodule_classify(module)
+
+
 def test_classify_with_dependent_relation_columns(shared_route_matches):
     # (I/2I)^2 + R/I with six relation columns spanning 2Z + 2Z + 0
     relations = IntegerMatrix.from_columns(

@@ -24,13 +24,31 @@ TEST_REFERENCES = {"canonical_pair", "inverse_unimodular", "rmodule_from_multise
 
 
 def test_import_loads_only_what_the_caller_uses():
+    # building and certifying every ring needs neither the linear algebra
+    # nor the transforms, the T-duality, the reports or the command line
     code = ("import sys, kdual\n"
-            "print(' '.join(m for m in ('kdual.tduality', 'kdual.suites', "
+            "from kdual import paper_rings\n"
+            "for name in paper_rings.RING_NAMES:\n"
+            "    paper_rings.build_ring(name)\n"
+            "print(len(paper_rings.RING_NAMES), ' '.join(m for m in ("
+            "'kdual.exact_abelian', 'kdual.tduality', 'kdual.suites', "
             "'kdual.transforms', 'kdual.cli', 'hashlib') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == []
+    assert out.split() == ["9"]
+
+
+def test_each_public_name_is_eager_or_lazy_once():
+    # the names `__init__.py` imports and the names `_LAZY` serves are
+    # disjoint and together make up `__all__`
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    eager = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    lazy = [name for names in kdual._LAZY.values() for name in names]
+    assert len(set(eager)) == len(eager) and len(set(lazy)) == len(lazy)
+    assert set(eager).isdisjoint(lazy)
+    assert sorted(eager + lazy) == sorted(kdual.__all__)
 
 
 def test_cold_start_loads_no_code_generator():

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ from kdual.paper_rings import (
     build_ring,
     dictionary,
     dictionary_failure,
+    embed_in_oracle,
     f_oracle,
     f_oracle_unit,
     golden_path,
@@ -106,6 +109,73 @@ def test_flat_torus_relation_holds_automatically():
     one2 = ExteriorKClass.unit(2)
     h = one2 - ExteriorKClass.build(2, {(1, 2): 1})
     assert (one2 - h) * (one2 - h) == ExteriorKClass.zero(2)
+
+
+def _exterior_basis(n):
+    return [ExteriorKClass.build(n, {indices: 1}) for size in range(n + 1)
+            for indices in combinations(range(1, n + 1), size)]
+
+
+def _random_exterior(rng, n):
+    # up to four terms on index words of any order, repeats included
+    return ExteriorKClass.build(n, [
+        (tuple(rng.randint(1, n) for _ in range(rng.randint(0, n))), rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 4))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exterior_arithmetic_is_build_of_the_raw_terms(n):
+    # `build` sorts each index word by adjacent swaps, flipping the sign at
+    # each, so it is the definition the operations are checked against
+    rng = random.Random(2500 + n)
+    basis = _exterior_basis(n)
+    elements = basis + [_random_exterior(rng, n) for _ in range(300)]
+    pairs = [(a, b) for a in basis for b in basis]
+    pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    for a, b in pairs:
+        assert a * b == ExteriorKClass.build(
+            n, [(k1 + k2, v1 * v2) for k1, v1 in a.terms for k2, v2 in b.terms])
+        assert a + b == ExteriorKClass.build(n, a.terms + b.terms)
+        assert a - b == ExteriorKClass.build(n, a.terms + tuple((k, -v) for k, v in b.terms))
+    for a in elements:
+        for k in (-2, -1, 0, 1, 3):
+            assert k * a == a * k == ExteriorKClass.build(n, [(i, k * v) for i, v in a.terms])
+
+
+def test_oracle_coefficients_coerce_an_int():
+    x = RElt(1, 2)
+    assert x + 3 == 3 + x == RElt(4, 2)
+    assert x * 3 == 3 * x == RElt(3, 6)
+    assert x * RElt(0, 1) == RElt(2, 1)
+    with pytest.raises(TypeError, match="non-integers"):
+        x + 1.5
+    with pytest.raises(TypeError, match="non-integers"):
+        x * "t"
+
+
+# every (torus dimension, ring, embedding) that the certification embeds through
+ORACLE_EMBEDDINGS = {
+    **{name: (d.torus_dim, d.ring_name, d.as_dict()) for name, d in DICTIONARIES.items()},
+    **{name: (3, "kk_circle_flip", e) for name, e in SUSPENSION_EMBEDDINGS.items()},
+    "even-3": (3, "kk_circle_flip", EVEN_EMBEDDING_2),
+    "even-2": (2, "kk_circle_flip", EVEN_EMBEDDING_2),
+    "odd-2": (2, "kk_circle_flip", ODD_EMBEDDING_2),
+}
+
+
+@pytest.mark.parametrize("n, ring_name, embedding", ORACLE_EMBEDDINGS.values(),
+                         ids=ORACLE_EMBEDDINGS)
+def test_embedding_is_the_sum_of_coefficient_times_image(n, ring_name, embedding):
+    ring = build_ring(ring_name)
+    labels = [parse_expression(ring, label) for label in embedding]
+    rng = random.Random(2600 + n)
+    elements = [ring.zero(), *labels]
+    elements += [sum((rng.randint(-4, 4) * u for u in labels), ring.zero()) for _ in range(100)]
+    for element in elements:
+        fold = f_oracle_unit(n) * 0
+        for exps, coeff in element.terms:
+            fold = fold + coeff * f_oracle(n, embedding[ring.monomial_str(exps)])
+        assert embed_in_oracle(n, embedding, element) == fold
 
 
 # --- rings build and certify ------------------------------------------------------
@@ -280,7 +350,7 @@ def test_dictionary_failure_names_a_basis_mismatch(tmp_path, monkeypatch):
 
 
 def test_embedding_images_are_cached_per_embedding():
-    from kdual.paper_rings import _embedding_images, embed_in_oracle
+    from kdual.paper_rings import _embedding_images
     ring = build_ring("kk_circle_flip")
     chi = ring.gen("chi")
     _embedding_images.cache_clear()
