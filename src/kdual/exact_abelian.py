@@ -60,17 +60,6 @@ class IntegerMatrix(Frozen):
         self._check_shape()
         _require_plain_ints(self.entries, "entries")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"IntegerMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
-
     def _check_shape(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -273,22 +262,9 @@ class SmithDecomposition(Frozen):
     d: IntegerMatrix
     v: IntegerMatrix
 
-    def __init__(self, u, d, v):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "v", v)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.u, self.d, self.v) == (other.u, other.d, other.v)
-
     def diagonal(self):
         n = min(self.d.rows, self.d.cols)
         return [self.d.entry(i, i) for i in range(n)]
-
-    def rank(self):
-        return sum(1 for x in self.diagonal() if x != 0)
 
     def solve(self, b) -> tuple | None:
         """One integer solution x of M @ x = b, or None."""
@@ -525,17 +501,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def inverse_unimodular(m: IntegerMatrix) -> IntegerMatrix:
-    """Inverse of a square matrix with determinant +1 or -1."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be unimodular")
-    s = smith_normal_form(m)
-    if s.diagonal() != [1] * m.rows:
-        raise ValueError("matrix is not unimodular")
-    # u m v = 1  =>  m^{-1} = v u
-    return s.v @ s.u
-
-
 # ---------------------------------------------------------------------------
 # lattices (subgroups of Z^n, given by spanning columns)
 
@@ -584,7 +549,6 @@ class FGAbelianGroup(Frozen):
 
     def __init__(self, invariant_factors=()):
         invariant_factors = tuple(invariant_factors)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
         _require_plain_ints(invariant_factors, "invariant factors")
         tors = [f for f in invariant_factors if f != 0]
         zeros = [f for f in invariant_factors if f == 0]
@@ -596,14 +560,7 @@ class FGAbelianGroup(Frozen):
         for prev, nxt in zip(tors, tors[1:]):
             if nxt % prev:
                 raise ValueError("each torsion order must divide the next")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
-
-    def __hash__(self):
-        return hash((self.invariant_factors,))
+        super().__init__(invariant_factors)
 
     @classmethod
     def from_orders(cls, orders):
@@ -698,9 +655,7 @@ class RModule(Frozen):
             raise DimensionMismatchError("relations live in the wrong rank")
         if (action.rows, action.cols) != (rank, rank):
             raise DimensionMismatchError("action matrix must be square of the rank")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "action", action)
+        super().__init__(rank, relations, action)
         # both conditions are membership in the relation lattice of the
         # columns of [A @ relations | A^2 - I], which U and the diagonal of
         # its Smith form decide from one product U @ [...]
@@ -714,21 +669,8 @@ class RModule(Frozen):
             raise ValueError("action does not preserve the relations")
         if not _columns_in_lattice(coords, diag, slice(relations.cols, None)):
             raise ValueError("action is not an involution modulo the relations")
-        # not a field, so equality, hashing and repr see only the presentation
+        # not annotated, so equality, hashing and repr see only the presentation
         object.__setattr__(self, "_smith_diagonal", tuple(diag))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.rank, self.relations, self.action)
-                == (other.rank, other.relations, other.action))
-
-    def __hash__(self):
-        return hash((self.rank, self.relations, self.action))
-
-    def __repr__(self):
-        return (f"RModule(rank={self.rank!r}, relations={self.relations!r}, "
-                f"action={self.action!r})")
 
     def underlying_group(self) -> FGAbelianGroup:
         return _group_of_diagonal(self._smith_diagonal, self.rank)
@@ -756,16 +698,6 @@ def indecomposable(name: str) -> RModule:
     relations, action = INDECOMPOSABLE_PRESENTATIONS[name]
     return RModule(len(action), IntegerMatrix.from_rows(relations),
                    IntegerMatrix.from_rows(action))
-
-
-def rmodule_from_multiset(multiset) -> RModule:
-    counts = Counter(multiset)
-    mods = []
-    for name in INDECOMPOSABLES:
-        mods.extend([indecomposable(name)] * counts[name])
-    return RModule(sum(m.rank for m in mods),
-                   IntegerMatrix.block_diagonal(*(m.relations for m in mods)),
-                   IntegerMatrix.block_diagonal(*(m.action for m in mods)))
 
 
 def multiset_group(multiset) -> FGAbelianGroup:

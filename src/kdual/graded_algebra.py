@@ -77,17 +77,6 @@ class Degree(Frozen):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "variant", variant)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.level == other.level and self.variant == other.variant
-
-    def __hash__(self):
-        return hash((self.level, self.variant))
-
-    def __repr__(self):
-        return f"Degree(level={self.level!r}, variant={self.variant!r})"
-
     def __add__(self, other):
         variant = EQ if self.variant == other.variant else PM
         return Degree(self.level + other.level, variant)
@@ -105,18 +94,7 @@ class GeneratorSpec(Frozen):
     def __init__(self, name, degree, additive_order=0):
         if additive_order not in (0, 2):
             raise ValueError("additive orders other than 0 and 2 are not supported")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "additive_order", additive_order)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.degree, self.additive_order)
-                == (other.name, other.degree, other.additive_order))
-
-    def __hash__(self):
-        return hash((self.name, self.degree, self.additive_order))
+        super().__init__(name, degree, additive_order)
 
 
 def _heap_key(exps):
@@ -363,14 +341,6 @@ class PresentedRing:
         exps = tuple(1 if i == self._index[name] else 0 for i in range(len(self.generators)))
         return self.element({exps: 1})
 
-    def from_named_terms(self, terms) -> "RingElement":
-        """terms: iterable of (monomial dict keyed by generator name, coeff)."""
-        raw = {}
-        for mono, coeff in terms:
-            exps = self._exps_from_dict(dict(mono))
-            raw[exps] = raw.get(exps, 0) + int(coeff)
-        return self.element(raw)
-
 
 def _raw_product(first, second) -> dict:
     """The product of two iterables of (exps, coeff) terms in the free
@@ -508,12 +478,6 @@ class Slice(Frozen):
     degree: Degree
     monomials: tuple  # exponent tuples in monomial order
     orders: tuple     # additive order per basis monomial (0 = free)
-
-    def __init__(self, ring, degree, monomials, orders):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "monomials", monomials)
-        object.__setattr__(self, "orders", orders)
 
     @property
     def labels(self):

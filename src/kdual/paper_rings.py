@@ -150,15 +150,6 @@ class ExteriorKClass(Frozen):
     n: int
     terms: tuple  # sorted tuple of (index tuple, coeff)
 
-    def __init__(self, n, terms):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
     @classmethod
     def build(cls, n, data):
         """The class of (index word, coefficient) terms in any order: each
@@ -199,10 +190,6 @@ class ExteriorKClass(Frozen):
     def unit(cls, n):
         return cls(n, (((), 1),))
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, ())
-
     def __add__(self, other):
         if other.n != self.n:
             raise ValueError("mixed exterior algebras")
@@ -236,9 +223,6 @@ class ExteriorKClass(Frozen):
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficients(self):
         return dict(self.terms)
 
@@ -249,15 +233,6 @@ class RElt(Frozen):
     __slots__ = ("a", "b")
     a: int
     b: int
-
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
 
     def __add__(self, other):
         if not isinstance(other, RElt):
@@ -303,17 +278,6 @@ class FOracleImage(Frozen):
     n: int
     forgetful: ExteriorKClass
     fixed_points: tuple
-
-    def __init__(self, n, forgetful, fixed_points):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "forgetful", forgetful)
-        object.__setattr__(self, "fixed_points", fixed_points)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n, self.forgetful, self.fixed_points)
-                == (other.n, other.forgetful, other.fixed_points))
 
     def _check(self, other):
         if not isinstance(other, FOracleImage) or other.n != self.n:
@@ -571,11 +535,6 @@ class Dictionary(Frozen):
     ring_name: str
     torus_dim: int
     entries: tuple  # ((monomial label, oracle expression), ...)
-
-    def __init__(self, ring_name, torus_dim, entries):
-        object.__setattr__(self, "ring_name", ring_name)
-        object.__setattr__(self, "torus_dim", torus_dim)
-        object.__setattr__(self, "entries", entries)
 
     def as_dict(self):
         return dict(self.entries)

@@ -53,13 +53,6 @@ class Check(Frozen):
     expected: str
     actual: str
 
-    def __init__(self, id, reference, status, expected, actual):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-
     def to_json(self):
         return {"id": self.id, "reference": self.reference, "status": self.status,
                 "expected": self.expected, "actual": self.actual}
@@ -69,10 +62,6 @@ class Report(Frozen):
     __slots__ = ("suite", "checks")
     suite: str
     checks: tuple
-
-    def __init__(self, suite, checks):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "checks", checks)
 
     @property
     def failed(self):

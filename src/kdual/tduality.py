@@ -113,18 +113,6 @@ class RealCircleBundle(Frozen):
     base_name: str
     chern_coords: tuple
 
-    def __init__(self, base_name, chern_coords):
-        object.__setattr__(self, "base_name", base_name)
-        object.__setattr__(self, "chern_coords", chern_coords)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base_name == other.base_name and self.chern_coords == other.chern_coords
-
-    def __hash__(self):
-        return hash((self.base_name, self.chern_coords))
-
     @classmethod
     def from_chern(cls, base: BaseSpace, chern_element):
         if not chern_element.is_homogeneous(Degree(2, PM)):
@@ -250,19 +238,6 @@ class Pair(Frozen):
     q: tuple  # smallest reduced degree-(3, eq) base coordinates in the coset
     k: tuple  # reduced degree-(2, pm) base coordinates of the push-forward
 
-    def __init__(self, bundle, q, k):
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.bundle, self.q, self.k) == (other.bundle, other.q, other.k)
-
-    def __hash__(self):
-        return hash((self.bundle, self.q, self.k))
-
     def total(self) -> TotalSpaceH3:
         return _total_space(self.bundle)
 
@@ -310,10 +285,6 @@ class TDualResult(Frozen):
     __slots__ = ("dual", "certificate")
     dual: Pair
     certificate: tuple  # sorted key/value pairs
-
-    def __init__(self, dual, certificate):
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "certificate", certificate)
 
 
 def tdual(pair: Pair) -> TDualResult:
@@ -378,18 +349,6 @@ class PairClass(Frozen):
     representative: Pair
     dual_index: int
     label: str
-
-    def __init__(self, index, representative, dual_index, label):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "dual_index", dual_index)
-        object.__setattr__(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.index, self.representative, self.dual_index, self.label)
-                == (other.index, other.representative, other.dual_index, other.label))
 
 
 class DualityTable:
@@ -642,12 +601,6 @@ class TwistedKTable(Frozen):
     clutching: tuple  # (flip, multiplier)
     derived: dict
     printed: dict
-
-    def __init__(self, pair_label, clutching, derived, printed):
-        object.__setattr__(self, "pair_label", pair_label)
-        object.__setattr__(self, "clutching", clutching)
-        object.__setattr__(self, "derived", derived)
-        object.__setattr__(self, "printed", printed)
 
     def modules(self, degree, side) -> Counter:
         return Counter(self.derived[degree % 2, side])

@@ -197,16 +197,7 @@ def t_power_table(k: int) -> dict:
 class TableEntry(Frozen):
     __slots__ = ("group", "modules")
     group: FGAbelianGroup
-    modules: tuple | None  # sorted (name, multiplicity) pairs
-
-    def __init__(self, group, modules=None):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "modules", modules)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.group == other.group and self.modules == other.modules
+    modules: tuple | None  # sorted (name, multiplicity) pairs, or None for a bare group
 
     @classmethod
     def from_counter(cls, counter: Counter):
@@ -255,7 +246,7 @@ def k_table_of_ring(name: str) -> GradedGroupTable:
 def h_table_of_ring(name: str) -> GradedGroupTable:
     ring = build_ring(name)
     return GradedGroupTable("H", lambda level, variant: TableEntry(
-        degree_component(ring, Degree(level, variant)).group))
+        degree_component(ring, Degree(level, variant)).group, None))
 
 
 def split_table(table: GradedGroupTable) -> GradedGroupTable:
@@ -266,7 +257,7 @@ def split_table(table: GradedGroupTable) -> GradedGroupTable:
         below = table.entry(level - 1, PM if variant == EQ else EQ)
         group = here.group.direct_sum(below.group)
         if here.modules is None:
-            return TableEntry(group)
+            return TableEntry(group, None)
         merged = Counter(dict(here.modules)) + Counter(dict(below.modules or ()))
         return TableEntry(group, tuple(sorted(merged.items())))
     return GradedGroupTable(table.theory, compute)
@@ -327,19 +318,11 @@ class GysinDegreeData(Frozen):
     with the Euler class (the image of the pull-back).
     """
 
-    __slots__ = ("base_slice", "kernel_slice", "into", "kernel_vectors", "split_certified")
+    __slots__ = ("base_slice", "kernel_slice", "into", "kernel_vectors")
     base_slice: Slice          # degree (n, v) of the base
     kernel_slice: Slice        # degree (n-1, flip v) of the base
     into: IntegerMatrix        # euler cup: degree (n-2, flip v) -> base_slice
     kernel_vectors: IntegerMatrix  # columns spanning ker(euler cup) on kernel_slice
-    split_certified: bool
-
-    def __init__(self, base_slice, kernel_slice, into, kernel_vectors, split_certified):
-        object.__setattr__(self, "base_slice", base_slice)
-        object.__setattr__(self, "kernel_slice", kernel_slice)
-        object.__setattr__(self, "into", into)
-        object.__setattr__(self, "kernel_vectors", kernel_vectors)
-        object.__setattr__(self, "split_certified", split_certified)
 
     def cokernel_group(self) -> FGAbelianGroup:
         return cokernel(relation_lattice(self.base_slice.orders).hstack(self.into))
@@ -357,13 +340,8 @@ def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str) -
 
     into = two_below.matrix(lambda e: euler * e, here)
     out = below.matrix(lambda e: euler * e, above)
-    return GysinDegreeData(
-        base_slice=here,
-        kernel_slice=below,
-        into=into,
-        kernel_vectors=preimage_lattice(out, relation_lattice(above.orders)),
-        split_certified=euler.is_zero(),
-    )
+    return GysinDegreeData(here, below, into,
+                           preimage_lattice(out, relation_lattice(above.orders)))
 
 
 def gysin_cohomology(base_ring, euler: RingElement) -> GradedGroupTable:
@@ -384,9 +362,9 @@ def gysin_cohomology(base_ring, euler: RingElement) -> GradedGroupTable:
     def compute(level, variant):
         data = gysin_degree_data(base_ring, euler, level, variant)
         ker, cok = data.kernel_group(), data.cokernel_group()
-        if not data.split_certified and ker.torsion_orders and not cok.is_trivial():
+        if not euler.is_zero() and ker.torsion_orders and not cok.is_trivial():
             raise ExtensionError(
                 f"the extension of {ker} by {cok} in degree ({level}, {variant}) "
                 "is left open by the sequence")
-        return TableEntry(cok.direct_sum(ker))
+        return TableEntry(cok.direct_sum(ker), None)
     return GradedGroupTable("H", compute)

@@ -12,7 +12,6 @@ from kdual.exact_abelian import (
     IntegerMatrix,
     multiset_group,
     rmodule_classify,
-    rmodule_from_multiset,
     smith_normal_form,
 )
 from kdual.expressions import parse_expression
@@ -32,6 +31,8 @@ from kdual.paper_rings import (
     verify_relation_via_oracle,
 )
 from kdual import tduality, transforms
+
+from helpers import rmodule_from_multiset
 
 
 def _passed(number, message):

@@ -22,9 +22,7 @@ from kdual.exact_abelian import (
     INDECOMPOSABLES,
     IntegerMatrix,
     RModule,
-    inverse_unimodular,
     rmodule_classify,
-    rmodule_from_multiset,
     smith_normal_form,
 )
 from kdual.expressions import parse_expression
@@ -38,6 +36,8 @@ from kdual.graded_algebra import (
     degree_component,
 )
 from kdual.paper_rings import RING_NAMES, build_ring
+
+from helpers import inverse_unimodular, rmodule_from_multiset
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 

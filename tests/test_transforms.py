@@ -35,6 +35,8 @@ from kdual.transforms import (
     t_transform,
 )
 
+from helpers import from_named_terms
+
 
 # --- push-forwards -----------------------------------------------------------------
 
@@ -92,9 +94,9 @@ def test_section_splits_pushforward():
 
 def _renamed_pullback(axis, element):
     rename = {"t": "t", "sigma": "sigma", "chi": f"chi{axis}"}
-    return build_ring("kk_torus2").from_named_terms(
+    return from_named_terms(build_ring("kk_torus2"), (
         ({rename[g.name]: e for g, e in zip(element.ring.generators, exps) if e}, coeff)
-        for exps, coeff in element.terms)
+        for exps, coeff in element.terms))
 
 
 def _renamed_pushforward(axis, element):
@@ -105,7 +107,7 @@ def _renamed_pushforward(axis, element):
         if mono.pop(fiber, 0):
             terms.append(({"chi" if name == keep else name: e for name, e in mono.items()},
                           coeff))
-    return build_ring("kk_circle_flip").from_named_terms(terms)
+    return from_named_terms(build_ring("kk_circle_flip"), terms)
 
 
 def _random_elements(ring, seed, count=200):
@@ -452,7 +454,7 @@ def test_each_entry_is_worked_out_once_per_table(monkeypatch):
 
     def compute(level, variant):
         calls.append((level, variant))
-        return TableEntry(group_cohomology_z2(0, level))
+        return TableEntry(group_cohomology_z2(0, level), None)
     table = GradedGroupTable("K", compute)
     for level in (0, 1, 2, 3, -1, 0):
         for variant in (EQ, PM):

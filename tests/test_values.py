@@ -1,5 +1,7 @@
-"""Value semantics of kdual's value classes, and the checks their
-constructors make."""
+"""Value semantics of kdual's value classes, the checks their
+constructors make, and the checks on input that no other test reaches."""
+
+from unittest.mock import ANY
 
 import pytest
 
@@ -13,17 +15,28 @@ from kdual.exact_abelian import (
     smith_normal_form,
 )
 from kdual.frozen import Frozen
-from kdual.graded_algebra import EQ, PM, Degree, GeneratorSpec, Slice, degree_component
+from kdual.graded_algebra import (
+    EQ,
+    PM,
+    Degree,
+    GeneratorSpec,
+    Slice,
+    UnknownGeneratorError,
+    apply_ring_hom,
+    degree_component,
+    verify_ring_hom,
+)
 from kdual.paper_rings import (
     Dictionary,
     ExteriorKClass,
     FOracleImage,
     RElt,
     build_ring,
-    dictionary,
     f_oracle_unit,
+    forgetful_images,
+    nonequivariant_ring,
 )
-from kdual.suites import Check, Report
+from kdual.suites import Check, Report, run_suite
 from kdual.tduality import (
     Pair,
     PairClass,
@@ -34,7 +47,7 @@ from kdual.tduality import (
     tdual,
     twisted_k_mv,
 )
-from kdual.transforms import GysinDegreeData, TableEntry, gysin_degree_data
+from kdual.transforms import GradedGroupTable, GysinDegreeData, TableEntry, gysin_degree_data
 
 
 def _twisted_pair():
@@ -59,7 +72,7 @@ BUILDERS = {
     ExteriorKClass: lambda: ExteriorKClass.unit(2),
     RElt: lambda: RElt(1, 2),
     FOracleImage: lambda: f_oracle_unit(1),
-    Dictionary: lambda: dictionary("circle"),
+    Dictionary: lambda: Dictionary("kk_circle_flip", 1, (("1", "C0"), ("t", "C1"))),
     Check: lambda: Check("id", "reference", "pass", "1", "1"),
     Report: lambda: Report("suite", ()),
     RealCircleBundle: lambda: RealCircleBundle("circle_trivial", (1,)),
@@ -67,12 +80,11 @@ BUILDERS = {
     TDualResult: lambda: tdual(pair_from_expressions("point", "0")),
     PairClass: lambda: PairClass(0, _twisted_pair(), 0, "label"),
     TwistedKTable: lambda: twisted_k_mv(pair_from_expressions("circle_trivial", "0")),
-    TableEntry: lambda: TableEntry(FGAbelianGroup((2,))),
+    TableEntry: lambda: TableEntry(FGAbelianGroup((2,)), None),
     GysinDegreeData: _gysin_data,
 }
-# the classes whose instances are dict keys or set members
-KEY_CLASSES = (Degree, GeneratorSpec, IntegerMatrix, FGAbelianGroup, RModule,
-               RealCircleBundle, Pair)
+# the one class with a field that cannot be hashed (its dicts)
+UNHASHABLE = (TwistedKTable,)
 
 
 def _name(cls):
@@ -101,14 +113,62 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         value.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls", KEY_CLASSES, ids=_name)
-def test_keys_built_from_equal_fields_are_equal(cls):
+@pytest.mark.parametrize("cls", BUILDERS, ids=_name)
+def test_values_built_from_equal_fields_are_equal(cls):
     first, second = BUILDERS[cls](), BUILDERS[cls]()
     assert first is not second
     assert first == second and not first != second
+    # another class is never equal, whatever its fields, but may decide
+    # the comparison itself (ANY equals everything)
+    assert first != object() and object() != first
+    assert first == ANY
+    fields = [getattr(first, name) for name in cls._fields]
+    # every field takes part: replacing any one gives an unequal value
+    for i in range(len(fields)):
+        changed = object.__new__(cls)
+        Frozen.__init__(changed, *fields[:i], object(), *fields[i + 1:])
+        assert first != changed and changed != first
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(first)
+
+
+@pytest.mark.parametrize("cls", [cls for cls in BUILDERS if cls not in UNHASHABLE], ids=_name)
+def test_keys_built_from_equal_fields_are_equal(cls):
+    first, second = BUILDERS[cls](), BUILDERS[cls]()
+    assert first is not second
     assert hash(first) == hash(second)
-    assert len({first, second}) == 1
-    assert first != object()
+    assert len({first, second}) == 1 and {first: 1}[second] == 1
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=_name)
+def test_a_wrong_field_count_raises_type_error(cls):
+    fields = [getattr(BUILDERS[cls](), name) for name in cls._fields]
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+
+
+def test_the_shared_constructor_names_the_fields():
+    with pytest.raises(TypeError, match=r"TableEntry takes 2 fields \('group', 'modules'\), not 1"):
+        TableEntry(FGAbelianGroup())
+    with pytest.raises(TypeError, match="Report takes 2 fields"):
+        Report("suite", (), None)
+
+
+def test_a_cache_slot_is_not_part_of_the_value():
+    first, second = indecomposable("R"), indecomposable("R")
+    object.__setattr__(second, "_smith_diagonal", (5,))
+    assert first._smith_diagonal != second._smith_diagonal
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) and "_smith_diagonal" not in repr(first)
+
+
+def test_repr_names_each_field():
+    assert repr(Degree(3, PM)) == "Degree(level=3, variant='pm')"
+    assert repr(IntegerMatrix(1, 2, (1, 2))) == "IntegerMatrix(rows=1, cols=2, entries=(1, 2))"
+    assert repr(indecomposable("I/2I")) == (
+        "RModule(rank=1, relations=IntegerMatrix(rows=1, cols=1, entries=(2,)), "
+        "action=IntegerMatrix(rows=1, cols=1, entries=(-1,)))")
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -129,3 +189,39 @@ def test_keys_built_from_equal_fields_are_equal(cls):
 def test_constructors_refuse_bad_fields(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def _circle_ring():
+    return build_ring("kk_circle_flip")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IntegerMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
+    (lambda: IntegerMatrix.from_rows([[1, 2]], cols=3), ValueError,
+     "explicit cols disagrees with row width"),
+    (lambda: IntegerMatrix.from_columns([[1, 2], [3]]), ValueError, "ragged columns"),
+    (lambda: IntegerMatrix.from_columns([[1, 2]], rows=3), ValueError,
+     "explicit rows disagrees with column height"),
+    (lambda: IntegerMatrix.zeros(1, 2).hstack(IntegerMatrix.zeros(2, 2)),
+     DimensionMismatchError, "hstack needs equal row counts"),
+    (lambda: IntegerMatrix.zeros(2, 1).vstack(IntegerMatrix.zeros(2, 2)),
+     DimensionMismatchError, "vstack needs equal column counts"),
+    (lambda: nonequivariant_ring("no_such_ring"), ValueError, "unknown ring name 'no_such_ring'"),
+    (lambda: forgetful_images("no_such_ring"), ValueError, "no forgetful map for 'no_such_ring'"),
+    (lambda: run_suite("no_such_suite"), ValueError, "unknown suite 'no_such_suite'"),
+    (lambda: GradedGroupTable("KO", None), ValueError, "theory must be 'K' or 'H'"),
+    (lambda: ExteriorKClass.unit(1) + ExteriorKClass.unit(2), ValueError,
+     "mixed exterior algebras"),
+    (lambda: ExteriorKClass.unit(1) * ExteriorKClass.unit(2), ValueError,
+     "mixed exterior algebras"),
+    (lambda: f_oracle_unit(1) + f_oracle_unit(2), ValueError, "oracle images of different tori"),
+    (lambda: apply_ring_hom(_circle_ring(), _circle_ring(), {}, _circle_ring().one()),
+     UnknownGeneratorError, "no image given for generator 't'"),
+    (lambda: verify_ring_hom(_circle_ring(), _circle_ring(), {}),
+     UnknownGeneratorError, "no image given for generator 't'"),
+], ids=["from-rows-ragged", "from-rows-width", "from-columns-ragged", "from-columns-height",
+        "hstack", "vstack", "nonequivariant-ring-name", "forgetful-map-name", "suite-name", "table-theory",
+        "exterior-sum", "exterior-product", "oracle-tori", "apply-ring-hom", "verify-ring-hom"])
+def test_input_checks_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
