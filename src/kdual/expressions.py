@@ -12,9 +12,19 @@ it serves any ring whose elements support them: the presented rings
 (through :func:`parse_expression`) and the fixed-point oracle algebra.
 The caller supplies the unit (an integer literal n evaluates to one * n)
 and a function that resolves a name at its position or raises ParseError.
+
+The text is split into tokens by one compiled pattern, matched once per
+token.  A name is a letter or '_' followed by letters, decimal digits
+and '_'; an integer is a run of decimal digits (str.isdecimal); anything
+else but whitespace and the operators is an "unexpected character" at
+its position.  In a presented ring, sums, negations and integer
+multiples of normal elements skip the rule search, and the unit and the
+generators are built once per ring, so only products and powers rewrite.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class ParseError(ValueError):
@@ -25,41 +35,52 @@ class ParseError(ValueError):
 
 _MINUS = {"-", "−"}  # ASCII hyphen and the unicode minus sign
 
+# One token after optional whitespace: a run of decimal digits, a word
+# that does not start with one, or any other single character; at the
+# end of the text no group matches.  In a str pattern \s and \d are
+# exactly str.isspace and str.isdecimal, but \w also takes characters
+# that are numeric without being decimal, such as a superscript two.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(.))?")
+
+
+def _name_length(word):
+    """Length of the longest prefix of a \\w word made of letters, decimal
+    digits and '_'.  The word does not start with a decimal digit, so a
+    nonempty prefix is a name; 0 means it starts with a numeral such as
+    a superscript two."""
+    if word.isascii():
+        return len(word)
+    for n, ch in enumerate(word):
+        if not (ch.isalpha() or ch.isdecimal() or ch == "_"):
+            return n
+    return len(word)
+
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalpha() or text[j].isdecimal()
-                                     or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _MINUS:
-            tokens.append(("op", "-", i))
-            i += 1
-            continue
-        if ch in "+*^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, len(text)))
-    return tokens
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        found = match(text, pos)
+        group = found.lastindex
+        if group is None:
+            tokens.append(("end", None, len(text)))
+            return tokens
+        start, pos = found.span(group)
+        value = found[group]
+        if group == 1:
+            tokens.append(("int", int(value), start))
+        elif group == 2:
+            n = _name_length(value)
+            if n < len(value):
+                raise ParseError(f"unexpected character {value[n]!r}", start + n)
+            tokens.append(("name", value, start))
+        elif value in _MINUS:
+            tokens.append(("op", "-", start))
+        elif value in "+*^()":
+            tokens.append(("op", value, start))
+        else:
+            raise ParseError(f"unexpected character {value!r}", start)
 
 
 class _Parser:

@@ -150,6 +150,12 @@ class PresentedRing:
         ring._validate_rules()
         ring._check_confluence()
         ring._slice_slack, ring._uncapped = ring._prove_slices_finite()
+        # the unit and the generators, built once: the parser and integer
+        # arithmetic read them on every call, and ring equality ignores them
+        n = len(ring.generators)
+        ring._one = ring.element({(0,) * n: 1})
+        ring._gens = {g.name: ring.element({tuple(int(i == k) for i in range(n)): 1})
+                      for k, g in enumerate(ring.generators)}
         return ring
 
     def _exps_from_dict(self, monomial):
@@ -297,6 +303,11 @@ class PresentedRing:
         monomial replaces it by quotient * rhs, or, if none does, the term
         is emitted.  Every rule lowers the order, and the order is
         multiplicative, so the pushed monomials are all smaller.
+
+        `element` and every product run this rule search.  A sum, a
+        negation or an integer multiple of normal elements has only
+        normal monomials, so no rule can fire on it: `_normal_sum` does
+        the rest of the work (reduce, drop zeros, order) without it.
         """
         coeffs = {exps: coeff for exps, coeff in terms.items() if coeff}
         heap = [(_heap_key(exps), exps) for exps in coeffs]
@@ -322,6 +333,17 @@ class PresentedRing:
                     heappush(heap, (_heap_key(new), new))
         return out
 
+    def _normal_sum(self, terms: dict) -> "RingElement":
+        """The element of a sum of normal monomials: each coefficient is
+        reduced by its monomial's additive order, zeros are dropped and
+        the terms are put in monomial order.  No rule is searched for."""
+        out = []
+        for exps in sorted(terms, key=self.monomial_key):
+            coeff = self._reduce_coeff(exps, terms[exps])
+            if coeff:
+                out.append((exps, coeff))
+        return RingElement(self, tuple(out))
+
     # -- element constructors ---------------------------------------------------
 
     def element(self, terms: dict) -> "RingElement":
@@ -333,13 +355,12 @@ class PresentedRing:
         return self.element({})
 
     def one(self) -> "RingElement":
-        return self.element({(0,) * len(self.generators): 1})
+        return self._one
 
     def gen(self, name) -> "RingElement":
-        if name not in self._index:
+        if name not in self._gens:
             raise UnknownGeneratorError(f"{self.name} has no generator {name!r}")
-        exps = tuple(1 if i == self._index[name] else 0 for i in range(len(self.generators)))
-        return self.element({exps: 1})
+        return self._gens[name]
 
 
 def _raw_product(first, second) -> dict:
@@ -370,7 +391,7 @@ class RingElement:
                 raise ValueError("elements of different rings")
             return other
         if isinstance(other, int):
-            return self.ring.element({(0,) * len(self.ring.generators): other})
+            return self.ring.one() * other
         raise TypeError("cannot mix ring elements with non-integers")
 
     def __add__(self, other):
@@ -378,12 +399,12 @@ class RingElement:
         raw = dict(self.terms)
         for exps, coeff in other.terms:
             raw[exps] = raw.get(exps, 0) + coeff
-        return self.ring.element(raw)
+        return self.ring._normal_sum(raw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring.element({exps: -c for exps, c in self.terms})
+        return self.ring._normal_sum({exps: -c for exps, c in self.terms})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -392,6 +413,8 @@ class RingElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):  # the monomials stay normal
+            return self.ring._normal_sum({exps: c * other for exps, c in self.terms})
         return self.ring.element(_raw_product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__

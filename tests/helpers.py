@@ -9,6 +9,7 @@ from kdual.exact_abelian import (
     indecomposable,
     smith_normal_form,
 )
+from kdual.expressions import ParseError
 
 
 def inverse_unimodular(m: IntegerMatrix) -> IntegerMatrix:
@@ -40,3 +41,41 @@ def from_named_terms(ring, terms):
         exps = ring._exps_from_dict(dict(mono))
         raw[exps] = raw.get(exps, 0) + int(coeff)
     return ring.element(raw)
+
+
+def reference_tokenize(text):
+    """The tokens of an expression, read one character at a time: the
+    model that `kdual.expressions._tokenize` must agree with."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalpha() or text[j].isdecimal()
+                                     or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in ("-", "\u2212"):  # ASCII hyphen and the unicode minus sign
+            tokens.append(("op", "-", i))
+            i += 1
+            continue
+        if ch in "+*^()":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
+    return tokens

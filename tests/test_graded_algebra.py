@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kdual.exact_abelian import FGAbelianGroup, IntegerMatrix
-from kdual.expressions import ParseError, parse_expression
+from kdual.expressions import ParseError, _tokenize, parse_expression
 from kdual.graded_algebra import (
     EQ,
     PM,
@@ -29,7 +29,7 @@ from kdual.paper_rings import (
     nonequivariant_ring,
 )
 
-from helpers import from_named_terms
+from helpers import from_named_terms, reference_tokenize
 
 
 def random_element(rng, ring, max_terms=4, max_exp=3, max_coeff=3):
@@ -140,6 +140,62 @@ def test_graded_unit():
         for _ in range(50):
             a = random_element(rng, ring)
             assert ring.one() * a == a
+
+
+def _raw_sum(*scaled):
+    """The raw terms of a sum of (element, integer multiplier) pairs."""
+    raw = {}
+    for element, k in scaled:
+        for exps, coeff in element.terms:
+            raw[exps] = raw.get(exps, 0) + k * coeff
+    return raw
+
+
+def test_sums_negations_and_integer_multiples_match_the_full_normalizer():
+    # these skip the rule search, since no rule can fire on normal monomials
+    rng = random.Random(27)
+    for name in RING_NAMES:
+        ring = build_ring(name)
+        one = ring.one()
+        for _ in range(30):
+            a, b = random_element(rng, ring), random_element(rng, ring)
+            for value, raw in ((a + b, _raw_sum((a, 1), (b, 1))),
+                               (a - b, _raw_sum((a, 1), (b, -1))),
+                               (-a, _raw_sum((a, -1))),
+                               (3 * a, _raw_sum((a, 3))),
+                               (a * -2, _raw_sum((a, -2))),
+                               (5 - a, _raw_sum((one, 5), (a, -1))),
+                               (a + 2, _raw_sum((a, 1), (one, 2)))):
+                assert value.terms == ring.element(raw).terms, (name, a, b)
+
+
+def test_generators_and_the_unit_are_built_once_per_ring():
+    for name in RING_NAMES:
+        ring = build_ring(name)
+        n = len(ring.generators)
+        assert ring.one() is ring.one()
+        assert ring.one().terms == ring.element({(0,) * n: 1}).terms
+        for k, g in enumerate(ring.generators):
+            assert ring.gen(g.name) is ring.gen(g.name)
+            exps = tuple(int(i == k) for i in range(n))
+            assert ring.gen(g.name).terms == ring.element({exps: 1}).terms
+        with pytest.raises(UnknownGeneratorError, match=f"{name} has no generator 'nope'"):
+            ring.gen("nope")
+
+
+def test_the_zero_ring():
+    # the rule 1 -> 0 rewrites every monomial, so every element is 0 and no
+    # monomial is normal
+    z = PresentedRing.define("z", [("x", 1, EQ, 0)], [({}, [])])
+    assert z.one().is_zero() and z.one() == 0
+    assert (3 * z.one()).is_zero()
+    assert z.gen("x").is_zero()
+    assert parse_expression(z, "2 + x").is_zero()
+    assert normal_monomials(z, 5) == []
+    # no monomial has a negative total exponent, not even 1 in a ring
+    # without generators
+    for ring in [*map(build_ring, RING_NAMES), nonequivariant_ring("h_point")]:
+        assert normal_monomials(ring, -1) == []
 
 
 def test_element_operators_with_integers_and_other_types():
@@ -439,6 +495,13 @@ def test_parse_error_position():
     with pytest.raises(ParseError, match="unknown generator 'nope'") as err:
         parse_expression(kk, "1 + nope")
     assert err.value.position == 4
+    for text, message, position in (("(sigma", "expected ')'", 6),
+                                    ("sigma^x", "exponent must be an integer literal", 6),
+                                    ("sigma)", "trailing input", 5)):
+        with pytest.raises(ParseError) as err:
+            parse_expression(kk, text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
 
 @pytest.mark.parametrize("text, position",
@@ -448,6 +511,25 @@ def test_superscript_digit_is_a_parse_error(text, position):
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse_expression(build_ring("kk_circle_flip"), text)
     assert err.value.position == position
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def test_tokenizer_matches_the_character_by_character_reference():
+    # below U+3000 lie spaces, decimal digits of many scripts, letters, and
+    # numerals that are not decimal (superscripts, fractions), which a
+    # regular expression's \w accepts; past it, an ideographic space, a
+    # fullwidth digit, a mathematical digit and a Roman numeral
+    for cp in [*range(0x3000), 0x3000, 0xFF10, 0x1D7CE, 0x2160]:
+        ch = chr(cp)
+        for text in (ch, "a" + ch, ch + "1", f" {ch} "):
+            assert (_tokens_or_error(_tokenize, text)
+                    == _tokens_or_error(reference_tokenize, text)), (hex(cp), text)
 
 
 def test_element_serialization_round_trip():
