@@ -675,21 +675,6 @@ class RModule(Frozen):
     def underlying_group(self) -> FGAbelianGroup:
         return _group_of_diagonal(self._smith_diagonal, self.rank)
 
-    def quotient_and_kernel(self, op: IntegerMatrix):
-        """M / op(M) and the kernel of op on M, for an operator op on the
-        ambient Z^rank, from one Smith form of [op | -relations].
-
-        Its diagonal is that of [relations | op] up to the order and sign of
-        columns, so it presents the quotient.  The columns of V past the
-        rank span {(x, y) : op x = relations y}, so their first `op.cols`
-        entries span `preimage_lattice(op, relations)`, whose quotient by
-        the relations is the kernel.
-        """
-        diag, _, kernel = _smith(op.hstack(self.relations.neg()), track_v=True,
-                                 kernel_only=True)
-        pre = _columns_matrix([c[:op.cols] for c in kernel], op.cols)
-        return _group_of_diagonal(diag, self.rank), subquotient_group(pre, self.relations)
-
 
 def indecomposable(name: str) -> RModule:
     """One of the four building blocks, read off INDECOMPOSABLE_PRESENTATIONS."""
@@ -719,27 +704,89 @@ def _two_torsion_count(group: FGAbelianGroup):
     return count
 
 
+def _mod2_mask(values):
+    """The int whose bit j is values[j] mod 2."""
+    return sum(1 << j for j, x in enumerate(values) if x & 1)
+
+
+def _f2_rank(rows):
+    """Rank over F2 of the rows given as int bitmasks.  Each row is reduced
+    by the basis so far, in order; a basis row lacks the leading bits of
+    those before it, so x ^ b < x exactly when x has b's leading bit."""
+    basis = []
+    for x in rows:
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+    return len(basis)
+
+
+def _f2_inverse(rows, n):
+    """Rows, as int bitmasks, of the inverse over F2 of the n x n matrix
+    with the given bitmask rows (bit j is column j), by Gauss-Jordan
+    elimination on [rows | I]."""
+    aug = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    for j in range(n):
+        bit = 1 << j
+        pivot = next((i for i in range(j, n) if aug[i] & bit), None)
+        if pivot is None:
+            raise InvariantError("a unimodular matrix is singular modulo 2")
+        aug[j], aug[pivot] = aug[pivot], aug[j]
+        p = aug[j]
+        aug = [r ^ p if r & bit and i != j else r for i, r in enumerate(aug)]
+    return [r >> n for r in aug]
+
+
+def _kernel_two_torsion(module: RModule, d):
+    """Number of Z/2 factors of the kernel of 1 - t, and of 1 + t, on a
+    module whose torsion T is (Z/2)^d.
+
+    The torsion of ker(op) is the kernel of op on T, and on T, where 2 = 0,
+    both operators act as 1 + t, so both counts are d - rank_F2(B) with B
+    the matrix of 1 + t on T.  In the coordinates y = U x of the Smith form
+    U @ relations @ V = D, T is spanned by the e_i with d_i = 2 and t acts
+    by U A U^-1, so B is U (1 + A) U^-1 modulo 2 on those rows and columns.
+    U is unimodular, so it is invertible modulo 2.
+    """
+    if not d:
+        return 0
+    diag, u, _ = _smith(module.relations, track_u=True)
+    torsion = [i for i, x in enumerate(diag) if x == 2]
+    # column i of U^-1 mod 2 is row i of the inverse of U^T mod 2
+    u_inv_columns = _f2_inverse([_mod2_mask(c) for c in zip(*u)], module.rank)
+    one_plus = [_mod2_mask(r) ^ (1 << i) for i, r in enumerate(module.action.to_rows())]
+    u_rows = [_mod2_mask(u[i]) for i in torsion]
+    # column j of B: bit k is entry (torsion[k], j) of U (1 + A) U^-1 mod 2
+    columns = []
+    for j in torsion:
+        image = _mod2_mask([(r & u_inv_columns[j]).bit_count() for r in one_plus])
+        columns.append(_mod2_mask([(r & image).bit_count() for r in u_rows]))
+    return d - _f2_rank(columns)
+
+
 def rmodule_classify(module: RModule) -> Counter:
     """Multiplicities of R, R/I, R/J and I/2I in a decomposable module.
 
     The fingerprint used is: the underlying group, the quotients by the
     images of (1 - t) and (1 + t), and the kernels of both operators.
     These separate all sums of the four indecomposables; a mismatch on any
-    of them raises ClassificationError.  Each operator's quotient and
-    kernel come from one Smith form (see `RModule.quotient_and_kernel`).
-    A kernel's free rank always equals its quotient's (rank-nullity over
-    Q), so the kernels' 2-torsion is the only evidence they add: it is what
-    tells R/2R + R/I + R/J from R + (I/2I)^2.
+    of them raises ClassificationError.  Each quotient M/op(M) is the
+    cokernel of [op | relations].  A kernel's free rank always equals its
+    quotient's (rank-nullity over Q), so the kernels' 2-torsion is the only
+    evidence they add: it is what tells R/2R + R/I + R/J from
+    R + (I/2I)^2.  Once M's torsion is known to be elementary 2-torsion,
+    that count is one rank over F2 (see `_kernel_two_torsion`).
     """
-    ident = IntegerMatrix.identity(module.rank)
+    ident = IntegerMatrix.identity(module.rank).entries
     one_minus = IntegerMatrix._trusted(module.rank, module.rank, tuple(
-        a - b for a, b in zip(ident.entries, module.action.entries)))
+        map(operator.sub, ident, module.action.entries)))
     one_plus = IntegerMatrix._trusted(module.rank, module.rank, tuple(
-        a + b for a, b in zip(ident.entries, module.action.entries)))
+        map(operator.add, ident, module.action.entries)))
 
     under = module.underlying_group()
-    q_minus, k_minus = module.quotient_and_kernel(one_minus)
-    q_plus, k_plus = module.quotient_and_kernel(one_plus)
+    q_minus = cokernel(one_minus.hstack(module.relations))
+    q_plus = cokernel(one_plus.hstack(module.relations))
 
     d = _two_torsion_count(under)
     t_minus = _two_torsion_count(q_minus)
@@ -762,11 +809,12 @@ def rmodule_classify(module: RModule) -> Counter:
         "k_minus": (a + b, d),
         "k_plus": (a + c, d),
     }
-    # the kernels are subgroups of M, so their torsion is elementary
-    # 2-torsion like M's; were it not, a None count would fail the match
+    # each kernel has its quotient's free rank and the same 2-torsion count
+    kernel_torsion = _kernel_two_torsion(module, d)
     actual = {key: (grp.free_rank, _two_torsion_count(grp))
-              for key, grp in (("under", under), ("q_minus", q_minus), ("q_plus", q_plus),
-                               ("k_minus", k_minus), ("k_plus", k_plus))}
+              for key, grp in (("under", under), ("q_minus", q_minus), ("q_plus", q_plus))}
+    actual["k_minus"] = (q_minus.free_rank, kernel_torsion)
+    actual["k_plus"] = (q_plus.free_rank, kernel_torsion)
     if expected != actual:
         raise ClassificationError(
             f"fingerprint mismatch: expected {expected}, computed {actual}")

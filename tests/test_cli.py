@@ -1,6 +1,10 @@
 import hashlib
 import json
+import runpy
 import shutil
+import sys
+
+import pytest
 
 from kdual.cli import main
 from kdual.paper_rings import GOLDEN_DIR_ENV, golden_path
@@ -167,6 +171,20 @@ def test_verify_all_report_bytes_are_pinned(capsys):
         code, out, _ = run(capsys, "--format", fmt, "verify", "all")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
+def test_module_run_as_a_script_exits_with_the_code_of_main(capsys, monkeypatch):
+    # `python -m kdual.cli ...` prints what `main` prints and exits with its code
+    argv = ["--format", "json", "verify", "all"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(sys, "argv", ["kdual", *argv])
+    # runpy runs a fresh copy as __main__, and warns if the module is imported
+    monkeypatch.delitem(sys.modules, "kdual.cli")
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("kdual.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_tdual_kgroups_bytes_are_pinned(capsys):

@@ -12,6 +12,7 @@ from kdual.exact_abelian import (
     FGAbelianGroup,
     IntegerMatrix,
     INDECOMPOSABLES,
+    InvariantError,
     RModule,
     cokernel,
     indecomposable,
@@ -24,9 +25,9 @@ from kdual.exact_abelian import (
     solve,
     subquotient_group,
 )
-from kdual.exact_abelian import _smith
+from kdual.exact_abelian import _f2_inverse, _f2_rank, _mod2_mask, _smith
 
-from helpers import inverse_unimodular, rmodule_from_multiset
+from helpers import inverse_unimodular, reference_classify, rmodule_from_multiset
 
 
 # --- independent oracle: invariant factors via gcds of minors --------------
@@ -81,14 +82,23 @@ def random_matrix(rng, rows, cols, bound=9):
 
 
 def random_unimodular(rng, n, steps=12):
-    rows = IntegerMatrix.identity(n).to_rows()
+    return random_unimodular_pair(rng, n, steps)[0]
+
+
+def random_unimodular_pair(rng, n, steps=12):
+    """A product of up to `steps` drawn row operations, row i += q * row j,
+    on the identity, and its inverse, on which each is column j -= q *
+    column i."""
+    rows, inverse = IntegerMatrix.identity(n).to_rows(), IntegerMatrix.identity(n).to_rows()
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         q = rng.randint(-2, 2)
         rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
-    return IntegerMatrix.from_rows(rows)
+        for r in inverse:
+            r[j] -= q * r[i]
+    return IntegerMatrix.from_rows(rows), IntegerMatrix.from_rows(inverse)
 
 
 # --- Smith normal form -------------------------------------------------------
@@ -658,6 +668,84 @@ def test_classify_with_dependent_relation_columns(shared_route_matches):
     module = RModule(3, relations, IntegerMatrix.diagonal([-1, -1, 1]))
     shared_route_matches(module)
     assert rmodule_classify(module) == Counter({"I/2I": 2, "R/I": 1})
+
+
+def test_twisted_z_plus_z2_is_rejected_by_its_quotient():
+    # Z + Z/2 with t(x, y) = (-x, x + y): its own torsion is elementary, so
+    # only M/(1 - t)M = Z/4 shows that it is no sum of the four
+    module = RModule(2, IntegerMatrix.from_rows([[0], [2]]),
+                     IntegerMatrix.from_rows([[-1, 0], [1, 1]]))
+    assert module.underlying_group() == FGAbelianGroup((2, 0))
+    one_minus = IntegerMatrix.from_rows([[2, 0], [-1, 0]])
+    assert cokernel(one_minus.hstack(module.relations)) == FGAbelianGroup((4,))
+    with pytest.raises(ClassificationError, match="^torsion is not elementary 2-torsion$"):
+        rmodule_classify(module)
+
+
+# blocks that are no sum of the four indecomposables, as (relation rows,
+# action rows): R/2R, Z/4 with t = 1 and t = -1, Z/3, and Z + Z/2 with
+# t(x, y) = (-x, x + y)
+EXOTIC_BLOCKS = (
+    ([[2, 0], [0, 2]], [[0, 1], [1, 0]]),
+    ([[4]], [[1]]),
+    ([[4]], [[-1]]),
+    ([[3]], [[1]]),
+    ([[0], [2]], [[-1, 0], [1, 1]]),
+)
+
+
+def test_classification_matches_the_reference_on_exotic_sums():
+    # sums of the indecomposables and up to two exotic blocks, in a drawn
+    # order and base: the same multiset, or the same ClassificationError
+    # message, as the route that builds every group of the fingerprint
+    rng = random.Random(2808)
+    standard = [indecomposable(name) for name in INDECOMPOSABLES]
+    exotic = [RModule(len(action), IntegerMatrix.from_rows(relations),
+                      IntegerMatrix.from_rows(action)) for relations, action in EXOTIC_BLOCKS]
+    outcomes = Counter()
+    for _ in range(400):
+        blocks = [m for m in standard for _ in range(rng.randint(0, 2))]
+        blocks += [rng.choice(exotic) for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+        if not blocks:
+            continue
+        rng.shuffle(blocks)
+        n = sum(m.rank for m in blocks)
+        u, u_inv = random_unimodular_pair(rng, n)
+        module = RModule(n, u @ IntegerMatrix.block_diagonal(*(m.relations for m in blocks)),
+                         u @ IntegerMatrix.block_diagonal(*(m.action for m in blocks)) @ u_inv)
+        results = []
+        for classify in (rmodule_classify, reference_classify):
+            try:
+                results.append(classify(module))
+            except ClassificationError as err:
+                results.append(str(err))
+        assert results[0] == results[1], module
+        outcomes[results[0].partition(":")[0] if isinstance(results[0], str) else "sum"] += 1
+    assert set(outcomes) == {"sum", "torsion is not elementary 2-torsion",
+                             "invariants match no sum of the four indecomposables",
+                             "fingerprint mismatch"}, outcomes
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_f2_rank_counts_the_odd_smith_diagonal_entries():
+    rng = random.Random(2)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        m = random_matrix(rng, rows, cols, bound=1)
+        m = IntegerMatrix(rows, cols, tuple(map(abs, m.entries)))
+        odd = sum(d % 2 for d in _smith(m)[0])
+        assert _f2_rank([_mod2_mask(r) for r in m.to_rows()]) == odd, m
+
+
+def test_f2_inverse_of_a_unimodular_matrix():
+    rng = random.Random(5)
+    for n in list(range(1, 9)) * 4:
+        u, u_inv = random_unimodular_pair(rng, n, steps=4 * n)
+        assert (_f2_inverse([_mod2_mask(r) for r in u.to_rows()], n)
+                == [_mod2_mask(r) for r in u_inv.to_rows()]), u
+    # rows 1 + 2 = 3 over F2
+    with pytest.raises(InvariantError, match="singular modulo 2"):
+        _f2_inverse([0b011, 0b101, 0b110], 3)
 
 
 def test_classify_exhaustive_up_to_eight_summands():

@@ -1,8 +1,9 @@
 """Property tests over generated inputs (hypothesis).
 
 Derandomized, so every run draws the same examples; skipped when
-hypothesis is not installed.  `RModule.quotient_and_kernel` is compared
-with the separate Smith forms it replaced (see conftest.py).  The
+hypothesis is not installed.  The kernel counts that `rmodule_classify`
+takes without building the kernels are compared with the kernel groups
+built by separate Smith forms (see conftest.py).  The
 normal-form checks at the end compare `PresentedRing.element` with a
 reference that rewrites by re-sorting and scanning every rule, over drawn,
 exhaustive and high-power inputs.  Degree slices of generated rings are
@@ -92,7 +93,7 @@ def test_classify_direct_sum_is_the_multiset_union(first, second, data):
 
 @PROPERTY
 @given(multisets, st.data())
-def test_quotients_and_kernels_share_one_smith_form(shared_route_matches, multiset, data):
+def test_kernel_counts_match_the_separate_forms(shared_route_matches, multiset, data):
     # a base change, then relation columns that are combinations of the others
     module = rmodule_from_multiset(multiset)
     n = module.rank
