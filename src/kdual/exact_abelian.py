@@ -310,11 +310,10 @@ def _columns_matrix(columns, rows):
 _SWEEP, _SWAP, _NEGATE, _ADD_TO_PIVOT = "sweep", "swap", "negate", "add to pivot"
 
 
-def _replay(logs, n, kernel_only=False):
+def _replay(logs, n):
     """Rows of E'_{K-1} ... E'_0, where E'_k = diag(I_k, E_k) and E_k is
     the product of the row operations in `logs[k]` on an (n - k)-row block,
-    in order; with `kernel_only`, only its rows K.. (K = len(logs)).  An
-    operation is one of
+    in order.  An operation is one of
 
         (_SWEEP, q)          row i += q[i] * row 0 for every i (q[0] = 0)
         (_SWAP, (i, j))      swap rows i and j
@@ -324,18 +323,14 @@ def _replay(logs, n, kernel_only=False):
     Going from the last pivot back, the product so far P is replaced by
     diag(1, P) @ E_k.  Multiplying by an operation on the right is a column
     operation, so the log is read last operation first, and a sweep adds to
-    entry 0 of each row its dot product with q.  An operation acts on each
-    row alone, and rows K.. are those of the starting identity block, so
-    leaving out the new row 0 of each step leaves them as they are.  `logs`
-    is emptied as it is read.
+    entry 0 of each row its dot product with q.  `logs` is emptied as it is
+    read.
     """
     width = n - len(logs)
     block = _identity_rows(width)
     while logs:
         log = logs.pop()
-        block = [[0] + r for r in block]
-        if not kernel_only:
-            block.insert(0, [1] + [0] * width)
+        block = [[1] + [0] * width] + [[0] + r for r in block]
         width += 1
         while log:
             kind, arg = log.pop()
@@ -355,15 +350,13 @@ def _replay(logs, n, kernel_only=False):
     return block
 
 
-def _smith(m: IntegerMatrix, track_u=False, track_v=False, kernel_only=False):
+def _smith(m: IntegerMatrix, track_u=False, track_v=False):
     """The elimination behind every Smith normal form in this module.
 
     Returns the nonzero diagonal entries, the rows of U with `track_u` and
-    the columns of V with `track_v` (None without); with `kernel_only` as
-    well, only the columns of V past the rank, which span the kernel of m.
-    Tracking changes no step: the pivot rule is the one `smith_normal_form`
-    documents, so U and V are the same whether they are built together or
-    apart.
+    the columns of V with `track_v` (None without).  Tracking changes no
+    step: the pivot rule is the one `smith_normal_form` documents, so U and
+    V are the same whether they are built together or apart.
 
     `a` holds only the active block, rows and columns k.. of the work
     matrix: everything outside it is zero except the diagonal found so far.
@@ -478,7 +471,7 @@ def _smith(m: IntegerMatrix, track_u=False, track_v=False, kernel_only=False):
         diag.append(a[0][0])
         a = [r[1:] for r in a[1:]]
     u = _replay(row_logs, rows) if track_u else None
-    v = _replay(col_logs, cols, kernel_only) if track_v else None
+    v = _replay(col_logs, cols) if track_v else None
     return diag, u, v
 
 
@@ -511,9 +504,9 @@ def solve(m: IntegerMatrix, b) -> tuple | None:
 
 
 def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """Columns spanning {x : m @ x = 0}."""
-    _, _, kernel = _smith(m, track_v=True, kernel_only=True)
-    return _columns_matrix(kernel, m.cols)
+    """Columns spanning {x : m @ x = 0}: those of V past the rank."""
+    diag, _, v = _smith(m, track_v=True)
+    return _columns_matrix(v[len(diag):], m.cols)
 
 
 def preimage_lattice(m: IntegerMatrix, lattice: IntegerMatrix) -> IntegerMatrix:
@@ -645,7 +638,7 @@ class RModule(Frozen):
     identity modulo it.
     """
 
-    __slots__ = ("rank", "relations", "action", "_smith_diagonal")
+    __slots__ = ("rank", "relations", "action", "_smith_diagonal", "_smith_u")
     rank: int
     relations: IntegerMatrix
     action: IntegerMatrix
@@ -659,18 +652,20 @@ class RModule(Frozen):
         # both conditions are membership in the relation lattice of the
         # columns of [A @ relations | A^2 - I], which U and the diagonal of
         # its Smith form decide from one product U @ [...]
-        diag, u, _ = _smith(relations, track_u=True)
+        diag, u_rows, _ = _smith(relations, track_u=True)
+        u = _rows_matrix(u_rows, rank)
         images = list((action @ relations.hstack(action)).entries)
         width = relations.cols + rank
         for i in range(rank):
             images[i * width + relations.cols + i] -= 1
-        coords = _rows_matrix(u, rank) @ IntegerMatrix._trusted(rank, width, tuple(images))
+        coords = u @ IntegerMatrix._trusted(rank, width, tuple(images))
         if not _columns_in_lattice(coords, diag, slice(relations.cols)):
             raise ValueError("action does not preserve the relations")
         if not _columns_in_lattice(coords, diag, slice(relations.cols, None)):
             raise ValueError("action is not an involution modulo the relations")
         # not annotated, so equality, hashing and repr see only the presentation
         object.__setattr__(self, "_smith_diagonal", tuple(diag))
+        object.__setattr__(self, "_smith_u", u)
 
     def underlying_group(self) -> FGAbelianGroup:
         return _group_of_diagonal(self._smith_diagonal, self.rank)
@@ -747,12 +742,13 @@ def _kernel_two_torsion(module: RModule, d):
     the matrix of 1 + t on T.  In the coordinates y = U x of the Smith form
     U @ relations @ V = D, T is spanned by the e_i with d_i = 2 and t acts
     by U A U^-1, so B is U (1 + A) U^-1 modulo 2 on those rows and columns.
-    U is unimodular, so it is invertible modulo 2.
+    U is unimodular, so it is invertible modulo 2.  U and the diagonal are
+    the ones the module kept from its own Smith form.
     """
     if not d:
         return 0
-    diag, u, _ = _smith(module.relations, track_u=True)
-    torsion = [i for i, x in enumerate(diag) if x == 2]
+    u = module._smith_u.to_rows()
+    torsion = [i for i, x in enumerate(module._smith_diagonal) if x == 2]
     # column i of U^-1 mod 2 is row i of the inverse of U^T mod 2
     u_inv_columns = _f2_inverse([_mod2_mask(c) for c in zip(*u)], module.rank)
     one_plus = [_mod2_mask(r) ^ (1 << i) for i, r in enumerate(module.action.to_rows())]

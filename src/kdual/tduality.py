@@ -18,9 +18,11 @@ of the push-forward over k (a torsor under the image of the pull-back).
 Two pairs are equal exactly when they have the same bundle and the same
 class.  The one addition offered adds a pulled-back base class, which
 moves q and keeps k; that is canonical.  Adding two classes with nonzero
-k would need the extension, and no computation here asks for it.  A
-total space reads only pairs on its own bundle; a pair on another bundle
-raises ValueError naming both.
+k would need the extension, and no computation here asks for it.  The
+operations on a pair (its push-forward, the addition of a pulled-back
+class and its label) are methods of `Pair`, which read the coordinates of
+its own bundle from the cached `TotalSpaceH3`; a class representative of
+a gauge orbit is chosen by `canonical_pair` alone.
 
 The dual of a pair is computed by direct linear solving: the dual bundle
 is forced by the push-forward of the class, candidate dual classes form a
@@ -165,8 +167,9 @@ class TotalSpaceH3:
                        for a in _slice_coordinates(base.h1pm)}
         self.q_values = sorted({self._q(coords)
                                 for coords in _slice_coordinates(self.base_slice)})
+        lattice = smith_normal_form(self._kernel_vectors)
         self.k_values = [k for k in _slice_coordinates(self.kernel_slice)
-                         if solve(self._kernel_vectors, k) is not None]
+                         if lattice.solve(k) is not None]
 
     def _q(self, coords) -> tuple:
         """The smallest reduced vector in the coset of coords modulo the
@@ -183,19 +186,6 @@ class TotalSpaceH3:
     def elements(self):
         return [Pair(self.bundle, q, k) for q in self.q_values for k in self.k_values]
 
-    def _own(self, pair: "Pair") -> "Pair":
-        """The pair, once it is seen to live on this bundle."""
-        if pair.bundle != self.bundle:
-            theirs, ours = pair.bundle, self.bundle
-            raise ValueError(
-                f"a pair on {theirs.label()} over {theirs.base_name} is not a class on "
-                f"the total space of {ours.label()} over {ours.base_name}")
-        return pair
-
-    def pushforward(self, pair: "Pair"):
-        """The degree-(2, pm) base class the pair's class pushes down to."""
-        return self.kernel_slice.element(self._own(pair).k)
-
     def section_class(self, base_h2pm_element) -> "Pair":
         """The canonical pair with the given push-forward and zero
         pull-back part."""
@@ -204,24 +194,6 @@ class TotalSpaceH3:
             raise NoSolutionError(
                 f"{base_h2pm_element} is not a push-forward over {self.bundle.label()}")
         return Pair(self.bundle, self.zero().q, coords)
-
-    def add_pullback(self, pair: "Pair", base_element) -> "Pair":
-        """The pair's class plus the pull-back of a degree-(3, eq) base class."""
-        q = self._q(x + y for x, y in zip(self._own(pair).q,
-                                          self.base_slice.coords(base_element)))
-        return Pair(self.bundle, q, pair.k)
-
-    # -- display ----------------------------------------------------------------
-
-    def describe(self, pair: "Pair") -> str:
-        parts = []
-        pulled = self.base_slice.element(self._own(pair).q)
-        if not pulled.is_zero():
-            parts.append(f"pi*({pulled})")
-        down = self.pushforward(pair)
-        if not down.is_zero():
-            parts.append(f"h({down})")
-        return " + ".join(parts) if parts else "0"
 
 
 @per_golden_dir
@@ -241,8 +213,26 @@ class Pair(Frozen):
     def total(self) -> TotalSpaceH3:
         return _total_space(self.bundle)
 
+    def pushforward(self):
+        """The degree-(2, pm) base class the pair's class pushes down to."""
+        return self.total().kernel_slice.element(self.k)
+
+    def add_pullback(self, base_element) -> "Pair":
+        """The pair's class plus the pull-back of a degree-(3, eq) base class."""
+        total = self.total()
+        q = total._q(x + y for x, y in zip(self.q, total.base_slice.coords(base_element)))
+        return Pair(self.bundle, q, self.k)
+
     def label(self) -> str:
-        return f"({self.bundle.label()}, {self.total().describe(self)})"
+        total = self.total()
+        parts = []
+        pulled = total.base_slice.element(self.q)
+        if not pulled.is_zero():
+            parts.append(f"pi*({pulled})")
+        down = total.kernel_slice.element(self.k)
+        if not down.is_zero():
+            parts.append(f"h({down})")
+        return f"({self.bundle.label()}, {' + '.join(parts) if parts else '0'})"
 
 
 def pair_from_expressions(base_name, chern_text, h_base_text="0", h_fiber_text="0") -> Pair:
@@ -252,7 +242,7 @@ def pair_from_expressions(base_name, chern_text, h_base_text="0", h_fiber_text="
     chern = parse_expression(base.ring, chern_text)
     total = _total_space(RealCircleBundle.from_chern(base, chern))
     fiber = total.section_class(parse_expression(base.ring, h_fiber_text))
-    return total.add_pullback(fiber, parse_expression(base.ring, h_base_text))
+    return fiber.add_pullback(parse_expression(base.ring, h_base_text))
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +252,16 @@ def pair_from_expressions(base_name, chern_text, h_base_text="0", h_fiber_text="
 def gauge_orbit(pair: Pair) -> frozenset:
     """All pairs reachable from the pair by bundle automorphisms:
     h + pi^*(pi_* h cup a) for a running over the degree-(1, pm) slice."""
-    total = pair.total()
     base = pair.bundle.base
-    down = total.pushforward(pair)
+    down = pair.pushforward()
     shifts = (down * base.h1pm.element(coords) for coords in _slice_coordinates(base.h1pm))
-    return frozenset(total.add_pullback(pair, s) for s in shifts)
-
-
-def orbit_representative(orbit) -> Pair:
-    return min(orbit, key=lambda p: (p.q, p.k))
+    return frozenset(pair.add_pullback(s) for s in shifts)
 
 
 def canonical_pair(pair: Pair) -> Pair:
-    return orbit_representative(gauge_orbit(pair))
+    """The representative of the pair's isomorphism class: the smallest
+    pair by (q, k) in its gauge orbit."""
+    return min(gauge_orbit(pair), key=lambda p: (p.q, p.k))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +286,7 @@ def tdual(pair: Pair) -> TDualResult:
     product with the Chern class; a nonzero cup raises InvariantError.
     """
     base = pair.bundle.base
-    dual_chern = pair.total().pushforward(pair)
+    dual_chern = pair.pushforward()
     dual_bundle = RealCircleBundle.from_chern(base, dual_chern)
     dual_total = _total_space(dual_bundle)
 
@@ -310,22 +297,21 @@ def tdual(pair: Pair) -> TDualResult:
 
     seed = dual_total.section_class(chern)
 
-    orbits = {gauge_orbit(Pair(dual_bundle, q, seed.k)) for q in dual_total.q_values}
+    candidates = {canonical_pair(Pair(dual_bundle, q, seed.k)) for q in dual_total.q_values}
 
-    if len(orbits) == 1:
-        chosen = next(iter(orbits))
+    if len(candidates) == 1:
+        (dual,) = candidates
         correspondence = "gauge-orbit-unique"
     elif pair.bundle.is_trivial() and dual_bundle.is_trivial():
         # both bundles are trivial, so both push-forwards are zero and
         # p^*h - phat^*hhat = pi^*(q - q') on the correspondence space: the
         # dual keeps the base part of the class
-        chosen = gauge_orbit(Pair(dual_bundle, pair.q, seed.k))
+        dual = canonical_pair(Pair(dual_bundle, pair.q, seed.k))
         correspondence = "base-parts-agree"
     else:
         raise AmbiguityError("several gauge orbits satisfy the push-forward constraints")
 
-    dual = orbit_representative(chosen)
-    pushed = dual_total.pushforward(dual)
+    pushed = dual.pushforward()
     if pushed != chern:
         raise InvariantError(
             f"the dual class pushes forward to {pushed}, not to the Chern class {chern}")
@@ -364,11 +350,7 @@ class DualityTable:
         self.pairs = [pair for bundle in enumerate_bundles(self.base)
                       for pair in sorted(_total_space(bundle).elements(),
                                          key=lambda p: (p.q, p.k))]
-        self._canonical = {}  # each pair to its orbit representative
-        for pair in self.pairs:
-            if pair not in self._canonical:
-                orbit = gauge_orbit(pair)
-                self._canonical.update(dict.fromkeys(orbit, orbit_representative(orbit)))
+        self._canonical = {pair: canonical_pair(pair) for pair in self.pairs}
         self._duals = {pair: tdual(pair).dual for pair in self.pairs}
 
     def canonical(self, pair: Pair) -> Pair:
@@ -414,11 +396,10 @@ class DualityTable:
         for cls in self.classes:
             pair = cls.representative
             dual = self.dual(pair)
-            total, dual_total = pair.total(), dual.total()
             for coords in _slice_coordinates(h3eq):
                 eta = h3eq.element(coords)
-                shifted = total.add_pullback(pair, eta)
-                expected = dual_total.add_pullback(dual, eta)
+                shifted = pair.add_pullback(eta)
+                expected = dual.add_pullback(eta)
                 if self.canonical(self.dual(shifted)) != self.canonical(expected):
                     return False
         return True

@@ -156,11 +156,12 @@ def test_the_shared_constructor_names_the_fields():
 
 
 def test_a_cache_slot_is_not_part_of_the_value():
-    first, second = indecomposable("R"), indecomposable("R")
-    object.__setattr__(second, "_smith_diagonal", (5,))
-    assert first._smith_diagonal != second._smith_diagonal
-    assert first == second and hash(first) == hash(second)
-    assert repr(first) == repr(second) and "_smith_diagonal" not in repr(first)
+    for slot, value in (("_smith_diagonal", (5,)), ("_smith_u", IntegerMatrix.identity(3))):
+        first, second = indecomposable("R"), indecomposable("R")
+        object.__setattr__(second, slot, value)
+        assert getattr(first, slot) != getattr(second, slot)
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) and slot not in repr(first)
 
 
 def test_repr_names_each_field():
