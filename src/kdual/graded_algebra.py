@@ -9,9 +9,10 @@ rules and every coefficient is reduced modulo the additive order of its
 monomial.
 
 Rewriting terminates because every rule strictly decreases the
-(total exponent, reverse-lexicographic) monomial order; this is checked
-at construction time.  Construction also decides local confluence by the
-Knuth-Bendix critical-pair test: every overlap of two rules, and every
+(total exponent, reverse-lexicographic) monomial order, which ranks the
+generators as the presentation lists them, the last one highest; this is
+checked at construction time.  Construction also decides local confluence
+by the Knuth-Bendix critical-pair test: every overlap of two rules, and every
 overlap of a rule with the torsion relation 2*g = 0 of an order-2
 generator g, must reduce to one normal form both ways.  By Newman's
 lemma the two checks together prove that every element has a unique
@@ -48,10 +49,6 @@ from .frozen import Frozen
 
 EQ = "eq"
 PM = "pm"
-
-# Fixed ranking used for the monomial order and for printing.
-GENERATOR_ORDER = ("t", "t12", "sigma", "chi", "chi1", "chi2",
-                   "e", "c", "chat", "L", "H", "ell")
 
 
 class UnknownGeneratorError(KeyError):
@@ -102,18 +99,11 @@ def _heap_key(exps):
     return (-sum(exps), tuple(map(neg, reversed(exps))))
 
 
-def _generator_rank(name):
-    try:
-        return (0, GENERATOR_ORDER.index(name))
-    except ValueError:
-        return (1, name)
-
-
 class PresentedRing:
     """Commutative ring with generators, coefficient orders and rewrites.
 
-    :meth:`define` is the only constructor; it sorts the generators into
-    the global order, validates that every rewrite is degree-homogeneous
+    :meth:`define` is the only constructor; it keeps the generators in
+    the order given, validates that every rewrite is degree-homogeneous
     and strictly decreasing, proves the rules confluent and the degree
     slices finite, and freezes the result.
     """
@@ -124,12 +114,11 @@ class PresentedRing:
     def define(cls, name, generators, rules=(), period=None):
         """Build a ring from readable data.
 
-        generators: iterable of (name, level, variant, additive_order)
+        generators: iterable of (name, level, variant, additive_order);
+            the monomial order ranks them in this order, the last one highest
         rules: iterable of (lhs_monomial_dict, [(rhs_monomial_dict, coeff), ...])
         """
-        specs = sorted(
-            (GeneratorSpec(n, Degree(lvl, var), order) for n, lvl, var, order in generators),
-            key=lambda g: _generator_rank(g.name))
+        specs = [GeneratorSpec(n, Degree(lvl, var), order) for n, lvl, var, order in generators]
         for g in specs:  # slices without a period are enumerated as if levels only grow
             if period is None and g.degree.level < 0:
                 raise ValueError(f"{name}: generator {g.name!r} has negative level "

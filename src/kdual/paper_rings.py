@@ -83,7 +83,7 @@ _KK_BASE_RULES = [
     ({"sigma": 2}, [({}, 1), ({"t": 1}, -1)]),
 ]
 
-# name -> (generators, rewrite rules, period), as PresentedRing.define takes them
+# name -> (generators in monomial order, rules, period), as PresentedRing.define takes them
 PRESENTATIONS = {
     "hh_point": ([("t12", 1, PM, 2)], [], None),
     "hh_circle_trivial": ([("t12", 1, PM, 2), ("e", 1, EQ, 0)],

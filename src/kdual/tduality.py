@@ -55,6 +55,7 @@ from .exact_abelian import (
     IntegerMatrix,
     InvariantError,
     RModule,
+    format_multiset,
     kernel_basis,
     multiset_group,
     rmodule_classify,
@@ -65,7 +66,7 @@ from .expressions import parse_expression
 from .frozen import Frozen
 from .graded_algebra import EQ, PM, Degree, apply_ring_hom, degree_component
 from .paper_rings import build_ring, kk_flip_substitution, per_golden_dir
-from .transforms import flip_circle_slices, gysin_degree_data, kunneth_split
+from .transforms import flip_circle_slices, gysin_degree_data, t_basis, t_power_table, t_transform
 
 
 class NoSolutionError(RuntimeError):
@@ -559,8 +560,7 @@ def search_clutchings() -> dict:
                 scored.append((statuses.count("derived"), multiplier))
         if not scored:
             raise NoCandidateError(f"no clutching reproduces the table for {key}")
-        scored.sort(key=lambda pair: (-pair[0], MULTIPLIER_NAMES.index(pair[1])))
-        best = scored[0][0]
+        best = max(score for score, _ in scored)
         out[key] = [m for score, m in scored if score == best]
     return out
 
@@ -594,7 +594,6 @@ class TwistedKTable(Frozen):
         return mv_status(self.printed[slot], self.derived[slot])
 
     def to_json(self):
-        from .exact_abelian import format_multiset
         return {
             "pair": self.pair_label,
             "clutching": {"flip": self.clutching[0], "multiplier": self.clutching[1]},
@@ -638,11 +637,13 @@ def _shift_dual(modules, dual_modules) -> bool:
 
 
 def verify_theorem_T(base_name) -> bool:
-    """Module-level duality check: for every dual class pair, the twisted
-    K-groups of the two sides agree under the degree shift by one with the
-    two sides exchanged."""
+    """Over the point, the one class (E0, 0) lives on the flip circle, and T
+    exchanges its free (0, eq) and (1, pm) slices: T^8 = 1 makes T invertible
+    over Z, and T commuting with t makes it an R-module isomorphism.  Over
+    the circle, the twisted K-groups of each dual class pair agree under the
+    degree shift by one with the two sides exchanged."""
     if base_name == "point":
-        table = kunneth_split("K")
-        modules = lambda n, side: table.entry(n % 2, side).modules
-        return _shift_dual(modules, modules)
+        basis = t_basis()
+        return t_power_table(8) == basis and all(
+            t_transform(basis["t"] * b) == basis["t"] * t_transform(b) for b in basis.values())
     return DualityTable(base_name).theorem_T()

@@ -20,6 +20,7 @@ from kdual.graded_algebra import (
     verify_ring_hom,
 )
 from kdual.paper_rings import (
+    NONEQUIVARIANT_PRESENTATIONS,
     PRESENTATIONS,
     RING_NAMES,
     _define,
@@ -550,6 +551,17 @@ def test_rule_orientation_is_checked():
                              [({"x": 1}, [({"x": 2}, 1)])])
 
 
+def test_the_presentation_fixes_the_generator_order():
+    # listed as y, x, the order ranks x above y, so x^2 -> x*y decreases it
+    generators = [("y", 1, EQ, 0), ("x", 1, EQ, 0)]
+    rules = [({"x": 2}, [({"x": 1, "y": 1}, 1)])]
+    ring = PresentedRing.define("r", generators, rules)
+    assert [g.name for g in ring.generators] == ["y", "x"]
+    assert str(ring.gen("x") * ring.gen("y")) == "y*x"
+    with pytest.raises(ValueError, match="does not decrease the order"):
+        PresentedRing.define("r", generators[::-1], rules)
+
+
 def test_rules_must_be_homogeneous():
     with pytest.raises(ValueError):
         PresentedRing.define("bad2", [("x", 1, EQ, 0), ("y", 2, EQ, 0)],
@@ -594,6 +606,13 @@ def test_presentations_are_data():
         assert len(ring.rules) == len(rules)
     with pytest.raises(ValueError, match="unknown ring name"):
         _define("hh_nowhere")
+
+
+def test_built_in_rings_keep_the_generator_order_of_their_presentations():
+    for name, (generators, _, _) in PRESENTATIONS.items():
+        assert [g.name for g in build_ring(name).generators] == [g[0] for g in generators]
+    for name, (generators, _) in NONEQUIVARIANT_PRESENTATIONS.items():
+        assert [g.name for g in nonequivariant_ring(name).generators] == [g[0] for g in generators]
 
 
 # --- ring identity --------------------------------------------------------------------

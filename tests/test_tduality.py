@@ -15,7 +15,7 @@ from kdual.exact_abelian import (
 )
 from kdual.expressions import parse_expression
 from kdual.graded_algebra import EQ, PM, Degree, degree_component
-from kdual import tduality
+from kdual import tduality, transforms
 from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, golden_path
 from kdual.tduality import (
     PRINTED_MV_TABLES,
@@ -648,6 +648,15 @@ def test_module_count_statuses():
 def test_theorem_T():
     assert verify_theorem_T("point")
     assert verify_theorem_T("circle_trivial")
+
+
+def test_theorem_T_over_the_point_fails_on_a_wrong_transform(monkeypatch):
+    *rest, matrix = transforms._transform()
+    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
+    rows[0][4] = 2
+    wrong = (*rest, IntegerMatrix.from_rows(rows))
+    monkeypatch.setattr(transforms, "_transform", lambda: wrong)
+    assert not verify_theorem_T("point")
 
 
 def _pair_duals_wrongly(monkeypatch, first, second):

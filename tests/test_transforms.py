@@ -11,6 +11,7 @@ from kdual.graded_algebra import (
     EQ,
     PM,
     RingElement,
+    Slice,
     degree_component,
     normal_monomials,
     verify_ring_hom,
@@ -253,6 +254,15 @@ def test_transform_rejects_terms_outside_its_basis():
         t_transform(raw)
     with pytest.raises(ValueError, match="flip-circle ring"):
         t_transform(build_ring("kk_torus2").gen("chi1"))
+
+
+def test_transform_refuses_a_basis_with_a_torsion_monomial(monkeypatch):
+    ring, even, odd = transforms.flip_circle_slices()
+    torsion = Slice(ring, odd.degree, odd.monomials, (2,) + odd.orders[1:])
+    monkeypatch.setattr(transforms, "flip_circle_slices", lambda: (ring, even, torsion))
+    # the undecorated function, so that the cached transform is left alone
+    with pytest.raises(InvariantError, match="the transform's basis has a torsion monomial"):
+        transforms._transform.__wrapped__()
 
 
 def test_golden_dir_switch_reaches_the_transform(tmp_path, monkeypatch):
