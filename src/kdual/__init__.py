@@ -14,8 +14,7 @@ from .graded_algebra import (
     verify_ring_hom,
 )
 from .paper_rings import (
-    ExteriorKClass,
-    FOracleImage,
+    OracleValue,
     build_ring,
     dictionary,
     f_oracle,
@@ -56,7 +55,7 @@ __all__ = [
     "SmithDecomposition", "cokernel", "rmodule_classify", "smith_normal_form",
     "EQ", "PM", "Degree", "GeneratorSpec", "PresentedRing", "RingElement",
     "degree_component", "verify_ring_hom",
-    "ExteriorKClass", "FOracleImage", "build_ring", "dictionary", "f_oracle",
+    "OracleValue", "build_ring", "dictionary", "f_oracle",
     "verify_f_injective", "verify_relation_via_oracle",
     "ParseError", "parse_expression",
     "GradedGroupTable", "group_cohomology_z2", "gysin_cohomology",

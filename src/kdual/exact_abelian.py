@@ -511,8 +511,6 @@ def kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
 
 def preimage_lattice(m: IntegerMatrix, lattice: IntegerMatrix) -> IntegerMatrix:
     """Columns spanning {x : m @ x lies in the span of lattice}."""
-    if m.rows != lattice.rows:
-        raise DimensionMismatchError("lattice lives in the wrong ambient group")
     stacked = m.hstack(lattice.neg())
     ker = kernel_basis(stacked)
     cols = [ker.column(j)[:m.cols] for j in range(ker.cols)]

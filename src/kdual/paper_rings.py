@@ -22,15 +22,17 @@ values certifies ring identities; every built-in K-type ring is checked
 against the oracle when it is constructed and the constructor raises
 CertificationError rather than hand out an uncertified ring.
 
-Oracle values are formed in canonical form directly.  The product of two
-sorted exterior monomials is zero when they share an index; otherwise it
-is their merged sorted word, with the sign (-1)^(number of inversions, the
-pairs i > j of an index i of the left factor and j of the right).  Sums add
-the coefficients of equal words and drop the zeros.  `ExteriorKClass.build`,
-which sorts any index word by adjacent swaps, reads the golden rows and is
-the definition the tests hold these operations to.  The fixed-point values
-multiply componentwise in Z[t]/(t^2 - 1), and `embed_in_oracle` forms one
-linear combination of the label images, coordinate by coordinate.
+An oracle value (`OracleValue`) is one vector of integer coordinates over
+a fixed basis: the 2^n sorted exterior words, then (a, b) at each fixed
+point.  Sums and integer multiples act on each coordinate.  On the
+exterior part the product reads a table of structure constants, built
+once per n: two words that share an index multiply to zero, and otherwise
+to their merged sorted word, with the sign of the adjacent swaps that sort
+the concatenation.  On each fixed point (a, b)(c, d) = (ac + bd, ad + bc),
+the product in Z[t]/(t^2 - 1).  `OracleValue.build`, which sorts any index
+word by adjacent swaps, reads the golden rows and is the definition the
+tests hold the table to, and `embed_in_oracle` forms one linear
+combination of the label vectors.
 
 The syntax of every presentation is proved rather than sampled:
 `PresentedRing.define` proves the rewrite rules terminating and
@@ -51,7 +53,8 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache, update_wrapper
-from operator import add, mul
+from itertools import combinations
+from operator import add, sub
 from pathlib import Path
 
 from . import expressions
@@ -135,172 +138,107 @@ def nonequivariant_ring(name):
 
 
 # ---------------------------------------------------------------------------
-# exterior-algebra model of the K-theory of the torus
+# oracle values: integer coordinates over one fixed basis
 
 
-class ExteriorKClass(Frozen):
-    """Element of the exterior algebra on n odd generators x_1..x_n.
-
-    Terms map a sorted index tuple to an integer coefficient; the even
-    part models K^0 of the n-torus and the odd part K^1.  Products carry
-    the usual alternating signs and x_i^2 = 0.
-    """
-
-    __slots__ = ("n", "terms")
-    n: int
-    terms: tuple  # sorted tuple of (index tuple, coeff)
-
-    @classmethod
-    def build(cls, n, data):
-        """The class of (index word, coefficient) terms in any order: each
-        word is sorted by adjacent swaps, one sign flip per swap, and a
-        word with a repeated index is zero."""
-        cleaned = {}
-        for indices, coeff in data.items() if isinstance(data, dict) else data:
-            indices = tuple(indices)
-            if any(not 1 <= i <= n for i in indices):
-                raise ValueError("generator index out of range")
-            if len(set(indices)) != len(indices):
-                continue  # repeated factor squares to zero
-            order, sign = cls._sort_sign(indices)
-            coeff = int(coeff) * sign
-            if coeff:
-                cleaned[order] = cleaned.get(order, 0) + coeff
-        return cls.from_sums(n, cleaned)
-
-    @staticmethod
-    def _sort_sign(indices):
-        indices = list(indices)
-        sign = 1
-        for i in range(1, len(indices)):
-            j = i
-            while j > 0 and indices[j - 1] > indices[j]:
-                indices[j - 1], indices[j] = indices[j], indices[j - 1]
-                sign = -sign
-                j -= 1
-        return tuple(indices), sign
-
-    @classmethod
-    def from_sums(cls, n, sums):
-        """The class of a dict that maps sorted index tuples to summed
-        coefficients; the zero sums are dropped."""
-        return cls(n, tuple(sorted(term for term in sums.items() if term[1])))
-
-    @classmethod
-    def unit(cls, n):
-        return cls(n, (((), 1),))
-
-    def __add__(self, other):
-        if other.n != self.n:
-            raise ValueError("mixed exterior algebras")
-        sums = dict(self.terms)
-        for k, v in other.terms:
-            sums[k] = sums.get(k, 0) + v
-        return ExteriorKClass.from_sums(self.n, sums)
-
-    def __neg__(self):
-        return ExteriorKClass(self.n, tuple((k, -v) for k, v in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ExteriorKClass.from_sums(self.n, {k: other * v for k, v in self.terms})
-        if other.n != self.n:
-            raise ValueError("mixed exterior algebras")
-        sums = {}
-        for k1, v1 in self.terms:
-            for k2, v2 in other.terms:
-                if not set(k1).isdisjoint(k2):
-                    continue  # repeated factor squares to zero
-                # sorting x_k1 x_k2 moves each x_j of k2 past every x_i of
-                # k1 with i > j, and each such swap flips the sign
-                inversions = sum(i > j for i in k1 for j in k2)
-                k = tuple(sorted(k1 + k2))
-                sums[k] = sums.get(k, 0) + (-v1 * v2 if inversions & 1 else v1 * v2)
-        return ExteriorKClass.from_sums(self.n, sums)
-
-    __rmul__ = __mul__
-
-    def coefficients(self):
-        return dict(self.terms)
+@lru_cache(maxsize=None)
+def _word_positions(n):
+    """Sorted index word -> its coordinate: the 2^n words on 1..n, by size
+    and then lexicographically."""
+    words = (w for size in range(n + 1) for w in combinations(range(1, n + 1), size))
+    return {word: k for k, word in enumerate(words)}
 
 
-class RElt(Frozen):
-    """Element a + b*t of Z[t]/(t^2 - 1)."""
-
-    __slots__ = ("a", "b")
-    a: int
-    b: int
-
-    def __add__(self, other):
-        if not isinstance(other, RElt):
-            other = self._coerce(other)
-        return RElt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RElt(-self.a, -self.b)
-
-    def __mul__(self, other):
-        if not isinstance(other, RElt):
-            other = self._coerce(other)
-        return RElt(self.a * other.a + self.b * other.b,
-                    self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, int):
-            return RElt(value, 0)
-        raise TypeError("cannot mix with non-integers")
-
-    def __str__(self):
-        return f"{self.a} + {self.b}t"
+def _sort_sign(indices):
+    """The word sorted by adjacent swaps, and (-1)^(number of swaps)."""
+    indices = list(indices)
+    sign = 1
+    for i in range(1, len(indices)):
+        j = i
+        while j > 0 and indices[j - 1] > indices[j]:
+            indices[j - 1], indices[j] = indices[j], indices[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(indices), sign
 
 
-R_ONE = RElt(1, 0)
+@lru_cache(maxsize=None)
+def _exterior_table(n):
+    """(i, j, k, sign) for each two words i, j without a shared index:
+    word i times word j is sign times word k."""
+    positions = _word_positions(n)
+    table = []
+    for u, i in positions.items():
+        for v, j in positions.items():
+            if set(u).isdisjoint(v):
+                word, sign = _sort_sign(u + v)
+                table.append((i, j, positions[word], sign))
+    return tuple(table)
 
 
-class FOracleImage(Frozen):
+class OracleValue(Frozen):
     """Value of the restriction homomorphism F on the n-torus.
 
-    `forgetful` is the underlying non-equivariant class; `fixed_points`
-    lists the fiber representation at each of the 2^n fixed points.  The
-    algebra is componentwise; equality of images certifies equality of
-    equivariant classes because F is injective.
+    `coords` lists the coefficients of the underlying class on the 2^n
+    sorted exterior words, by size and then lexicographically, followed
+    by (a, b) for the fiber a + b*t at each of the 2^n fixed points.
+    Equality of values certifies equality of equivariant classes because
+    F is injective.
     """
 
-    __slots__ = ("n", "forgetful", "fixed_points")
+    __slots__ = ("n", "coords")
     n: int
-    forgetful: ExteriorKClass
-    fixed_points: tuple
+    coords: tuple
+
+    @classmethod
+    def build(cls, n, terms, fixed_points):
+        """The value whose underlying class is the sum of (index word,
+        coefficient) terms, with fiber a + b*t for each (a, b) of
+        fixed_points.  A word may list indices of 1..n in any order: it is
+        sorted by adjacent swaps, one sign flip per swap, and a word with a
+        repeated index is zero."""
+        positions = _word_positions(n)
+        coords = [0] * len(positions)
+        for indices, coeff in terms:
+            if len(set(indices)) == len(indices):
+                word, sign = _sort_sign(indices)
+                coords[positions[word]] += sign * coeff
+        for point in fixed_points:
+            coords.extend(point)
+        return cls(n, tuple(coords))
+
+    def fixed_points(self):
+        """The (a, b) of the fiber a + b*t at each fixed point."""
+        fixed = self.coords[1 << self.n:]
+        return tuple(zip(fixed[::2], fixed[1::2]))
 
     def _check(self, other):
-        if not isinstance(other, FOracleImage) or other.n != self.n:
+        if not isinstance(other, OracleValue) or other.n != self.n:
             raise ValueError("oracle images of different tori")
 
     def __add__(self, other):
         self._check(other)
-        return FOracleImage(self.n, self.forgetful + other.forgetful,
-                            tuple(map(add, self.fixed_points, other.fixed_points)))
+        return OracleValue(self.n, tuple(map(add, self.coords, other.coords)))
 
     def __neg__(self):
-        return FOracleImage(self.n, -self.forgetful, tuple(-a for a in self.fixed_points))
+        return OracleValue(self.n, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return OracleValue(self.n, tuple(map(sub, self.coords, other.coords)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return FOracleImage(self.n, self.forgetful * other,
-                                tuple(a * other for a in self.fixed_points))
+            return OracleValue(self.n, tuple(other * c for c in self.coords))
         self._check(other)
-        return FOracleImage(self.n, self.forgetful * other.forgetful,
-                            tuple(map(mul, self.fixed_points, other.fixed_points)))
+        x, y = self.coords, other.coords
+        out = [0] * (1 << self.n)
+        for i, j, k, sign in _exterior_table(self.n):
+            out[k] += sign * x[i] * y[j]
+        for p in range(1 << self.n, len(x), 2):
+            a, b, c, d = x[p], x[p + 1], y[p], y[p + 1]
+            out += (a * c + b * d, a * d + b * c)
+        return OracleValue(self.n, tuple(out))
 
     __rmul__ = __mul__
 
@@ -394,16 +332,14 @@ def _load_tables():
                 if not all(1 <= i <= n for i in term[0]):
                     raise ValueError(f"{where}: forgetful term {json.dumps(term)} "
                                      f"has an index outside 1..{n}")
-            forgetful = ExteriorKClass.build(n, terms)
             points = golden_field(row, "fixed", where)
             for point in points:
                 if not _is_int_list(point, 2):
                     raise ValueError(f"{where}: fixed point {json.dumps(point)} "
                                      "is not a pair of ints")
-            fixed = tuple(RElt(a, b) for a, b in points)
-            if len(fixed) != 2 ** n:
-                raise ValueError(f"{where} has {len(fixed)} fixed points, wanted {2 ** n}")
-            rows[gen] = FOracleImage(n, forgetful, fixed)
+            if len(points) != 2 ** n:
+                raise ValueError(f"{where} has {len(points)} fixed points, wanted {2 ** n}")
+            rows[gen] = OracleValue.build(n, terms, points)
         generators = tuple(golden_field(table, "generators", where_table))
         for gen in generators:
             if not isinstance(gen, str) or gen not in rows:
@@ -425,11 +361,11 @@ def oracle_table(n):
     return _load_tables()[n]
 
 
-def f_oracle_unit(n) -> FOracleImage:
-    return FOracleImage(n, ExteriorKClass.unit(n), (R_ONE,) * 2 ** n)
+def f_oracle_unit(n) -> OracleValue:
+    return OracleValue(n, (1,) + (0,) * ((1 << n) - 1) + (1, 0) * (1 << n))
 
 
-def f_oracle(n, text) -> FOracleImage:
+def f_oracle(n, text) -> OracleValue:
     """Oracle value on the n-torus of an expression in the table
     generators, such as "(C0 - H12)*(C0 - L3)"."""
     rows = oracle_table(n)["rows"]
@@ -450,27 +386,22 @@ def _embedding_images(n, items) -> dict:
     return {label: f_oracle(n, text) for label, text in items}
 
 
-def embed_in_oracle(n, embedding, element) -> FOracleImage:
+def embed_in_oracle(n, embedding, element) -> OracleValue:
     """Oracle image on the n-torus of a ring element, through an embedding
     that maps the label of each basis monomial to an oracle expression:
     the linear combination of the label images with the element's
-    coefficients, summed coordinate by coordinate.
+    coefficients.
 
     The images of an embedding's labels are evaluated once per embedding
     and set of golden tables."""
     images = _embedding_images(n, tuple(embedding.items()))
-    forgetful, a, b = {}, [0] * 2 ** n, [0] * 2 ** n
+    coords = [0] * (3 << n)
     for exps, coeff in element.terms:
         label = element.ring.monomial_str(exps)
         if label not in images:
             raise ValueError(f"{label} is not in the embedded basis")
-        image = images[label]
-        for k, v in image.forgetful.terms:
-            forgetful[k] = forgetful.get(k, 0) + coeff * v
-        for i, point in enumerate(image.fixed_points):
-            a[i] += coeff * point.a
-            b[i] += coeff * point.b
-    return FOracleImage(n, ExteriorKClass.from_sums(n, forgetful), tuple(map(RElt, a, b)))
+        coords = [c + coeff * v for c, v in zip(coords, images[label].coords)]
+    return OracleValue(n, tuple(coords))
 
 
 def verify_relation_via_oracle(n, lhs, rhs) -> bool:
@@ -497,28 +428,13 @@ def _oracle_basis(n):
     return ORACLE_BASES[n]
 
 
-def _image_vector(image: FOracleImage):
-    even = [k for k in _even_monomials(image.n)]
-    coeffs = image.forgetful.coefficients()
-    vec = [coeffs.get(k, 0) for k in even]
-    for p in image.fixed_points:
-        vec.extend((p.a, p.b))
-    return vec
-
-
-def _even_monomials(n):
-    from itertools import combinations
-    out = []
-    for size in range(0, n + 1, 2):
-        out.extend(combinations(range(1, n + 1), size))
-    return out
-
-
 def verify_f_injective(n) -> bool:
-    """Rank check: F is injective on the additive basis in dimension n."""
+    """Rank check: F is injective on the additive basis in dimension n.
+    The odd exterior words are zero on the even classes of the basis, so
+    their rows add nothing to the rank."""
     from .exact_abelian import IntegerMatrix, cokernel
     basis = _oracle_basis(n)
-    vectors = [_image_vector(f_oracle(n, b)) for b in basis]
+    vectors = [f_oracle(n, b).coords for b in basis]
     matrix = IntegerMatrix.from_columns(vectors, rows=len(vectors[0]))
     return matrix.rows - cokernel(matrix).free_rank == len(basis)
 
@@ -539,7 +455,7 @@ class Dictionary(Frozen):
     def as_dict(self):
         return dict(self.entries)
 
-    def push(self, element) -> FOracleImage:
+    def push(self, element) -> OracleValue:
         """Oracle image of a degree-(0, eq) ring element."""
         if element.ring.name != self.ring_name:
             raise ValueError(f"dictionary is for {self.ring_name}, not {element.ring.name}")
@@ -699,13 +615,14 @@ def kk_flip_substitution():
             "chi": ring.gen("sigma") + ring.gen("t") * ring.gen("chi")}
 
 
-def _swap_first_coordinate(image: FOracleImage) -> FOracleImage:
-    if image.n != 3:
-        raise ValueError("expected a 3-torus oracle value")
-    fixed = list(image.fixed_points)
-    for a in range(0, 8, 2):
-        fixed[a], fixed[a + 1] = fixed[a + 1], fixed[a]
-    return FOracleImage(3, image.forgetful, tuple(fixed))
+def _swap_first_coordinate(value: OracleValue) -> OracleValue:
+    """The value with fixed points 2m and 2m + 1, which differ in the first
+    coordinate alone, swapped; the underlying class stays."""
+    coords = value.coords
+    swapped = coords[:1 << value.n]
+    for p in range(1 << value.n, len(coords), 4):
+        swapped += coords[p + 2:p + 4] + coords[p:p + 2]
+    return OracleValue(value.n, swapped)
 
 
 def verify_kk_flip_via_oracle() -> bool:

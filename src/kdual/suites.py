@@ -204,6 +204,11 @@ ORACLE_RELATIONS = (
 )
 
 
+def _fiber_str(value):
+    """The fibers a + bt of an oracle value at its fixed points."""
+    return "(" + ", ".join(f"{a} + {b}t" for a, b in value.fixed_points()) + ")"
+
+
 def suite_oracle() -> Report:
     checks = []
     for id_, n, lhs, rhs in ORACLE_RELATIONS:
@@ -215,11 +220,10 @@ def suite_oracle() -> Report:
     # the printed sample values
     img = f_oracle(1, "L")
     _check(checks, "table-row-L", "circle table row L",
-           "(0 + 1t, 1 + 0t)", "(" + ", ".join(str(p) for p in img.fixed_points) + ")")
+           "(0 + 1t, 1 + 0t)", _fiber_str(img))
     img = f_oracle(2, "H")
     _check(checks, "table-row-H", "2-torus table row H",
-           "(0 + 1t, 1 + 0t, 1 + 0t, 1 + 0t)",
-           "(" + ", ".join(str(p) for p in img.fixed_points) + ")")
+           "(0 + 1t, 1 + 0t, 1 + 0t, 1 + 0t)", _fiber_str(img))
     img = f_oracle(3, "H12*L3")
     _check(checks, "table-row-H12L3", "3-torus table row H12*L3",
            True, img == f_oracle(3, "H12L3"))

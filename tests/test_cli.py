@@ -290,6 +290,10 @@ def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, c
     tables["1"]["rows"]["L"]["fixed"][0] = None
     cases["null-fixed-point"] = (
         tables, "null-fixed-point/tables.json: row L of dimension 1: fixed point null")
+    tables = golden()
+    tables["1"]["rows"]["L"]["fixed"].append([1, 0])
+    cases["three-fixed-points"] = (
+        tables, "three-fixed-points/tables.json: row L of dimension 1 has 3 fixed points, wanted 2")
     cases["list"] = ([], "list/tables.json does not hold an object keyed by dimension")
     tables = golden()
     tables["2"]["generators"] = "C0"

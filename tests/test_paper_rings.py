@@ -18,10 +18,9 @@ from kdual.paper_rings import (
     DICTIONARIES,
     Dictionary,
     EVEN_EMBEDDING_2,
-    ExteriorKClass,
     ODD_EMBEDDING_2,
     ORACLE_BASES,
-    RElt,
+    OracleValue,
     RING_NAMES,
     SUSPENSION_EMBEDDINGS,
     SUSPENSION_THOM,
@@ -64,13 +63,14 @@ def test_tables_products_are_consistent():
 
 def test_table_row_values():
     row = f_oracle(1, "L")
-    assert row.fixed_points == (RElt(0, 1), RElt(1, 0))
+    assert row.fixed_points() == ((0, 1), (1, 0))
     row = f_oracle(2, "H")
-    assert row.fixed_points == (RElt(0, 1), RElt(1, 0), RElt(1, 0), RElt(1, 0))
-    assert row.forgetful == ExteriorKClass.build(2, {(): 1, (1, 2): -1})
+    assert row.fixed_points() == ((0, 1), (1, 0), (1, 0), (1, 0))
+    # the words (), (1,), (2,), (1, 2), then the four fixed points
+    assert row.coords == (1, 0, 0, -1, 0, 1, 1, 0, 1, 0, 1, 0)
     row = f_oracle(3, "H12L3")
-    assert row.fixed_points == (RElt(1, 0), RElt(0, 1), RElt(0, 1), RElt(0, 1),
-                                RElt(0, 1), RElt(1, 0), RElt(1, 0), RElt(1, 0))
+    assert row.fixed_points() == ((1, 0), (0, 1), (0, 1), (0, 1),
+                                  (0, 1), (1, 0), (1, 0), (1, 0))
 
 
 def test_oracle_powers():
@@ -86,71 +86,74 @@ def test_oracle_powers():
 # --- exterior algebra ------------------------------------------------------------
 
 
+def _exterior(n, terms):
+    """The oracle value with the given exterior terms and zero fibers."""
+    return OracleValue.build(n, terms, [(0, 0)] * 2 ** n)
+
+
 def test_exterior_squares_vanish():
-    x12 = ExteriorKClass.build(3, {(1, 2): 1})
-    assert x12 * x12 == ExteriorKClass(3, ())
-    x13 = ExteriorKClass.build(3, {(1, 3): 1})
-    assert x12 * x13 == ExteriorKClass(3, ())  # shares x1
+    x12 = _exterior(3, [((1, 2), 1)])
+    assert x12 * x12 == _exterior(3, [])
+    x13 = _exterior(3, [((1, 3), 1)])
+    assert x12 * x13 == _exterior(3, [])  # shares x1
 
 
 def test_exterior_signs():
-    x2 = ExteriorKClass.build(2, {(2,): 1})
-    x1 = ExteriorKClass.build(2, {(1,): 1})
-    assert x2 * x1 == ExteriorKClass.build(2, {(1, 2): -1})
-    assert x1 * x2 == ExteriorKClass.build(2, {(1, 2): 1})
+    x2 = _exterior(2, [((2,), 1)])
+    x1 = _exterior(2, [((1,), 1)])
+    assert x2 * x1 == _exterior(2, [((1, 2), -1)])
+    assert x1 * x2 == _exterior(2, [((1, 2), 1)]) == _exterior(2, [((2, 1), -1)])
 
 
 def test_flat_torus_relation_holds_automatically():
-    one = ExteriorKClass.unit(3)
-    h12 = one - ExteriorKClass.build(3, {(1, 2): 1})
-    h23 = one - ExteriorKClass.build(3, {(2, 3): 1})
-    assert (one - h12) * (one - h23) == ExteriorKClass(3, ())
+    one = f_oracle_unit(3)
+    h12 = one - _exterior(3, [((1, 2), 1)])
+    h23 = one - _exterior(3, [((2, 3), 1)])
+    assert (one - h12) * (one - h23) == _exterior(3, [])
     # the degree-one part of the 2-torus: (1 - H)^2 = 0
-    one2 = ExteriorKClass.unit(2)
-    h = one2 - ExteriorKClass.build(2, {(1, 2): 1})
-    assert (one2 - h) * (one2 - h) == ExteriorKClass(2, ())
+    one2 = f_oracle_unit(2)
+    h = one2 - _exterior(2, [((1, 2), 1)])
+    assert (one2 - h) * (one2 - h) == _exterior(2, [])
 
 
-def _exterior_basis(n):
-    return [ExteriorKClass.build(n, {indices: 1}) for size in range(n + 1)
-            for indices in combinations(range(1, n + 1), size)]
+def _random_fibers(rng, n):
+    return [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2 ** n)]
 
 
-def _random_exterior(rng, n):
+def _random_raw(rng, n):
     # up to four terms on index words of any order, repeats included
-    return ExteriorKClass.build(n, [
-        (tuple(rng.randint(1, n) for _ in range(rng.randint(0, n))), rng.randint(-3, 3))
-        for _ in range(rng.randint(0, 4))])
+    return ([(tuple(rng.randint(1, n) for _ in range(rng.randint(0, n))), rng.randint(-3, 3))
+             for _ in range(rng.randint(0, 4))], _random_fibers(rng, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exterior_arithmetic_is_build_of_the_raw_terms(n):
     # `build` sorts each index word by adjacent swaps, flipping the sign at
-    # each, so it is the definition the operations are checked against
+    # each, so it is the definition the structure table is checked against;
+    # each fiber is an element a + b*t of Z[t]/(t^2 - 1)
     rng = random.Random(2500 + n)
-    basis = _exterior_basis(n)
-    elements = basis + [_random_exterior(rng, n) for _ in range(300)]
-    pairs = [(a, b) for a in basis for b in basis]
-    pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
-    for a, b in pairs:
-        assert a * b == ExteriorKClass.build(
-            n, [(k1 + k2, v1 * v2) for k1, v1 in a.terms for k2, v2 in b.terms])
-        assert a + b == ExteriorKClass.build(n, a.terms + b.terms)
-        assert a - b == ExteriorKClass.build(n, a.terms + tuple((k, -v) for k, v in b.terms))
-    for a in elements:
+    raws = [([(word, 1)], _random_fibers(rng, n)) for size in range(n + 1)
+            for word in combinations(range(1, n + 1), size)]
+    basis_size = len(raws)
+    raws += [_random_raw(rng, n) for _ in range(300)]
+    values = [OracleValue.build(n, *raw) for raw in raws]
+    pairs = [(i, j) for i in range(basis_size) for j in range(basis_size)]
+    pairs += [(rng.randrange(len(raws)), rng.randrange(len(raws))) for _ in range(300)]
+    for i, j in pairs:
+        (words_a, fibers_a), (words_b, fibers_b) = raws[i], raws[j]
+        a, b = values[i], values[j]
+        assert a * b == OracleValue.build(
+            n, [(k1 + k2, v1 * v2) for k1, v1 in words_a for k2, v2 in words_b],
+            [(x * z + y * w, x * w + y * z) for (x, y), (z, w) in zip(fibers_a, fibers_b)])
+        assert a + b == OracleValue.build(
+            n, words_a + words_b, [(x + z, y + w) for (x, y), (z, w) in zip(fibers_a, fibers_b)])
+        assert a - b == OracleValue.build(
+            n, words_a + [(k, -v) for k, v in words_b],
+            [(x - z, y - w) for (x, y), (z, w) in zip(fibers_a, fibers_b)])
+    for (words, fibers), a in zip(raws, values):
         for k in (-2, -1, 0, 1, 3):
-            assert k * a == a * k == ExteriorKClass.build(n, [(i, k * v) for i, v in a.terms])
-
-
-def test_oracle_coefficients_coerce_an_int():
-    x = RElt(1, 2)
-    assert x + 3 == 3 + x == RElt(4, 2)
-    assert x * 3 == 3 * x == RElt(3, 6)
-    assert x * RElt(0, 1) == RElt(2, 1)
-    with pytest.raises(TypeError, match="non-integers"):
-        x + 1.5
-    with pytest.raises(TypeError, match="non-integers"):
-        x * "t"
+            assert k * a == a * k == OracleValue.build(
+                n, [(i, k * v) for i, v in words], [(k * x, k * y) for x, y in fibers])
 
 
 # every (torus dimension, ring, embedding) that the certification embeds through
@@ -474,14 +477,13 @@ def _oracle_action_module(n, basis_exprs):
     multiplication by C1; coordinates are solved exactly from the image
     vectors of the restriction map."""
     from kdual.exact_abelian import IntegerMatrix, RModule, solve
-    from kdual.paper_rings import _image_vector
     images = [f_oracle(n, b) for b in basis_exprs]
-    vectors = [_image_vector(img) for img in images]
+    vectors = [img.coords for img in images]
     span = IntegerMatrix.from_columns(vectors, rows=len(vectors[0]))
     t_row = f_oracle(n, "C1")
     columns = []
     for img in images:
-        coords = solve(span, _image_vector(t_row * img))
+        coords = solve(span, (t_row * img).coords)
         assert coords is not None, "C1-multiple left the basis span"
         columns.append(coords)
     action = IntegerMatrix.from_columns(columns, rows=len(basis_exprs))
