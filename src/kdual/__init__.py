@@ -34,8 +34,7 @@ _LAZY = {
                    "kunneth_split", "pushforward_torus2", "t_power_table",
                    "t_transform"),
     "tduality": ("Pair", "RealCircleBundle", "TDualResult", "TwistedKTable",
-                 "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv",
-                 "verify_theorem_T"),
+                 "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv"),
     "suites": ("Report", "run_suite"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
@@ -62,6 +61,5 @@ __all__ = [
     "kunneth_split", "pushforward_torus2", "t_power_table", "t_transform",
     "Pair", "RealCircleBundle", "TDualResult", "TwistedKTable",
     "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv",
-    "verify_theorem_T",
     "Report", "run_suite",
 ]

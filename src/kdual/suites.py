@@ -358,9 +358,9 @@ def suite_tdual() -> Report:
            5, len(classes))
     _check(checks, "involution", "duality is an involution on classes",
            True, all(classes[c.dual_index].dual_index == c.index for c in classes))
-    point_classes = tduality.DualityTable("point").classes
+    point = tduality.DualityTable("point")
     _check(checks, "point-classes", "single self-dual class over the point",
-           "1 0", f"{len(point_classes)} {point_classes[0].dual_index}")
+           "1 0", f"{len(point.classes)} {point.classes[0].dual_index}")
     # the two gauge-equivalent representatives
     pair = tduality.pair_from_expressions("circle_trivial", "0", "0", "t12*e")
     orbit = tduality.gauge_orbit(pair)
@@ -392,7 +392,7 @@ def suite_tdual() -> Report:
     _check(checks, "clutching-search", "search agrees with the recorded clutchings",
            True, actual)
     _check(checks, "theorem-T-point", "module duality over the point",
-           True, tduality.verify_theorem_T("point"))
+           True, point.theorem_T())
     _check(checks, "theorem-T-circle", "module duality over the circle",
            True, circle.theorem_T())
     return Report("tdual", tuple(checks))

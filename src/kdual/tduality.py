@@ -66,7 +66,7 @@ from .expressions import parse_expression
 from .frozen import Frozen
 from .graded_algebra import EQ, PM, Degree, apply_ring_hom, degree_component
 from .paper_rings import build_ring, kk_flip_substitution, per_golden_dir
-from .transforms import flip_circle_slices, gysin_degree_data, t_basis, t_power_table, t_transform
+from .transforms import flip_circle_slices, gysin_degree_data, t_matrix_power
 
 
 class NoSolutionError(RuntimeError):
@@ -341,9 +341,9 @@ class PairClass(Frozen):
 class DualityTable:
     """Every raw pair over a base, with its orbit representative and its
     dual, each computed once, for the report, the classes, shift
-    equivariance and theorem T to share.  A table is built afresh for each
-    caller and calls `tdual` through this module, so it always reflects the
-    function in force."""
+    equivariance and theorem T (on every base alike) to share.  A table is
+    built afresh for each caller and calls `tdual` through this module, so
+    it always reflects the function in force."""
 
     def __init__(self, base_name):
         self.base = get_base(base_name)
@@ -406,11 +406,19 @@ class DualityTable:
         return True
 
     def theorem_T(self) -> bool:
-        """See `verify_theorem_T`; over the circle only."""
+        """Theorem T, on the flip circle's basis: T^4 = t and t^2 = 1, so
+        T^8 = 1 (T is invertible over Z) and T commutes with t; and T or T^3
+        carries each class's clutching G to its dual's, T^k G = G' T^k, so
+        T^k maps ker and coker of 1 - G onto those of 1 - G', degree shifted
+        and sides exchanged.  T^4 = t commutes with every clutching, so T^5
+        and T^7 add nothing.  Over the point, the one clutching is 1."""
+        t = IntegerMatrix.block_diagonal(*_clutching_operators()["t"])
+        odd = (t_matrix_power(1), t_matrix_power(3))
+        if t_matrix_power(4) != t or t @ t != IntegerMatrix.identity(t.rows):
+            return False
         for cls in self.classes:
-            pair = cls.representative
-            if not _shift_dual(twisted_k_mv(pair).modules,
-                               twisted_k_mv(self.dual(pair)).modules):
+            g, g_dual = _clutching(cls.representative), _clutching(self.dual(cls.representative))
+            if not any(power @ g == g_dual @ power for power in odd):
                 return False
         return True
 
@@ -583,9 +591,6 @@ class TwistedKTable(Frozen):
     derived: dict
     printed: dict
 
-    def modules(self, degree, side) -> Counter:
-        return Counter(self.derived[degree % 2, side])
-
     def printed_modules(self, degree, side) -> Counter:
         return Counter(self.printed[degree % 2, side])
 
@@ -612,6 +617,13 @@ def _twist_invariants(pair: Pair):
     return (not pair.bundle.is_trivial(), base_part, fiber_part)
 
 
+def _clutching(pair: Pair) -> IntegerMatrix:
+    """The clutching for the pair's twist invariants on the flip circle's
+    basis, the even slice's block, then the odd slice's."""
+    key = _twist_invariants(pair)
+    return IntegerMatrix.block_diagonal(*_clutching_matrices(key[0], clutching_multiplier(key))[:2])
+
+
 def twisted_k_mv(pair: Pair) -> TwistedKTable:
     """Twisted K-groups over the circle with trivial involution, computed
     by the two-arc Mayer-Vietoris difference map for the clutching that
@@ -627,23 +639,3 @@ def twisted_k_mv(pair: Pair) -> TwistedKTable:
     printed = {slot: Counter(modules) for slot, modules in PRINTED_MV_TABLES[key].items()}
     return TwistedKTable(pair.label(), (key[0], multiplier),
                          mv_k_groups(key[0], multiplier), printed)
-
-
-def _shift_dual(modules, dual_modules) -> bool:
-    """Theorem T's comparison of two maps (degree mod 2, side) -> modules:
-    degree n on each side against degree n - 1 on the other side of the dual."""
-    return all(modules(n, side) == dual_modules(n - 1, other)
-               for n in (0, 1) for side, other in ((EQ, PM), (PM, EQ)))
-
-
-def verify_theorem_T(base_name) -> bool:
-    """Over the point, the one class (E0, 0) lives on the flip circle, and T
-    exchanges its free (0, eq) and (1, pm) slices: T^8 = 1 makes T invertible
-    over Z, and T commuting with t makes it an R-module isomorphism.  Over
-    the circle, the twisted K-groups of each dual class pair agree under the
-    degree shift by one with the two sides exchanged."""
-    if base_name == "point":
-        basis = t_basis()
-        return t_power_table(8) == basis and all(
-            t_transform(basis["t"] * b) == basis["t"] * t_transform(b) for b in basis.values())
-    return DualityTable(base_name).theorem_T()

@@ -176,17 +176,24 @@ def t_basis() -> dict:
     return {label: elements[label] for label in T_BASIS_LABELS}
 
 
-def t_power_table(k: int) -> dict:
-    """Iterated transform on the six-element module basis of the flip
-    circle, read off T^k computed by repeated squaring."""
+def t_matrix_power(k: int) -> IntegerMatrix:
+    """The matrix of T^k on the basis of `flip_circle_slices` (even
+    monomials, then odd), for 1 <= k <= 16, by repeated squaring."""
     if not 1 <= k <= 16:
         raise ValueError("power must be between 1 and 16")
-    transform = _transform()
-    power, square = IntegerMatrix.identity(len(transform[1])), transform[-1]
+    square = _transform()[-1]
+    power = IntegerMatrix.identity(square.rows)
     while k:
         if k & 1:
             power = power.mul(square)
         square, k = square.mul(square), k >> 1
+    return power
+
+
+def t_power_table(k: int) -> dict:
+    """Iterated transform on the six-element module basis of the flip
+    circle: the columns of `t_matrix_power(k)`, as ring elements."""
+    transform, power = _transform(), t_matrix_power(k)
     return {label: _apply(transform, power, elem) for label, elem in t_basis().items()}
 
 

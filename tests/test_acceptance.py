@@ -224,9 +224,14 @@ def test_criterion_08_twisted_k_tables():
                 # underlying groups still agree with the recorded table
                 key = tduality._twist_invariants(cls.representative)
                 printed = tduality.PRINTED_MV_TABLES[key][(degree, side)]
-                assert multiset_group(printed) == multiset_group(table.modules(degree, side))
-    assert tduality.verify_theorem_T("circle_trivial")
-    assert tduality.verify_theorem_T("point")
+                assert multiset_group(printed) == multiset_group(table.derived[degree, side])
+        # the module duality, by the classified tables under the degree shift
+        dual_table = tduality.twisted_k_mv(tduality.tdual(cls.representative).dual)
+        for degree in (0, 1):
+            assert table.derived[degree, EQ] == dual_table.derived[1 - degree, PM]
+            assert table.derived[degree, PM] == dual_table.derived[1 - degree, EQ]
+    assert tduality.DualityTable("circle_trivial").theorem_T()
+    assert tduality.DualityTable("point").theorem_T()
     _passed(8, "every recorded K-table entry derived or certified at group "
                "level, and the module duality holds on both bases")
 

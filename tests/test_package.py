@@ -17,7 +17,7 @@ SRC = str(PACKAGE.parent)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # definitions that only the tests run, kept as references for them: top-level
 # names, and methods as `Class.method`
-TEST_REFERENCES = {"indecomposable", "IntegerMatrix.block_diagonal"}
+TEST_REFERENCES = {"indecomposable"}
 
 
 def test_import_loads_only_what_the_caller_uses():

@@ -41,7 +41,6 @@ from kdual.tduality import (
     search_clutchings,
     tdual,
     twisted_k_mv,
-    verify_theorem_T,
     TDualResult,
     TotalSpaceH3,
     _kernel_module,
@@ -67,7 +66,7 @@ def test_an_unknown_base_is_named_by_the_base_space():
     with pytest.raises(ValueError, match=message):
         BaseSpace("torus")
     with pytest.raises(ValueError, match=message):
-        verify_theorem_T("torus")
+        DualityTable("torus")
 
 
 def test_a_chern_class_of_the_wrong_degree_is_refused():
@@ -367,7 +366,7 @@ def test_shift_equivariance():
 
 
 def _modules(table: TwistedKTable, degree, side):
-    return dict(table.modules(degree, side))
+    return dict(table.derived[degree, side])
 
 
 def test_untwisted_product_groups():
@@ -646,17 +645,42 @@ def test_module_count_statuses():
 
 
 def test_theorem_T():
-    assert verify_theorem_T("point")
-    assert verify_theorem_T("circle_trivial")
+    assert DualityTable("point").theorem_T()
+    assert DualityTable("circle_trivial").theorem_T()
 
 
-def test_theorem_T_over_the_point_fails_on_a_wrong_transform(monkeypatch):
+@pytest.mark.parametrize("base_name", tduality.BASE_NAMES)
+def test_theorem_T_fails_on_a_wrong_transform(monkeypatch, base_name):
     *rest, matrix = transforms._transform()
     rows = [list(matrix.row(i)) for i in range(matrix.rows)]
     rows[0][4] = 2
     wrong = (*rest, IntegerMatrix.from_rows(rows))
     monkeypatch.setattr(transforms, "_transform", lambda: wrong)
-    assert not verify_theorem_T("point")
+    assert not DualityTable(base_name).theorem_T()
+
+
+def test_theorem_T_witnesses_over_the_circle():
+    """For each class over the circle, the powers k in 1..8 with
+    T^k G = G' T^k, G the class's clutching and G' its dual's, with T^k
+    formed by repeated multiplication."""
+    transform = transforms._transform()[-1]
+    powers = [IntegerMatrix.identity(transform.rows)]
+    for _ in range(8):
+        powers.append(transform @ powers[-1])
+    table = DualityTable("circle_trivial")
+    witnesses = {}
+    for cls in table.classes:
+        g = tduality._clutching(cls.representative)
+        g_dual = tduality._clutching(table.dual(cls.representative))
+        witnesses[cls.label] = {k for k in range(1, 9) if powers[k] @ g == g_dual @ powers[k]}
+    every = set(range(1, 9))
+    assert witnesses == {
+        "(E0, 0)": every,
+        "(E0, h(t12*e))": {1, 5},
+        "(E0, pi*(t12^2*e))": every,
+        "(E1[t12*e], 0)": {3, 7},
+        "(E1[t12*e], h(t12*e))": every,
+    }
 
 
 def _pair_duals_wrongly(monkeypatch, first, second):
@@ -720,8 +744,8 @@ def test_theorem_T_on_representatives_explicitly():
         table = twisted_k_mv(pair)
         dual_table = twisted_k_mv(dual)
         for n in (0, 1):
-            assert table.modules(n, EQ) == dual_table.modules(n - 1, PM)
-            assert table.modules(n, PM) == dual_table.modules(n - 1, EQ)
+            assert table.derived[n, EQ] == dual_table.derived[(n - 1) % 2, PM]
+            assert table.derived[n, PM] == dual_table.derived[(n - 1) % 2, EQ]
 
 
 def test_uniqueness_witness():
