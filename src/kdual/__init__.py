@@ -30,9 +30,8 @@ _LAZY = {
     "exact_abelian": ("ClassificationError", "FGAbelianGroup", "IntegerMatrix", "RModule",
                       "SmithDecomposition", "cokernel", "rmodule_classify",
                       "smith_normal_form"),
-    "transforms": ("GradedGroupTable", "group_cohomology_z2", "gysin_cohomology",
-                   "kunneth_split", "pushforward_torus2", "t_power_table",
-                   "t_transform"),
+    "transforms": ("group_cohomology_z2", "gysin_cohomology", "kunneth_split",
+                   "pushforward_torus2", "t_power_table", "t_transform"),
     "tduality": ("Pair", "RealCircleBundle", "TDualResult", "TwistedKTable",
                  "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv"),
     "suites": ("Report", "run_suite"),
@@ -57,8 +56,8 @@ __all__ = [
     "OracleValue", "build_ring", "dictionary", "f_oracle",
     "verify_f_injective", "verify_relation_via_oracle",
     "ParseError", "parse_expression",
-    "GradedGroupTable", "group_cohomology_z2", "gysin_cohomology",
-    "kunneth_split", "pushforward_torus2", "t_power_table", "t_transform",
+    "group_cohomology_z2", "gysin_cohomology", "kunneth_split",
+    "pushforward_torus2", "t_power_table", "t_transform",
     "Pair", "RealCircleBundle", "TDualResult", "TwistedKTable",
     "enumerate_pair_classes", "gauge_orbit", "tdual", "twisted_k_mv",
     "Report", "run_suite",

@@ -573,11 +573,9 @@ class FGAbelianGroup(Frozen):
     def is_trivial(self):
         return not self.invariant_factors
 
-    def direct_sum(self, *others):
-        orders = list(self.invariant_factors)
-        for g in others:
-            orders.extend(g.invariant_factors)
-        return FGAbelianGroup.from_orders(orders)
+    def __add__(self, other):
+        """The direct sum."""
+        return FGAbelianGroup.from_orders(self.invariant_factors + other.invariant_factors)
 
     def __str__(self):
         if not self.invariant_factors:

@@ -119,7 +119,11 @@ class PresentedRing:
         rules: iterable of (lhs_monomial_dict, [(rhs_monomial_dict, coeff), ...])
         """
         specs = [GeneratorSpec(n, Degree(lvl, var), order) for n, lvl, var, order in generators]
-        for g in specs:  # slices without a period are enumerated as if levels only grow
+        names = [g.name for g in specs]
+        for g in specs:
+            if names.count(g.name) > 1:
+                raise ValueError(f"{name}: generator {g.name!r} is given more than once")
+            # slices without a period are enumerated as if levels only grow
             if period is None and g.degree.level < 0:
                 raise ValueError(f"{name}: generator {g.name!r} has negative level "
                                  f"{g.degree.level} in a ring without a period")

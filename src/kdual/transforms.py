@@ -8,6 +8,10 @@ two-element group computed from its 2-periodic free resolution, and the
 assembly of total-space cohomology from multiplication by an Euler class
 (the two-step kernel/cokernel data of the circle-bundle exact sequence).
 
+A graded table is a function (level, variant) -> entry that works each
+entry out once, when first read: a `Counter` of indecomposables (a fresh
+copy on each read) for a K-table, an `FGAbelianGroup` otherwise.
+
 Push-forwards along a torus factor are not postulated: they are read off
 from the free decomposition of the torus ring over the pulled-back circle
 ring, with basis {1, chi_fiber}.  That decomposition is checked, not
@@ -18,6 +22,7 @@ generator images and applied by `apply_ring_hom`.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 
 from .exact_abelian import (
     FGAbelianGroup,
@@ -26,7 +31,6 @@ from .exact_abelian import (
     RModule,
     cokernel,
     kernel_basis,
-    multiset_group,
     preimage_lattice,
     relation_lattice,
     rmodule_classify,
@@ -201,76 +205,37 @@ def t_power_table(k: int) -> dict:
 # graded group tables and the Künneth splitting
 
 
-class TableEntry(Frozen):
-    __slots__ = ("group", "modules")
-    group: FGAbelianGroup
-    modules: tuple | None  # sorted (name, multiplicity) pairs, or None for a bare group
-
-    @classmethod
-    def from_counter(cls, counter: Counter):
-        return cls(multiset_group(counter), tuple(sorted(Counter(counter).items())))
-
-
-class GradedGroupTable:
-    """Map from (level, variant) to a group, with optional module refinement.
-
-    `compute(level, variant)` works an entry out; each entry is computed
-    when it is first read and kept, so at most once per table.  K-tables
-    are 2-periodic: their levels are read modulo 2.
-    """
-
-    def __init__(self, theory: str, compute):
-        if theory not in ("K", "H"):
-            raise ValueError("theory must be 'K' or 'H'")
-        self.theory = theory
-        self._compute = compute
-        self._entries = {}
-
-    def entry(self, level, variant) -> TableEntry:
-        if self.theory == "K":
-            level %= 2
-        key = (level, variant)
-        if key not in self._entries:
-            self._entries[key] = self._compute(level, variant)
-        return self._entries[key]
-
-
-def k_table_of_ring(name: str) -> GradedGroupTable:
-    """Module-refined table of a K-type built-in ring, from its slices."""
+def k_table_of_ring(name: str):
+    """The K-table of a K-type built-in ring: (level, variant) -> a fresh
+    `Counter` of the indecomposables in that slice, each slice classified
+    once per table.  Levels count modulo the ring's period."""
     ring = build_ring(name)
     t = ring.gen("t")
 
-    def compute(level, variant):
-        slice_ = degree_component(ring, Degree(level, variant))
-        if not slice_.dim:
-            return TableEntry(FGAbelianGroup(), ())
-        module = RModule(slice_.dim, relation_lattice(slice_.orders),
-                         slice_.matrix(lambda e: t * e))
-        return TableEntry.from_counter(rmodule_classify(module))
-    return GradedGroupTable("K", compute)
+    @cache
+    def classify(degree):
+        slice_ = degree_component(ring, degree)
+        return rmodule_classify(RModule(slice_.dim, relation_lattice(slice_.orders),
+                                        slice_.matrix(lambda e: t * e)))
+    return lambda level, variant: Counter(classify(ring.reduce_degree(Degree(level, variant))))
 
 
-def h_table_of_ring(name: str) -> GradedGroupTable:
+def h_table_of_ring(name: str):
+    """The H-table of a built-in ring: (level, variant) -> the group of
+    that slice, worked out once per table."""
     ring = build_ring(name)
-    return GradedGroupTable("H", lambda level, variant: TableEntry(
-        degree_component(ring, Degree(level, variant)).group, None))
+    return cache(lambda level, variant: degree_component(ring, Degree(level, variant)).group)
 
 
-def split_table(table: GradedGroupTable) -> GradedGroupTable:
+def split_table(table):
     """Table of the product with the flip circle: each degree is the sum of
-    the same degree and the variant-flipped degree one level down."""
-    def compute(level, variant):
-        here = table.entry(level, variant)
-        below = table.entry(level - 1, PM if variant == EQ else EQ)
-        group = here.group.direct_sum(below.group)
-        if here.modules is None:
-            return TableEntry(group, None)
-        merged = Counter(dict(here.modules)) + Counter(dict(below.modules or ()))
-        return TableEntry(group, tuple(sorted(merged.items())))
-    return GradedGroupTable(table.theory, compute)
+    the same degree and the variant-flipped degree one level down, as
+    multisets for a K-table and as groups for an H-table."""
+    return lambda level, variant: (table(level, variant)
+                                   + table(level - 1, PM if variant == EQ else EQ))
 
 
-def kunneth_split(theory: str) -> GradedGroupTable:
+def kunneth_split(theory: str):
     """Graded groups of the flip circle, split off the point's K-table
     (theory "K") or cohomology table (theory "H")."""
     if theory == "K":
@@ -351,10 +316,11 @@ def gysin_degree_data(base_ring, euler: RingElement, level: int, variant: str) -
                            preimage_lattice(out, relation_lattice(above.orders)))
 
 
-def gysin_cohomology(base_ring, euler: RingElement) -> GradedGroupTable:
+def gysin_cohomology(base_ring, euler: RingElement):
     """Total-space cohomology table of the circle bundle with the given
-    Euler class, assembled degree by degree from the kernel and cokernel
-    of cup product with the Euler class.
+    Euler class: (level, variant) -> the group in that degree, assembled
+    from the kernel and cokernel of cup product with the Euler class.
+    Each degree's data is built once per table, when it is first read.
 
     Extensions are never resolved silently: reading an entry whose kernel
     part has torsion while the cokernel part is nonzero raises
@@ -366,12 +332,16 @@ def gysin_cohomology(base_ring, euler: RingElement) -> GradedGroupTable:
     if not euler.is_zero() and not euler.is_homogeneous(Degree(2, PM)):
         raise ValueError("Euler class must be homogeneous of degree (2, pm)")
 
-    def compute(level, variant):
+    @cache
+    def parts(level, variant):
         data = gysin_degree_data(base_ring, euler, level, variant)
-        ker, cok = data.kernel_group(), data.cokernel_group()
+        return data.kernel_group(), data.cokernel_group()
+
+    def table(level, variant):
+        ker, cok = parts(level, variant)
         if not euler.is_zero() and ker.torsion_orders and not cok.is_trivial():
             raise ExtensionError(
                 f"the extension of {ker} by {cok} in degree ({level}, {variant}) "
                 "is left open by the sequence")
-        return TableEntry(cok.direct_sum(ker), None)
-    return GradedGroupTable("H", compute)
+        return cok + ker
+    return table

@@ -8,6 +8,10 @@ Each line reports its first run and is then switched off, so the run costs
 little more than tier-1 itself.  The lines a module can run are those of
 its compiled code objects, nested ones included (`co_lines`), less the
 module's line-0 entry.  Exits 1 if tier-1 fails or a line never ran.
+
+A statement after a `return`, `raise`, `continue` or `break` in the same
+block has no entry in `co_lines()`, so this gate cannot see it;
+`tests/test_package.py::test_no_statement_follows_a_jump` fails on it.
 """
 
 import sys

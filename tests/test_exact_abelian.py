@@ -494,6 +494,22 @@ def test_group_canonicalization():
         FGAbelianGroup((0, 2))
 
 
+def test_group_sum_is_the_direct_sum():
+    def group(*orders):
+        return FGAbelianGroup.from_orders(orders)
+    assert group(2) + group(3) == group(6)
+    assert str(group(2) + group(2)) == "Z/2 x Z/2"
+    assert str(group(4) + group(0)) == "Z/4 x Z"
+    zero = FGAbelianGroup()
+    for g in (zero, group(2), group(0), group(4, 6, 0)):
+        assert zero + g == g + zero == g
+    cases = [group(2), group(4), group(3, 0), group(2, 2, 0, 0), group(6, 10)]
+    for g in cases:
+        for h in cases:
+            assert g + h == h + g == group(*g.invariant_factors, *h.invariant_factors)
+    assert str(group(6, 10) + group(4)) == "Z/2 x Z/2 x Z/60"
+
+
 def test_groups_reject_orders_that_are_not_plain_ints():
     for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="orders must be plain ints"):

@@ -225,6 +225,22 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_no_statement_follows_a_jump():
+    # a statement after a return, raise, continue or break in the same block
+    # never runs, and the line gate cannot see it: the compiler leaves it
+    # out of `co_lines()`
+    jumps = (ast.Return, ast.Raise, ast.Continue, ast.Break)
+    unreachable = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for block in (getattr(node, field, None) for field in ("body", "orelse", "finalbody")):
+                if isinstance(block, list):
+                    unreachable.extend(f"{path.name}:{after.lineno}"
+                                       for before, after in zip(block, block[1:])
+                                       if isinstance(before, jumps))
+    assert unreachable == []
+
+
 def test_every_field_is_read():
     # an annotated field of a kdual class is live when some attribute load
     # in the package, the benchmark or the tests reads it by name

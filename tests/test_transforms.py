@@ -20,8 +20,6 @@ from kdual.paper_rings import GOLDEN_DIR_ENV, CertificationError, build_ring, go
 from kdual import transforms
 from kdual.transforms import (
     ExtensionError,
-    GradedGroupTable,
-    TableEntry,
     group_cohomology_z2,
     gysin_cohomology,
     h_table_of_ring,
@@ -321,24 +319,21 @@ def test_pushforward_section_check_fails_without_chi2(monkeypatch):
 
 def test_point_k_table():
     table = k_table_of_ring("kk_point")
-    assert dict(table.entry(0, EQ).modules) == {"R": 1}
-    assert dict(table.entry(1, PM).modules) == {"R/J": 1}
-    assert table.entry(1, EQ).group.is_trivial()
-    assert table.entry(0, PM).group.is_trivial()
+    assert table(0, EQ) == {"R": 1}
+    assert table(1, PM) == {"R/J": 1}
+    assert not table(1, EQ) and not table(0, PM)
 
 
 def test_kunneth_reproduces_torus_groups():
     table = kunneth_split("K")
-    assert dict(table.entry(0, EQ).modules) == {"R": 1, "R/J": 1}
-    assert dict(table.entry(1, PM).modules) == {"R": 1, "R/J": 1}
-    assert table.entry(1, EQ).group.is_trivial()
+    assert table(0, EQ) == {"R": 1, "R/J": 1}
+    assert table(1, PM) == {"R": 1, "R/J": 1}
+    assert not table(1, EQ)
     n = table
     for power in (2, 3):
         n = split_table(n)
-        assert dict(n.entry(0, EQ).modules) == {"R": 2 ** (power - 1),
-                                                "R/J": 2 ** (power - 1)}
-        assert n.entry(1, EQ).group.is_trivial()
-        assert n.entry(0, PM).group.is_trivial()
+        assert n(0, EQ) == {"R": 2 ** (power - 1), "R/J": 2 ** (power - 1)}
+        assert not n(1, EQ) and not n(0, PM)
 
 
 def test_kunneth_split_matches_ring_slices():
@@ -348,19 +343,19 @@ def test_kunneth_split_matches_ring_slices():
     direct = k_table_of_ring("kk_circle_flip")
     for level in (0, 1):
         for variant in (EQ, PM):
-            assert split.entry(level, variant).modules == direct.entry(level, variant).modules
+            assert split(level, variant) == direct(level, variant)
 
 
 def test_kunneth_h_theory():
     table = kunneth_split("H")
-    assert str(table.entry(1, PM).group) == "Z/2 x Z"
-    assert str(table.entry(2, EQ).group) == "Z/2 x Z/2"
-    assert table.entry(3, EQ).group.is_trivial()
+    assert str(table(1, PM)) == "Z/2 x Z"
+    assert str(table(2, EQ)) == "Z/2 x Z/2"
+    assert table(3, EQ).is_trivial()
     # matches the slice table of the flip-circle ring
     direct = h_table_of_ring("hh_circle_flip")
     for level in range(9):
         for variant in (EQ, PM):
-            assert table.entry(level, variant).group == direct.entry(level, variant).group
+            assert table(level, variant) == direct(level, variant)
 
 
 def test_kunneth_split_rejects_an_unknown_theory():
@@ -378,6 +373,9 @@ def test_group_cohomology_formulas():
         expected1 = "Z/2" if n % 2 == 1 else "0"
         assert str(group_cohomology_z2(0, n)) == expected0
         assert str(group_cohomology_z2(1, n)) == expected1
+    # no cochains below degree 0
+    for m in (0, 1):
+        assert group_cohomology_z2(m, -1).is_trivial() and group_cohomology_z2(m, -2).is_trivial()
 
 
 def test_group_cohomology_period_two():
@@ -397,21 +395,21 @@ def test_group_cohomology_bad_twist():
 def test_gysin_trivial_bundle_over_circle():
     ring = build_ring("hh_circle_trivial")
     table = gysin_cohomology(ring, ring.zero())
-    assert str(table.entry(3, EQ).group) == "Z/2 x Z/2"
+    assert str(table(3, EQ)) == "Z/2 x Z/2"
     # cross-check: the same total space through the split product table;
     # the zero Euler class splits the sequence, so no entry raises
     split = split_table(h_table_of_ring("hh_circle_trivial"))
     for level in range(9):
         for variant in (EQ, PM):
-            assert table.entry(level, variant).group == split.entry(level, variant).group
+            assert table(level, variant) == split(level, variant)
 
 
 def test_gysin_twisted_bundle_over_circle():
     ring = build_ring("hh_circle_trivial")
     euler = parse_expression(ring, "t12*e")
     table = gysin_cohomology(ring, euler)
-    assert str(table.entry(3, EQ).group) == "Z/2"
-    assert str(table.entry(0, EQ).group) == "Z"
+    assert str(table(3, EQ)) == "Z/2"
+    assert str(table(0, EQ)) == "Z"
 
 
 def test_gysin_over_point_gives_flip_circle():
@@ -421,7 +419,7 @@ def test_gysin_over_point_gives_flip_circle():
     for level in range(9):
         for variant in (EQ, PM):
             expected = degree_component(flip, Degree(level, variant)).group
-            assert table.entry(level, variant).group == expected
+            assert table(level, variant) == expected
 
 
 def test_gysin_universal_total_space():
@@ -432,12 +430,12 @@ def test_gysin_universal_total_space():
         (0, PM): "0", (1, PM): "Z/2", (2, PM): "Z", (3, PM): "Z/2",
     }
     for key, value in expected.items():
-        assert str(table.entry(*key).group) == value, key
+        assert str(table(*key)) == value, key
     # the first undetermined extension, Z/2 by Z/2, is never resolved;
     # (3, eq) above reads fine, since its kernel part Z is free
     for _ in range(2):
         with pytest.raises(ExtensionError, match=r"Z/2 by Z/2 in degree \(4, pm\)"):
-            table.entry(4, PM)
+            table(4, PM)
 
 
 def test_tables_read_past_the_levels_of_their_callers():
@@ -447,39 +445,42 @@ def test_tables_read_past_the_levels_of_their_callers():
     for level in (7, 8, 12):
         for variant in (EQ, PM):
             expected = degree_component(flip, Degree(level, variant)).group
-            assert kunneth_split("H").entry(level, variant).group == expected
-    assert str(kunneth_split("H").entry(7, PM).group) == "Z/2 x Z/2"
+            assert kunneth_split("H")(level, variant) == expected
+    assert str(kunneth_split("H")(7, PM)) == "Z/2 x Z/2"
     ring = build_ring("hh_circle_trivial")
     twisted = gysin_cohomology(ring, parse_expression(ring, "t12*e"))
-    assert str(twisted.entry(5, EQ).group) == "Z/2"
+    assert str(twisted(5, EQ)) == "Z/2"
     # the base is Z/2 in every degree from 2 on, and the total space
     # repeats with period 2 from degree 3 on
     for level in range(5, 11):
         for variant in (EQ, PM):
-            assert twisted.entry(level, variant) == twisted.entry(level - 2, variant)
+            assert twisted(level, variant) == twisted(level - 2, variant)
 
 
 def test_each_entry_is_worked_out_once_per_table(monkeypatch):
-    calls = []
-
-    def compute(level, variant):
-        calls.append((level, variant))
-        return TableEntry(group_cohomology_z2(0, level), None)
-    table = GradedGroupTable("K", compute)
+    # a K-table classifies each slice of its ring once, when it is first
+    # read; its levels count modulo the ring's period
+    classified = []
+    classify = transforms.rmodule_classify
+    monkeypatch.setattr(transforms, "rmodule_classify",
+                        lambda module: classified.append(module.rank) or classify(module))
+    point = k_table_of_ring("kk_point")
+    assert classified == []
     for level in (0, 1, 2, 3, -1, 0):
         for variant in (EQ, PM):
-            table.entry(level, variant)
-    assert sorted(calls) == [(0, EQ), (0, PM), (1, EQ), (1, PM)]
-
-    # a split table reads each entry of the table under it once
-    calls.clear()
-    split = split_table(GradedGroupTable("H", compute))
+            point(level, variant)
+    # the ranks of the four slices: (1, eq) and (0, pm) are 0, R/J and R
+    assert sorted(classified) == [0, 0, 1, 2]
+    # a split table reads the table under it, which works nothing out again
+    split = split_table(point)
     for _ in range(2):
         for level in range(4):
-            split.entry(level, EQ)
-            split.entry(level, PM)
-    assert sorted(calls) == sorted((level, variant) for level in range(-1, 4)
-                                   for variant in (EQ, PM))
+            split(level, EQ)
+            split(level, PM)
+    assert len(classified) == 4
+    # a fresh table works its slices out again
+    k_table_of_ring("kk_point")(0, EQ)
+    assert len(classified) == 5
 
     # a Gysin table builds each degree's data when it is first read, once
     built = []
@@ -492,8 +493,27 @@ def test_each_entry_is_worked_out_once_per_table(monkeypatch):
     assert built == []
     for _ in range(3):
         for level in range(6):
-            twisted.entry(level, EQ)
+            twisted(level, EQ)
     assert built == [(level, EQ) for level in range(6)]
+    # an open extension raises on every read, from data built once
+    universal = build_ring("hh_universal_base")
+    table = gysin_cohomology(universal, universal.gen("c"))
+    for _ in range(2):
+        with pytest.raises(ExtensionError):
+            table(4, PM)
+    assert built[6:] == [(4, PM)]
+
+
+def test_a_k_table_entry_is_the_callers_own():
+    table = kunneth_split("K")
+    table(0, EQ)["R"] += 5
+    table(1, EQ)["R/J"] = 1
+    for read in (table, kunneth_split("K")):
+        assert read(0, EQ) == {"R": 1, "R/J": 1}
+        assert not read(1, EQ)
+    point = k_table_of_ring("kk_point")
+    point(0, EQ).clear()
+    assert point(0, EQ) == point(2, EQ) == {"R": 1}
 
 
 def test_gysin_rejects_bad_euler_class():

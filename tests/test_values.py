@@ -47,13 +47,7 @@ from kdual.tduality import (
     tdual,
     twisted_k_mv,
 )
-from kdual.transforms import (
-    GradedGroupTable,
-    GysinDegreeData,
-    TableEntry,
-    gysin_cohomology,
-    gysin_degree_data,
-)
+from kdual.transforms import GysinDegreeData, gysin_cohomology, gysin_degree_data
 
 
 def _twisted_pair():
@@ -84,7 +78,6 @@ BUILDERS = {
     TDualResult: lambda: tdual(pair_from_expressions("point", "0")),
     PairClass: lambda: PairClass(0, _twisted_pair(), 0, "label"),
     TwistedKTable: lambda: twisted_k_mv(pair_from_expressions("circle_trivial", "0")),
-    TableEntry: lambda: TableEntry(FGAbelianGroup((2,)), None),
     GysinDegreeData: _gysin_data,
 }
 # the one class with a field that cannot be hashed (its dicts)
@@ -97,7 +90,7 @@ def _name(cls):
 
 def test_every_value_class_is_pinned():
     assert set(Frozen.__subclasses__()) == set(BUILDERS)
-    assert len(BUILDERS) == 18
+    assert len(BUILDERS) == 17
 
 
 @pytest.mark.parametrize("cls", BUILDERS, ids=_name)
@@ -153,8 +146,8 @@ def test_a_wrong_field_count_raises_type_error(cls):
 
 
 def test_the_shared_constructor_names_the_fields():
-    with pytest.raises(TypeError, match=r"TableEntry takes 2 fields \('group', 'modules'\), not 1"):
-        TableEntry(FGAbelianGroup())
+    with pytest.raises(TypeError, match=r"Report takes 2 fields \('suite', 'checks'\), not 1"):
+        Report("suite")
     with pytest.raises(TypeError, match="Report takes 2 fields"):
         Report("suite", (), None)
 
@@ -214,13 +207,14 @@ def _circle_ring():
     (lambda: nonequivariant_ring("no_such_ring"), ValueError, "unknown ring name 'no_such_ring'"),
     (lambda: forgetful_images("no_such_ring"), ValueError, "no forgetful map for 'no_such_ring'"),
     (lambda: run_suite("no_such_suite"), ValueError, "unknown suite 'no_such_suite'"),
-    (lambda: GradedGroupTable("KO", None), ValueError, "theory must be 'K' or 'H'"),
     (lambda: f_oracle_unit(1) + f_oracle_unit(2), ValueError, "oracle images of different tori"),
     (lambda: f_oracle_unit(1) * f_oracle_unit(2), ValueError, "oracle images of different tori"),
     (lambda: oracle_table(4), ValueError,
      "oracle tables exist for the torus in dimensions 1, 2, 3"),
     (lambda: PresentedRing.define("w", [("x", 0, EQ, 0)], [({"x": -1}, [])]), ValueError,
      "exponents must be nonnegative$"),
+    (lambda: PresentedRing.define("w", [("x", 1, EQ, 0), ("x", 1, PM, 2)], [({"x": 2}, [])]),
+     ValueError, "^w: generator 'x' is given more than once$"),
     (lambda: _circle_ring().gen("t") ** -1, ValueError, "exponents must be nonnegative integers"),
     (lambda: degree_component(build_ring("hh_point"), Degree(2, EQ)).coords(
         build_ring("hh_circle_trivial").one()), ValueError, "element of a different ring"),
@@ -231,10 +225,10 @@ def _circle_ring():
     (lambda: verify_ring_hom(_circle_ring(), _circle_ring(), {}),
      UnknownGeneratorError, "no image given for generator 't'"),
 ], ids=["from-rows-ragged", "from-rows-width", "from-columns-ragged", "from-columns-height",
-        "hstack", "vstack", "nonequivariant-ring-name", "forgetful-map-name", "suite-name", "table-theory",
+        "hstack", "vstack", "nonequivariant-ring-name", "forgetful-map-name", "suite-name",
         "oracle-tori", "oracle-tori-product", "oracle-table-dimension", "rule-exponent",
-        "element-power", "slice-coords-ring", "euler-class-ring", "apply-ring-hom",
-        "verify-ring-hom"])
+        "duplicate-generator", "element-power", "slice-coords-ring", "euler-class-ring",
+        "apply-ring-hom", "verify-ring-hom"])
 def test_input_checks_refuse_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
