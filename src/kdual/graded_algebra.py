@@ -117,7 +117,18 @@ class PresentedRing:
         generators: iterable of (name, level, variant, additive_order);
             the monomial order ranks them in this order, the last one highest
         rules: iterable of (lhs_monomial_dict, [(rhs_monomial_dict, coeff), ...])
+
+        Levels, additive orders, exponents and coefficients must be ints.
         """
+        generators, rules = tuple(generators), tuple(rules)
+        data = [(f"generator {gen!r}", (lvl, order)) for gen, lvl, _, order in generators]
+        for lhs, rhs in rules:
+            data.append((f"the rule for {lhs}",
+                         [*lhs.values(), *(x for m, c in rhs for x in (*m.values(), c))]))
+        for where, values in data:
+            for value in values:
+                if type(value) is not int:  # a bool is not an int here
+                    raise ValueError(f"{name}: {where} has {value!r}, which is not an int")
         specs = [GeneratorSpec(n, Degree(lvl, var), order) for n, lvl, var, order in generators]
         names = [g.name for g in specs]
         for g in specs:
@@ -135,7 +146,7 @@ class PresentedRing:
         packed = []
         for lhs, rhs in rules:
             packed.append((ring._exps_from_dict(lhs),
-                           tuple((ring._exps_from_dict(m), int(c)) for m, c in rhs)))
+                           tuple((ring._exps_from_dict(m), c) for m, c in rhs)))
         ring.rules = tuple(packed)  # (lhs exponent tuple, ((exps, coeff), ...))
         # each rule with the (generator index, exponent) pairs of its lhs
         ring._rule_index = tuple(
@@ -158,7 +169,7 @@ class PresentedRing:
                 raise UnknownGeneratorError(f"{self.name} has no generator {name!r}")
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
-            exps[self._index[name]] = int(e)
+            exps[self._index[name]] = e
         return tuple(exps)
 
     def _validate_rules(self):

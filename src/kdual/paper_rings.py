@@ -31,8 +31,12 @@ to their merged sorted word, with the sign of the adjacent swaps that sort
 the concatenation.  On each fixed point (a, b)(c, d) = (ac + bd, ad + bc),
 the product in Z[t]/(t^2 - 1).  `OracleValue.build`, which sorts any index
 word by adjacent swaps, reads the golden rows and is the definition the
-tests hold the table to, and `embed_in_oracle` forms one linear
-combination of the label vectors.
+tests hold the table to.
+
+Every map from basis monomials of a ring into the oracle is one
+`Dictionary`, whose `push` is a linear combination of label images, and
+certification reads one table of products of two dictionaries,
+`PRODUCT_CHECKS`.
 
 The syntax of every presentation is proved rather than sampled:
 `PresentedRing.define` proves the rewrite rules terminating and
@@ -43,7 +47,7 @@ normal forms again to check them.  The oracle certification checks
 meaning: that the presented ring is the ring the tables describe.
 
 Results that depend on the golden tables, the oracle images of each
-embedding's labels among them, are cached per value of KDUAL_GOLDEN_DIR.
+dictionary's labels among them, are cached per value of KDUAL_GOLDEN_DIR.
 A golden file that lacks a field or a row, or holds a field of the wrong
 type, raises ValueError naming the file and the row.
 """
@@ -194,12 +198,19 @@ class OracleValue(Frozen):
     def build(cls, n, terms, fixed_points):
         """The value whose underlying class is the sum of (index word,
         coefficient) terms, with fiber a + b*t for each (a, b) of
-        fixed_points.  A word may list indices of 1..n in any order: it is
-        sorted by adjacent swaps, one sign flip per swap, and a word with a
-        repeated index is zero."""
+        fixed_points, one for each of the 2^n fixed points.  A word
+        may list indices of 1..n in any order: it is sorted by adjacent
+        swaps, one sign flip per swap, and a word with a repeated index is
+        zero."""
+        if len(fixed_points) != 1 << n:
+            raise ValueError(f"{len(fixed_points)} fixed points on the {n}-torus, "
+                             f"wanted {1 << n}")
         positions = _word_positions(n)
         coords = [0] * len(positions)
         for indices, coeff in terms:
+            if not all(1 <= i <= n for i in indices):
+                raise ValueError(f"index word {tuple(indices)} on the {n}-torus "
+                                 f"has an index outside 1..{n}")
             if len(set(indices)) == len(indices):
                 word, sign = _sort_sign(indices)
                 coords[positions[word]] += sign * coeff
@@ -379,31 +390,6 @@ def f_oracle(n, text) -> OracleValue:
     return expressions.evaluate(text, atom, f_oracle_unit(n))
 
 
-@per_golden_dir
-def _embedding_images(n, items) -> dict:
-    """label -> oracle image on the n-torus, for one embedding given as
-    its (label, expression) items."""
-    return {label: f_oracle(n, text) for label, text in items}
-
-
-def embed_in_oracle(n, embedding, element) -> OracleValue:
-    """Oracle image on the n-torus of a ring element, through an embedding
-    that maps the label of each basis monomial to an oracle expression:
-    the linear combination of the label images with the element's
-    coefficients.
-
-    The images of an embedding's labels are evaluated once per embedding
-    and set of golden tables."""
-    images = _embedding_images(n, tuple(embedding.items()))
-    coords = [0] * (3 << n)
-    for exps, coeff in element.terms:
-        label = element.ring.monomial_str(exps)
-        if label not in images:
-            raise ValueError(f"{label} is not in the embedded basis")
-        coords = [c + coeff * v for c, v in zip(coords, images[label].coords)]
-    return OracleValue(n, tuple(coords))
-
-
 def verify_relation_via_oracle(n, lhs, rhs) -> bool:
     """Certify lhs = rhs in equivariant K-theory via injectivity of F."""
     return f_oracle(n, lhs) == f_oracle(n, rhs)
@@ -444,22 +430,33 @@ def verify_f_injective(n) -> bool:
 
 
 class Dictionary(Frozen):
-    """Invertible correspondence between a ring's degree-zero monomial
-    basis and expressions in the oracle generators."""
+    """Map from some basis monomials of a ring into the oracle on the
+    n-torus: each monomial label goes to an oracle expression, and an
+    element goes to the linear combination of its labels' images."""
 
     __slots__ = ("ring_name", "torus_dim", "entries")
     ring_name: str
     torus_dim: int
     entries: tuple  # ((monomial label, oracle expression), ...)
 
-    def as_dict(self):
-        return dict(self.entries)
+    @per_golden_dir
+    def _images(self) -> dict:
+        """label -> oracle image, evaluated once per dictionary and set of
+        golden tables."""
+        return {label: f_oracle(self.torus_dim, text) for label, text in self.entries}
 
     def push(self, element) -> OracleValue:
-        """Oracle image of a degree-(0, eq) ring element."""
+        """Oracle image of a ring element spanned by the dictionary's labels."""
         if element.ring.name != self.ring_name:
             raise ValueError(f"dictionary is for {self.ring_name}, not {element.ring.name}")
-        return embed_in_oracle(self.torus_dim, self.as_dict(), element)
+        images = self._images()
+        coords = [0] * (3 << self.torus_dim)
+        for exps, coeff in element.terms:
+            label = element.ring.monomial_str(exps)
+            if label not in images:
+                raise ValueError(f"{label} is not in the embedded basis")
+            coords = [c + coeff * v for c, v in zip(coords, images[label].coords)]
+        return OracleValue(self.torus_dim, tuple(coords))
 
 
 DICTIONARIES = {
@@ -471,6 +468,20 @@ DICTIONARIES = {
         ("sigma*chi1", "C0 - L1"), ("sigma*chi2", "C0 - L2"))),
     "equiv_circle": Dictionary("k0_equiv_circle", 1, (
         ("1", "C0"), ("t", "C1"), ("ell", "C0 - L"))),
+    # the odd part of the flip circle by suspension into the 3-torus: j1k
+    # maps along the (1, k) coordinates
+    "j12": Dictionary("kk_circle_flip", 3, (
+        ("chi", "C0 - H12"), ("t*chi", "C1*(C0 - H12)"), ("sigma", "C0 - L2"))),
+    "j13": Dictionary("kk_circle_flip", 3, (
+        ("chi", "C0 - H13"), ("t*chi", "C1*(C0 - H13)"), ("sigma", "C0 - L3"))),
+    # the odd part by suspension on the second coordinate of the 2-torus,
+    # and the even part along the first coordinate of the 2- and 3-torus
+    "odd2": Dictionary("kk_circle_flip", 2, (
+        ("chi", "C0 - H"), ("t*chi", "C1*(C0 - H)"), ("sigma", "C0 - L2"))),
+    "even2": Dictionary("kk_circle_flip", 2, (
+        ("1", "C0"), ("t", "C1"), ("sigma*chi", "C0 - L1"))),
+    "even3": Dictionary("kk_circle_flip", 3, (
+        ("1", "C0"), ("t", "C1"), ("sigma*chi", "C0 - L1"))),
 }
 
 
@@ -480,22 +491,23 @@ def dictionary(name) -> Dictionary:
     return DICTIONARIES[name]
 
 
-_DICTIONARY_FOR_RING = {d.ring_name: name for name, d in DICTIONARIES.items()}
+_MISMATCH = "oracle mismatch on {u} * {v}"
 
-# Suspension embedding of the odd part of the flip-circle ring into the
-# 3-torus oracle: j_k maps along the (1, k) coordinates, and the class
-# C0 - H23 acts as the Thom class of the second and third coordinates.
-SUSPENSION_EMBEDDINGS = {
-    "j12": {"chi": "C0 - H12", "t*chi": "C1*(C0 - H12)", "sigma": "C0 - L2"},
-    "j13": {"chi": "C0 - H13", "t*chi": "C1*(C0 - H13)", "sigma": "C0 - L3"},
+# ring name -> rows (left, right, product, factor, failure): for every label
+# u of dictionary left and v of dictionary right,
+# left.push(u) * right.push(v) = product.push(u * v) * f_oracle(factor).
+# A ring's first row multiplies its degree-zero dictionary by itself.  On
+# the flip circle, C0 - H23 acts as the Thom class of the second and third
+# coordinates of the 3-torus.
+PRODUCT_CHECKS = {
+    "kk_circle_flip": (
+        ("circle", "circle", "circle", "1", _MISMATCH),
+        ("j12", "j13", "even3", "C0 - H23", "odd product {u} * {v} fails the 3-torus check"),
+        ("even2", "odd2", "odd2", "1", "mixed product {u} * {v} fails the 2-torus check"),
+    ),
+    "kk_torus2": (("torus2", "torus2", "torus2", "1", _MISMATCH),),
+    "k0_equiv_circle": (("equiv_circle", "equiv_circle", "equiv_circle", "1", _MISMATCH),),
 }
-SUSPENSION_THOM = "C0 - H23"
-
-# Embeddings of the odd part into the 2-torus oracle (suspension on the
-# second coordinate), used for the module-structure certification, and of
-# the even part, which serves the 3-torus as well.
-ODD_EMBEDDING_2 = {"chi": "C0 - H", "t*chi": "C1*(C0 - H)", "sigma": "C0 - L2"}
-EVEN_EMBEDDING_2 = {"1": "C0", "t": "C1", "sigma*chi": "C0 - L1"}
 
 
 # ---------------------------------------------------------------------------
@@ -504,64 +516,38 @@ EVEN_EMBEDDING_2 = {"1": "C0", "t": "C1", "sigma*chi": "C0 - L1"}
 
 @per_golden_dir
 def dictionary_failure(ring):
-    """Why the dictionary of the ring is not multiplicative on its
-    degree-zero basis, or None when push(u * v) = push(u) * push(v) for
-    every two basis monomials u, v.  Certification raises on this answer,
-    and the oracle suite reads it from the cache."""
-    if ring.name not in _DICTIONARY_FOR_RING:
+    """Why the ring's rows of PRODUCT_CHECKS fail, or None when every row
+    holds for every two labels and the first row's dictionary covers the
+    degree-zero basis.  Certification raises on this answer, and the
+    oracle suite reads it from the cache."""
+    if ring.name not in PRODUCT_CHECKS:
         raise ValueError(f"no dictionary for {ring.name!r}")
-    d = dictionary(_DICTIONARY_FOR_RING[ring.name])
-    basis = degree_component(ring, Degree(0, EQ))
-    if set(basis.labels) != set(d.as_dict()):
-        return f"degree-zero basis {sorted(basis.labels)} does not match the dictionary"
-    elements = [ring.element({m: 1}) for m in basis.monomials]
-    pushed = [d.push(u) for u in elements]
-    for u, pu in zip(elements, pushed):
-        for v, pv in zip(elements, pushed):
-            if d.push(u * v) != pu * pv:
-                return f"oracle mismatch on {u} * {v}"
+    rows = PRODUCT_CHECKS[ring.name]
+    basis = degree_component(ring, Degree(0, EQ)).labels
+    if set(basis) != {label for label, _ in dictionary(rows[0][0]).entries}:
+        return f"degree-zero basis {sorted(basis)} does not match the dictionary"
+    for left, right, product, factor, failure in rows:
+        left, right, product = map(dictionary, (left, right, product))
+        scale = f_oracle(product.torus_dim, factor)
+        us = [expressions.parse_expression(ring, label) for label, _ in left.entries]
+        vs = [expressions.parse_expression(ring, label) for label, _ in right.entries]
+        pushed = [right.push(v) for v in vs]
+        for u in us:
+            pu = left.push(u)
+            for v, pv in zip(vs, pushed):
+                if pu * pv != product.push(u * v) * scale:
+                    return failure.format(u=u, v=v)
     return None
-
-
-def _certify_against_oracle(ring):
-    if ring.name not in _DICTIONARY_FOR_RING:
-        return
-    failure = dictionary_failure(ring)
-    if failure is not None:
-        raise CertificationError(f"{ring.name}: {failure}")
-    if ring.name == "kk_circle_flip":
-        _certify_circle_odd_products(ring)
-
-
-def _certify_circle_odd_products(ring):
-    """Products involving the odd classes of the flip circle, certified on
-    the 2- and 3-torus tables through the suspension embeddings."""
-    odd = [expressions.parse_expression(ring, label)
-           for label in ("chi", "t*chi", "sigma")]
-    thom = f_oracle(3, SUSPENSION_THOM)
-    j12 = [embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j12"], u) for u in odd]
-    j13 = [embed_in_oracle(3, SUSPENSION_EMBEDDINGS["j13"], v) for v in odd]
-    for u, ju in zip(odd, j12):
-        for v, jv in zip(odd, j13):
-            if ju * jv != embed_in_oracle(3, EVEN_EMBEDDING_2, u * v) * thom:
-                raise CertificationError(
-                    f"{ring.name}: odd product {u} * {v} fails the 3-torus check")
-    even = [expressions.parse_expression(ring, label)
-            for label in ("1", "t", "sigma*chi")]
-    odd_2 = [embed_in_oracle(2, ODD_EMBEDDING_2, v) for v in odd]
-    for u in even:
-        eu = embed_in_oracle(2, EVEN_EMBEDDING_2, u)
-        for v, ov in zip(odd, odd_2):
-            if eu * ov != embed_in_oracle(2, ODD_EMBEDDING_2, u * v):
-                raise CertificationError(
-                    f"{ring.name}: mixed product {u} * {v} fails the 2-torus check")
 
 
 @per_golden_dir
 def build_ring(name) -> PresentedRing:
-    """Construct and certify one of the built-in rings."""
+    """Construct one of the built-in rings, certified against the oracle
+    when PRODUCT_CHECKS has rows for it."""
     ring = _define(name)
-    _certify_against_oracle(ring)
+    failure = dictionary_failure(ring) if name in PRODUCT_CHECKS else None
+    if failure is not None:
+        raise CertificationError(f"{name}: {failure}")
     return ring
 
 
@@ -635,11 +621,10 @@ def verify_kk_flip_via_oracle() -> bool:
     """
     ring = build_ring("kk_circle_flip")
     images = kk_flip_substitution()
-    j12 = SUSPENSION_EMBEDDINGS["j12"]
-    for label in ("chi", "t*chi", "sigma"):
+    j12 = dictionary("j12")
+    for label, _ in j12.entries:
         original = expressions.parse_expression(ring, label)
         flipped = apply_ring_hom(ring, ring, images, original)
-        if (embed_in_oracle(3, j12, flipped)
-                != _swap_first_coordinate(embed_in_oracle(3, j12, original))):
+        if j12.push(flipped) != _swap_first_coordinate(j12.push(original)):
             return False
     return True

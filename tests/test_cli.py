@@ -166,6 +166,18 @@ TRANSFORM_SHA256 = {
 }
 
 
+# sha256 of the stdout of `kdual [--format FORMAT] oracle verify --torus N`,
+# the oracle checks on the N-torus
+ORACLE_SHA256 = {
+    ("json", 1): "0e841826d42602d8eb2314525aa028b4555c12721735b80bdd2ddd142d839d58",
+    ("json", 2): "c5209e0e49c0534e87d9f13cb4cfc828a73d6d89a5283b80da53330af8b536a4",
+    ("json", 3): "139fa20fd5e468f61e5620bd988065fd85a9cc1df96574849e9819f277c643e3",
+    ("text", 1): "664afc86a27cbe54594367a846d0d30dc2e3c09f2413d2d0a2d8733b5815f87d",
+    ("text", 2): "756b345f24ac1fd08b7213a9d53f1aca34662d1bf80fe5a40469e195aa03bc40",
+    ("text", 3): "38a3c438d80095ad90c57e0858c09c06f89c1beba69f410f6e040f57c8a4854b",
+}
+
+
 def test_verify_all_report_bytes_are_pinned(capsys):
     for fmt, digest in REPORT_SHA256.items():
         code, out, _ = run(capsys, "--format", fmt, "verify", "all")
@@ -200,6 +212,13 @@ def test_tdual_enumerate_bytes_are_pinned(capsys):
         code, out, _ = run(capsys, "--format", fmt, "tdual", "enumerate", "--base", base)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (fmt, base)
+
+
+def test_oracle_verify_bytes_are_pinned(capsys):
+    for (fmt, torus), digest in ORACLE_SHA256.items():
+        code, out, _ = run(capsys, "--format", fmt, "oracle", "verify", "--torus", str(torus))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (fmt, torus)
 
 
 def test_transform_power_bytes_are_pinned(capsys):

@@ -17,19 +17,14 @@ from kdual.paper_rings import (
     CertificationError,
     DICTIONARIES,
     Dictionary,
-    EVEN_EMBEDDING_2,
-    ODD_EMBEDDING_2,
     ORACLE_BASES,
     OracleValue,
+    PRODUCT_CHECKS,
     RING_NAMES,
-    SUSPENSION_EMBEDDINGS,
-    SUSPENSION_THOM,
     TABLES_SHA256,
-    _DICTIONARY_FOR_RING,
     build_ring,
     dictionary,
     dictionary_failure,
-    embed_in_oracle,
     f_oracle,
     f_oracle_unit,
     golden_path,
@@ -156,20 +151,12 @@ def test_exterior_arithmetic_is_build_of_the_raw_terms(n):
                 n, [(i, k * v) for i, v in words], [(k * x, k * y) for x, y in fibers])
 
 
-# every (torus dimension, ring, embedding) that the certification embeds through
-ORACLE_EMBEDDINGS = {
-    **{name: (d.torus_dim, d.ring_name, d.as_dict()) for name, d in DICTIONARIES.items()},
-    **{name: (3, "kk_circle_flip", e) for name, e in SUSPENSION_EMBEDDINGS.items()},
-    "even-3": (3, "kk_circle_flip", EVEN_EMBEDDING_2),
-    "even-2": (2, "kk_circle_flip", EVEN_EMBEDDING_2),
-    "odd-2": (2, "kk_circle_flip", ODD_EMBEDDING_2),
-}
-
-
-@pytest.mark.parametrize("n, ring_name, embedding", ORACLE_EMBEDDINGS.values(),
-                         ids=ORACLE_EMBEDDINGS)
-def test_embedding_is_the_sum_of_coefficient_times_image(n, ring_name, embedding):
-    ring = build_ring(ring_name)
+# every dictionary that the certification pushes through
+@pytest.mark.parametrize("name", DICTIONARIES)
+def test_embedding_is_the_sum_of_coefficient_times_image(name):
+    d = dictionary(name)
+    n, embedding = d.torus_dim, dict(d.entries)
+    ring = build_ring(d.ring_name)
     labels = [parse_expression(ring, label) for label in embedding]
     rng = random.Random(2600 + n)
     elements = [ring.zero(), *labels]
@@ -178,7 +165,7 @@ def test_embedding_is_the_sum_of_coefficient_times_image(n, ring_name, embedding
         fold = f_oracle_unit(n) * 0
         for exps, coeff in element.terms:
             fold = fold + coeff * f_oracle(n, embedding[ring.monomial_str(exps)])
-        assert embed_in_oracle(n, embedding, element) == fold
+        assert d.push(element) == fold
 
 
 # --- rings build and certify ------------------------------------------------------
@@ -281,7 +268,7 @@ def test_dictionaries_are_multiplicative():
         d = dictionary(name)
         ring = build_ring(d.ring_name)
         basis = degree_component(ring, Degree(0, EQ))
-        assert set(basis.labels) == set(d.as_dict())
+        assert set(basis.labels) == set(dict(d.entries))
         for m1 in basis.monomials:
             for m2 in basis.monomials:
                 u, v = ring.element({m1: 1}), ring.element({m2: 1})
@@ -352,33 +339,53 @@ def test_dictionary_failure_names_a_basis_mismatch(tmp_path, monkeypatch):
         build_ring("kk_circle_flip")
 
 
+def test_a_wrong_suspension_dictionary_fails_the_3_torus_check(tmp_path, monkeypatch):
+    # a golden dir of its own, so that no cached answer is read or left
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    j13 = dictionary("j13")
+    monkeypatch.setitem(DICTIONARIES, "j13", Dictionary(
+        j13.ring_name, j13.torus_dim, j13.entries[:2] + (("sigma", "C0 - L2"),)))
+    message = r"^kk_circle_flip: odd product chi \* sigma fails the 3-torus check$"
+    with pytest.raises(CertificationError, match=message):
+        build_ring("kk_circle_flip")
+
+
 def test_embedding_images_are_cached_per_embedding():
-    from kdual.paper_rings import _embedding_images
     ring = build_ring("kk_circle_flip")
     chi = ring.gen("chi")
-    _embedding_images.cache_clear()
-    assert embed_in_oracle(2, ODD_EMBEDDING_2, 3 * chi) == 3 * f_oracle(2, "C0 - H")
-    # an equal embedding shares the entry: the cache is keyed by the items
-    assert embed_in_oracle(2, dict(ODD_EMBEDDING_2), chi) == f_oracle(2, "C0 - H")
-    assert _embedding_images.cache_info()[:2] == (1, 1)  # hits, misses
-    assert embed_in_oracle(2, {"chi": "C0 - L1"}, 3 * chi) == 3 * f_oracle(2, "C0 - L1")
-    assert _embedding_images.cache_info().currsize == 2
+    odd2 = dictionary("odd2")
+    Dictionary._images.cache_clear()
+    assert odd2.push(3 * chi) == 3 * f_oracle(2, "C0 - H")
+    # an equal dictionary shares the entry: the cache is keyed by the fields
+    assert Dictionary(odd2.ring_name, odd2.torus_dim, odd2.entries).push(chi) == (
+        f_oracle(2, "C0 - H"))
+    assert Dictionary._images.cache_info()[:2] == (1, 1)  # hits, misses
+    other = Dictionary("kk_circle_flip", 2, (("chi", "C0 - L1"),))
+    assert other.push(3 * chi) == 3 * f_oracle(2, "C0 - L1")
+    assert Dictionary._images.cache_info().currsize == 2
     with pytest.raises(ValueError, match="not in the embedded basis"):
-        embed_in_oracle(2, ODD_EMBEDDING_2, ring.one())
+        odd2.push(ring.one())
 
 
 def test_dictionary_values():
     d = dictionary("circle")
-    table = d.as_dict()
+    table = dict(d.entries)
     assert table["sigma*chi"] == "C0 - L"
     assert table["1"] == "C0"
     d2 = dictionary("torus2")
-    assert d2.as_dict()["sigma*chi1"] == "C0 - L1"
+    assert dict(d2.entries)["sigma*chi1"] == "C0 - L1"
 
 
 def test_dictionaries_are_data():
-    assert _DICTIONARY_FOR_RING == {"kk_circle_flip": "circle", "kk_torus2": "torus2",
-                                    "k0_equiv_circle": "equiv_circle"}
+    # each certified ring's first row squares its degree-zero dictionary,
+    # and every row pushes through dictionaries of that ring
+    assert {name: rows[0][:3] for name, rows in PRODUCT_CHECKS.items()} == {
+        "kk_circle_flip": ("circle",) * 3, "kk_torus2": ("torus2",) * 3,
+        "k0_equiv_circle": ("equiv_circle",) * 3}
+    for ring_name, rows in PRODUCT_CHECKS.items():
+        for row in rows:
+            assert {dictionary(name).ring_name for name in row[:3]} == {ring_name}
     with pytest.raises(ValueError, match="no dictionary named"):
         dictionary("sphere")
     circle = dictionary("circle")
@@ -402,13 +409,13 @@ def test_odd_products_match_suspension_oracle():
     class of the remaining two coordinates."""
     ring = build_ring("kk_circle_flip")
     even_embed = {"1": "C0", "t": "C1", "sigma*chi": "C0 - L1"}
-    thom = f_oracle(3, SUSPENSION_THOM)
+    thom = f_oracle(3, "C0 - H23")
     for u_label in ("chi", "t*chi", "sigma"):
         for v_label in ("chi", "t*chi", "sigma"):
             u = parse_expression(ring, u_label)
             v = parse_expression(ring, v_label)
-            lhs = (_embed_odd(ring, SUSPENSION_EMBEDDINGS["j12"], 3, u)
-                   * _embed_odd(ring, SUSPENSION_EMBEDDINGS["j13"], 3, v))
+            lhs = (_embed_odd(ring, dict(dictionary("j12").entries), 3, u)
+                   * _embed_odd(ring, dict(dictionary("j13").entries), 3, v))
             product = u * v
             rhs = f_oracle_unit(3) * 0
             for exps, coeff in product.terms:
@@ -424,9 +431,9 @@ def test_mixed_products_match_torus_oracle():
         for v_label in ("chi", "t*chi", "sigma"):
             u = parse_expression(ring, u_label)
             v = parse_expression(ring, v_label)
-            lhs = (f_oracle(2, EVEN_EMBEDDING_2[u_label])
-                   * _embed_odd(ring, ODD_EMBEDDING_2, 2, v))
-            rhs = _embed_odd(ring, ODD_EMBEDDING_2, 2, u * v)
+            lhs = (f_oracle(2, dict(dictionary("even2").entries)[u_label])
+                   * _embed_odd(ring, dict(dictionary("odd2").entries), 2, v))
+            rhs = _embed_odd(ring, dict(dictionary("odd2").entries), 2, u * v)
             assert lhs == rhs, (u_label, v_label)
 
 

@@ -224,11 +224,34 @@ def _circle_ring():
      UnknownGeneratorError, "no image given for generator 't'"),
     (lambda: verify_ring_hom(_circle_ring(), _circle_ring(), {}),
      UnknownGeneratorError, "no image given for generator 't'"),
+    (lambda: OracleValue.build(1, [], [(1, 0)]), ValueError,
+     r"^1 fixed points on the 1-torus, wanted 2$"),
+    (lambda: OracleValue.build(1, [((2,), 1)], [(1, 0), (1, 0)]), ValueError,
+     r"^index word \(2,\) on the 1-torus has an index outside 1\.\.1$"),
+    (lambda: OracleValue.build(2, [((0, 0), 1)], [(1, 0)] * 4), ValueError,
+     r"^index word \(0, 0\) on the 2-torus has an index outside 1\.\.2$"),
+    (lambda: PresentedRing.define("w", [("x", 1, EQ, 0)], [({"x": 2}, [({}, 2.7)])]),
+     ValueError, r"^w: the rule for \{'x': 2\} has 2\.7, which is not an int$"),
+    (lambda: PresentedRing.define("w", [("x", 1, EQ, 0)], [({"x": 2}, [({}, "3")])]),
+     ValueError, r"^w: the rule for \{'x': 2\} has '3', which is not an int$"),
+    (lambda: PresentedRing.define("w", [("x", 1, EQ, 0)], [({"x": 2.9}, [])]),
+     ValueError, r"^w: the rule for \{'x': 2\.9\} has 2\.9, which is not an int$"),
+    (lambda: PresentedRing.define("w", [("x", 0, EQ, 0)], [({"x": 2}, [({"x": True}, 1)])]),
+     ValueError, r"^w: the rule for \{'x': 2\} has True, which is not an int$"),
+    (lambda: PresentedRing.define("w", [("x", 1.5, EQ, 0)]),
+     ValueError, r"^w: generator 'x' has 1\.5, which is not an int$"),
+    (lambda: PresentedRing.define("w", [("x", False, EQ, 0)]),
+     ValueError, r"^w: generator 'x' has False, which is not an int$"),
+    (lambda: PresentedRing.define("w", [("x", 1, EQ, 2.0)]),
+     ValueError, r"^w: generator 'x' has 2\.0, which is not an int$"),
 ], ids=["from-rows-ragged", "from-rows-width", "from-columns-ragged", "from-columns-height",
         "hstack", "vstack", "nonequivariant-ring-name", "forgetful-map-name", "suite-name",
         "oracle-tori", "oracle-tori-product", "oracle-table-dimension", "rule-exponent",
         "duplicate-generator", "element-power", "slice-coords-ring", "euler-class-ring",
-        "apply-ring-hom", "verify-ring-hom"])
+        "apply-ring-hom", "verify-ring-hom", "oracle-fixed-point-count",
+        "oracle-index", "oracle-index-zero", "rule-coefficient-float",
+        "rule-coefficient-string", "rule-exponent-float", "rule-exponent-bool",
+        "generator-level-float", "generator-level-bool", "generator-order-float"])
 def test_input_checks_refuse_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
