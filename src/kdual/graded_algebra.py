@@ -24,6 +24,10 @@ generator whose a-th power is a rule's left-hand side, and, without a
 period, total exponent at most L in the generators of positive level at
 level L.  A generator neither caps has infinitely many normal powers in
 degree (0, eq), and `degree_component` refuses the slices of its ring.
+A ring keeps one slice per reduced degree: `degree_component` enumerates
+it on the first request and hands the same object out after that.  The
+refusal is not kept; each request for a slice of an uncapped ring raises
+again.
 
 Normal forms are computed largest monomial first.  A heap pops each
 monomial of the working sum once, in descending monomial order; its
@@ -160,6 +164,7 @@ class PresentedRing:
         ring._one = ring.element({(0,) * n: 1})
         ring._gens = {g.name: ring.element({tuple(int(i == k) for i in range(n)): 1})
                       for k, g in enumerate(ring.generators)}
+        ring._slices = {}  # reduced degree -> Slice, filled by degree_component
         return ring
 
     def _exps_from_dict(self, monomial):
@@ -599,17 +604,25 @@ def normal_monomials(ring: PresentedRing, bound: int, degree: Degree | None = No
 def degree_component(ring: PresentedRing, degree: Degree) -> Slice:
     """Monomial basis of the homogeneous slice in the given degree.
 
-    Enumerated once, at the exponent bound that `PresentedRing.define`
-    proved from the rules, or UnboundedSliceError if it proved none.
+    A ring has one slice per reduced degree, kept on the ring: the first
+    request enumerates it, at the exponent bound that
+    `PresentedRing.define` proved from the rules, and later ones return
+    the same object.  UnboundedSliceError, raised if the proof found no
+    bound, is not kept: every request raises it again.
     """
+    reduced = ring.reduce_degree(degree)
+    found = ring._slices.get(reduced)
+    if found is not None:
+        return found
     if ring._uncapped is not None:
         raise UnboundedSliceError(
             f"{ring.name}: no rule caps the powers of {ring._uncapped!r}, "
             f"so the slice at {degree} need not be finite")
-    bound = ring._slice_slack + (max(degree.level, 0) if ring.period is None else 0)
-    monomials = normal_monomials(ring, bound, degree)
-    return Slice(ring, ring.reduce_degree(degree), tuple(monomials),
-                 tuple(ring.monomial_additive_order(m) for m in monomials))
+    bound = ring._slice_slack + (max(reduced.level, 0) if ring.period is None else 0)
+    monomials = normal_monomials(ring, bound, reduced)
+    found = ring._slices[reduced] = Slice(
+        ring, reduced, tuple(monomials), tuple(ring.monomial_additive_order(m) for m in monomials))
+    return found
 
 
 def apply_ring_hom(source: PresentedRing, target: PresentedRing, images: dict,

@@ -48,8 +48,9 @@ meaning: that the presented ring is the ring the tables describe.
 
 Results that depend on the golden tables, the oracle images of each
 dictionary's labels among them, are cached per value of KDUAL_GOLDEN_DIR.
-A golden file that lacks a field or a row, or holds a field of the wrong
-type, raises ValueError naming the file and the row.
+A golden file that lacks a field or a row, holds a field of the wrong
+type, or holds a row that `OracleValue.build` refuses, raises ValueError
+naming the file and the row.
 """
 
 from __future__ import annotations
@@ -193,6 +194,12 @@ class OracleValue(Frozen):
     __slots__ = ("n", "coords")
     n: int
     coords: tuple
+
+    def __init__(self, n, coords):
+        if len(coords) != 3 << n:
+            raise ValueError(f"a value on the {n}-torus has {3 << n} coordinates, "
+                             f"not {len(coords)}")
+        super().__init__(n, coords)
 
     @classmethod
     def build(cls, n, terms, fixed_points):
@@ -340,17 +347,15 @@ def _load_tables():
                         and _is_int_list(term[0]) and type(term[1]) is int):
                     raise ValueError(f"{where}: forgetful term {json.dumps(term)} "
                                      "is not [[index, ...], coefficient] in ints")
-                if not all(1 <= i <= n for i in term[0]):
-                    raise ValueError(f"{where}: forgetful term {json.dumps(term)} "
-                                     f"has an index outside 1..{n}")
             points = golden_field(row, "fixed", where)
             for point in points:
                 if not _is_int_list(point, 2):
                     raise ValueError(f"{where}: fixed point {json.dumps(point)} "
                                      "is not a pair of ints")
-            if len(points) != 2 ** n:
-                raise ValueError(f"{where} has {len(points)} fixed points, wanted {2 ** n}")
-            rows[gen] = OracleValue.build(n, terms, points)
+            try:
+                rows[gen] = OracleValue.build(n, terms, points)
+            except ValueError as error:
+                raise ValueError(f"{where}: {error}") from None
         generators = tuple(golden_field(table, "generators", where_table))
         for gen in generators:
             if not isinstance(gen, str) or gen not in rows:

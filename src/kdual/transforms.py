@@ -115,11 +115,12 @@ def _geometric_transform(element: RingElement) -> RingElement:
     return pushforward_torus2(2, kernel * pullback_circle_to_torus(1, element))
 
 
-@per_golden_dir
 def flip_circle_slices() -> tuple:
     """The flip circle's ring with its (0, eq) and (1, pm) slices.  Their
     six normal monomials are free and a basis of the ring over Z: the
-    basis on which the transform and the Mayer-Vietoris clutchings act."""
+    basis on which the transform and the Mayer-Vietoris clutchings act.
+    `build_ring` keeps the ring per golden directory, and the ring keeps
+    its slices."""
     ring = build_ring("kk_circle_flip")
     return ring, degree_component(ring, Degree(0, EQ)), degree_component(ring, Degree(1, PM))
 

@@ -312,7 +312,8 @@ def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, c
     tables = golden()
     tables["1"]["rows"]["L"]["fixed"].append([1, 0])
     cases["three-fixed-points"] = (
-        tables, "three-fixed-points/tables.json: row L of dimension 1 has 3 fixed points, wanted 2")
+        tables, "three-fixed-points/tables.json: row L of dimension 1: "
+                "3 fixed points on the 1-torus, wanted 2")
     cases["list"] = ([], "list/tables.json does not hold an object keyed by dimension")
     tables = golden()
     tables["2"]["generators"] = "C0"
@@ -325,8 +326,8 @@ def test_bad_golden_data_is_an_error_not_a_failed_check(tmp_path, monkeypatch, c
     tables = golden()
     tables["1"]["rows"]["L"]["forgetful"] = [[[5], 1]]
     cases["index-5"] = (
-        tables, "index-5/tables.json: row L of dimension 1: forgetful term [[5], 1] "
-                "has an index outside 1..1")
+        tables, "index-5/tables.json: row L of dimension 1: "
+                "index word (5,) on the 1-torus has an index outside 1..1")
     tables = golden()
     del tables["3"]
     cases["no-dimension-3"] = (

@@ -1,5 +1,6 @@
 import gc
 import random
+import shutil
 
 import pytest
 
@@ -20,6 +21,7 @@ from kdual.graded_algebra import (
     verify_ring_hom,
 )
 from kdual.paper_rings import (
+    GOLDEN_DIR_ENV,
     NONEQUIVARIANT_PRESENTATIONS,
     PRESENTATIONS,
     RING_NAMES,
@@ -27,6 +29,7 @@ from kdual.paper_rings import (
     build_ring,
     forget_variant_degree,
     forgetful_images,
+    golden_path,
     nonequivariant_ring,
 )
 
@@ -305,17 +308,67 @@ def test_normal_monomials_match_brute_force():
 
 
 def test_degree_component_leaves_no_reference_cycle():
-    # cyclic garbage waits for the collector; a slice leaves none behind
+    # cyclic garbage waits for the collector; a slice leaves none behind.
+    # The ring keeps its slices, so the loop runs the enumeration itself,
+    # at the bound degree_component proves for this periodic ring
     ring = build_ring("kk_torus2")
-    degree_component(ring, Degree(0, EQ))
+    kept = degree_component(ring, Degree(0, EQ))
     gc.collect()
     gc.disable()
     try:
         for _ in range(20):
-            degree_component(ring, Degree(0, EQ))
+            monomials = normal_monomials(ring, ring._slice_slack, Degree(0, EQ))
+            assert tuple(monomials) == kept.monomials
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_ring_keeps_one_slice_per_reduced_degree():
+    ring = build_ring("kk_torus2")
+    for variant in (EQ, PM):
+        reduced = degree_component(ring, Degree(0, variant))
+        assert degree_component(ring, Degree(2, variant)) is reduced
+        assert degree_component(ring, Degree(-2, variant)) is reduced
+        assert degree_component(ring, Degree(0, variant)) is reduced
+    assert degree_component(ring, Degree(1, EQ)) is not degree_component(ring, Degree(0, EQ))
+
+
+def test_a_kept_slice_equals_a_fresh_enumeration():
+    for name in RING_NAMES:
+        ring = build_ring(name)
+        for level in range(2 if ring.period else 8):
+            for variant in (EQ, PM):
+                degree = Degree(level, variant)
+                first = degree_component(ring, degree)
+                kept = degree_component(ring, degree)
+                bound = ring._slice_slack + (0 if ring.period else level)
+                assert kept is first, (name, degree)
+                assert kept.monomials == tuple(normal_monomials(ring, bound, degree)), \
+                    (name, degree)
+
+
+def test_a_ring_rebuilt_for_another_golden_dir_has_its_own_slices(tmp_path, monkeypatch):
+    shutil.copy(golden_path("tables.json"), tmp_path / "tables.json")
+    for name in RING_NAMES:
+        shipped = build_ring(name)
+        shipped_slice = degree_component(shipped, Degree(1, PM))
+        monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+        ring = build_ring(name)
+        slice_ = degree_component(ring, Degree(1, PM))
+        assert ring is not shipped and ring == shipped
+        assert slice_.ring is ring and slice_ is not shipped_slice
+        assert slice_.monomials == shipped_slice.monomials
+        monkeypatch.delenv(GOLDEN_DIR_ENV)
+        assert degree_component(build_ring(name), Degree(1, PM)) is shipped_slice
+
+
+def test_an_unbounded_slice_is_refused_on_every_request():
+    ring = PresentedRing.define("free_level_0", [("c", 0, EQ, 0)])
+    for _ in range(2):
+        with pytest.raises(UnboundedSliceError, match="free_level_0: no rule caps"):
+            degree_component(ring, Degree(0, EQ))
+    assert ring._slices == {}
 
 
 def test_degree_component_matches_brute_force():

@@ -31,6 +31,7 @@ from kdual.paper_rings import (
     Dictionary,
     OracleValue,
     build_ring,
+    f_oracle,
     f_oracle_unit,
     forgetful_images,
     nonequivariant_ring,
@@ -54,6 +55,12 @@ def _twisted_pair():
     return Pair(RealCircleBundle("circle_trivial", (1,)), (0,), (1,))
 
 
+def _fresh_slice():
+    # the ring keeps one slice per degree, so build a new one from its fields
+    kept = degree_component(build_ring("hh_point"), Degree(2, EQ))
+    return Slice(kept.ring, kept.degree, kept.monomials, kept.orders)
+
+
 def _gysin_data():
     ring = build_ring("hh_circle_trivial")
     return gysin_degree_data(ring, ring.zero(), 3, EQ)
@@ -68,7 +75,7 @@ BUILDERS = {
     RModule: lambda: indecomposable("I/2I"),
     Degree: lambda: Degree(1, PM),
     GeneratorSpec: lambda: GeneratorSpec("t12", Degree(1, PM), 2),
-    Slice: lambda: degree_component(build_ring("hh_point"), Degree(2, EQ)),
+    Slice: _fresh_slice,
     OracleValue: lambda: f_oracle_unit(1),
     Dictionary: lambda: Dictionary("kk_circle_flip", 1, (("1", "C0"), ("t", "C1"))),
     Check: lambda: Check("id", "reference", "pass", "1", "1"),
@@ -181,9 +188,13 @@ def test_repr_names_each_field():
      DimensionMismatchError, "relations live in the wrong rank"),
     (lambda: RModule(1, IntegerMatrix.zeros(1, 0), IntegerMatrix.identity(2)),
      DimensionMismatchError, "action matrix must be square of the rank"),
+    (lambda: OracleValue(1, (1, 0)) + f_oracle(1, "L"), ValueError,
+     r"^a value on the 1-torus has 6 coordinates, not 2$"),
+    (lambda: OracleValue(1, (0,) * 7) * f_oracle(1, "L"), ValueError,
+     r"^a value on the 1-torus has 6 coordinates, not 7$"),
 ], ids=["matrix-dimensions", "matrix-entry-count", "group-order", "group-torsion",
         "group-divisibility", "degree-variant", "generator-order", "module-rank",
-        "module-square"])
+        "module-square", "oracle-coords-short", "oracle-coords-long"])
 def test_constructors_refuse_bad_fields(build, error, message):
     with pytest.raises(error, match=message):
         build()
