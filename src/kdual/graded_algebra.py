@@ -32,12 +32,12 @@ again.
 Normal forms are computed largest monomial first.  A heap pops each
 monomial of the working sum once, in descending monomial order; its
 coefficient is final by then, because a rewrite only adds smaller
-monomials.  Each rule is indexed at construction by its support, the
-(generator, exponent) pairs of its left-hand side, so testing whether it
-divides a monomial reads only those exponents.  The order in which
-monomials are rewritten, and the rule chosen for each, do not change the
-result: the rules are confluent, so every reduction reaches the one
-normal form.
+monomials.  A rule divides a monomial when its left-hand exponent tuple
+is at most the monomial's, position by position; the first rule in the
+presentation's order that divides a monomial rewrites it.  The order in
+which monomials are rewritten, and the rule chosen for each, do not
+change the result: the rules are confluent, so every reduction reaches
+the one normal form.
 
 Degrees add componentwise; the variant flag adds modulo two (two "pm"
 factors multiply into "eq").  Rings of K-type carry `period = 2` and
@@ -47,7 +47,7 @@ reduce levels modulo the period; rings of H-type keep integer levels.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from operator import add, ge, neg, sub
 
 from .frozen import Frozen
 
@@ -152,9 +152,6 @@ class PresentedRing:
             packed.append((ring._exps_from_dict(lhs),
                            tuple((ring._exps_from_dict(m), c) for m, c in rhs)))
         ring.rules = tuple(packed)  # (lhs exponent tuple, ((exps, coeff), ...))
-        # each rule with the (generator index, exponent) pairs of its lhs
-        ring._rule_index = tuple(
-            (tuple((i, e) for i, e in enumerate(rule[0]) if e), rule) for rule in ring.rules)
         ring._validate_rules()
         ring._check_confluence()
         ring._slice_slack, ring._uncapped = ring._prove_slices_finite()
@@ -236,8 +233,8 @@ class PresentedRing:
         for i, g in enumerate(self.generators):
             if self.period is None and g.degree.level > 0:
                 continue  # its exponents add up to at most the level
-            caps = [e for support, _ in self._rule_index for j, e in support
-                    if j == i and len(support) == 1]
+            # the rules whose left-hand side is a power of g alone
+            caps = [lhs[i] for lhs, _ in self.rules if lhs[i] and lhs.count(0) == len(lhs) - 1]
             if not caps:
                 return slack, g.name
             slack += min(caps) - 1
@@ -292,9 +289,11 @@ class PresentedRing:
         return self._rule_dividing(exps) is None
 
     def _rule_dividing(self, exps):
-        """The first rule (lhs, rhs) whose lhs divides exps, or None."""
-        for support, rule in self._rule_index:
-            if all(exps[i] >= e for i, e in support):
+        """The first rule (lhs, rhs) in `rules` whose lhs divides exps, or
+        None.  lhs divides exps when no exponent of lhs exceeds the one of
+        exps at the same position; the two tuples are compared whole."""
+        for rule in self.rules:
+            if all(map(ge, exps, rule[0])):
                 return rule
         return None
 
@@ -429,14 +428,20 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """self to the k-th power by square-and-multiply: at most 2 log2(k)
+        products instead of k - 1.  The product is associative and normal
+        forms are unique, so this is the element that repeated products
+        give."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponents must be nonnegative integers")
-        if k == 0:
-            return self.ring.one()
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        out, square = None, self  # square is self ** (2 ** bit) at each bit of k
+        while k:
+            if k & 1:
+                out = square if out is None else out * square
+            k >>= 1
+            if k:
+                square = square * square
+        return self.ring.one() if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -557,10 +562,13 @@ def normal_monomials(ring: PresentedRing, bound: int, degree: Degree | None = No
     """All irreducible monomials of total exponent at most bound (of the
     given degree, if one is given), in monomial order.
 
-    Exponents are chosen one generator at a time.  A branch is cut as
-    soon as its exponent prefix is divisible by a rule's left-hand side:
-    divisibility is monotone, so every extension of that prefix, and
-    every larger exponent at the current position, is reducible too.
+    Exponents are chosen one generator at a time, the later positions
+    still 0.  At position i the rules whose last generator is the i-th are
+    tested, each by its whole left-hand exponent tuple (its positions past
+    i are 0 as well).  A branch is cut as soon as one divides the exponents
+    chosen so far: divisibility is monotone, so every extension of that
+    prefix, and every larger exponent at the current position, is
+    reducible too.
     """
     if bound < 0:
         return []
@@ -571,7 +579,7 @@ def normal_monomials(ring: PresentedRing, bound: int, degree: Degree | None = No
         if not any(lhs):
             return []  # the rule rewrites 1, so every monomial is reducible
         last = max(i for i, e in enumerate(lhs) if e)
-        ending[last].append(lhs[:last + 1])
+        ending[last].append(lhs)
     levels = [g.degree.level for g in ring.generators]
     flipping = [g.degree.variant == PM for g in ring.generators]
     target = None if degree is None else ring.reduce_degree(degree)
@@ -590,7 +598,7 @@ def normal_monomials(ring: PresentedRing, bound: int, degree: Degree | None = No
             if target is not None and ring.period is None and new_level > target.level:
                 break  # levels only grow; prune
             exps[idx] = e
-            if any(all(a <= b for a, b in zip(lhs, exps)) for lhs in ending[idx]):
+            if any(all(map(ge, exps, lhs)) for lhs in ending[idx]):
                 break  # this prefix and all its extensions are reducible
             rec(idx + 1, total + e, new_level, flips + e * flipping[idx])
             e += 1

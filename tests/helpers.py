@@ -96,6 +96,17 @@ def from_named_terms(ring, terms):
     return ring.element(raw)
 
 
+def first_dividing_rule(ring, exps):
+    """The first rule of `ring.rules` whose left-hand side divides the
+    monomial exps, by indexing every exponent: the model that
+    `PresentedRing._rule_dividing` must agree with."""
+    for rule in ring.rules:
+        lhs = rule[0]
+        if all(exps[i] >= lhs[i] for i in range(len(lhs))):
+            return rule
+    return None
+
+
 def reference_tokenize(text):
     """The tokens of an expression, read one character at a time: the
     model that `kdual.expressions._tokenize` must agree with."""

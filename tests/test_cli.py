@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from kdual.cli import main
-from kdual.paper_rings import GOLDEN_DIR_ENV, golden_path
+from kdual.paper_rings import GOLDEN_DIR_ENV, golden_path, verify_tables_checksum
 
 
 def run(capsys, *argv):
@@ -270,6 +270,24 @@ def test_golden_dir_override(tmp_path, monkeypatch, capsys):
     finally:
         monkeypatch.delenv(GOLDEN_DIR_ENV)
         pr._load_tables.cache_clear()
+
+
+def test_a_tables_file_with_other_bytes_fails_the_checksum_alone(tmp_path, monkeypatch, capsys):
+    # trailing whitespace keeps the JSON and every row, but not the bytes
+    golden = tmp_path / "data"
+    shutil.copytree(golden_path("tables.json").parent, golden)
+    with open(golden / "tables.json", "a", encoding="utf-8") as handle:
+        handle.write("\n  \n")
+    assert json.loads((golden / "tables.json").read_text()) == \
+        json.loads(golden_path("tables.json").read_text())
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(golden))
+    assert verify_tables_checksum() is False
+    code, out, _ = run(capsys, "--format", "json", "verify", "tables")
+    report = json.loads(out)
+    assert code == 1
+    assert [c["id"] for c in report["checks"] if c["status"] != "pass"] == [
+        "golden-tables-checksum"]
+    assert (report["passed"], report["failed"]) == (len(report["checks"]) - 1, 1)
 
 
 def test_failed_clutching_search_is_a_failing_check(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import gc
 import random
 import shutil
+from itertools import product
 
 import pytest
 
@@ -33,7 +34,7 @@ from kdual.paper_rings import (
     nonequivariant_ring,
 )
 
-from helpers import from_named_terms, reference_tokenize
+from helpers import first_dividing_rule, from_named_terms, reference_tokenize
 
 
 def random_element(rng, ring, max_terms=4, max_exp=3, max_coeff=3):
@@ -135,6 +136,26 @@ def test_mul_distributive_random():
             b = random_element(rng, ring)
             c = random_element(rng, ring)
             assert a * (b + c) == a * b + a * c
+
+
+def test_powers_equal_repeated_products():
+    rng = random.Random(36)
+    for name in RING_NAMES:
+        ring = build_ring(name)
+        gens = [ring.gen(g.name) for g in ring.generators]
+        for base in (ring.one() + sum((-1) ** i * (i + 1) * g for i, g in enumerate(gens)),
+                     random_element(rng, ring), ring.zero()):
+            repeated = ring.one()
+            for k in range(13):
+                assert base ** k == repeated, (name, base, k)
+                repeated = repeated * base
+
+
+def test_a_high_power_takes_logarithmically_many_products():
+    # t^2 = 1 in K(point); square-and-multiply takes 25 products here, not 999,999
+    kk = build_ring("kk_point")
+    t = kk.gen("t")
+    assert t ** 10**6 == 1 and t ** (10**6 + 1) == t
 
 
 def test_graded_unit():
@@ -293,10 +314,42 @@ def test_a_capped_level_0_generator_bounds_its_slices():
 def _brute_force_monomials(ring, bound):
     """Every irreducible exponent tuple of total at most bound, by
     filtering all tuples, in monomial order."""
-    from itertools import product
     return sorted((exps for exps in product(range(bound + 1), repeat=len(ring.generators))
                    if sum(exps) <= bound and ring.monomial_is_normal(exps)),
                   key=ring.monomial_key)
+
+
+def test_the_dividing_rule_is_the_first_whose_left_hand_side_divides():
+    for name in RING_NAMES:
+        ring = build_ring(name)
+        for exps in product(range(5), repeat=len(ring.generators)):
+            assert ring._rule_dividing(exps) is first_dividing_rule(ring, exps), (name, exps)
+
+
+SLICE_BOUNDS = {
+    "hh_point": (0, None),
+    "hh_circle_trivial": (0, None),
+    "hh_circle_flip": (0, None),
+    "hh_cp_infty": (0, None),
+    "hh_universal_base": (0, None),
+    "kk_point": (2, None),
+    "kk_circle_flip": (3, None),
+    "kk_torus2": (4, None),
+    "k0_equiv_circle": (2, None),
+}
+
+
+def test_the_proved_slice_bounds_are_pinned():
+    assert tuple(SLICE_BOUNDS) == RING_NAMES
+    for name, expected in SLICE_BOUNDS.items():
+        ring = build_ring(name)
+        assert (ring._slice_slack, ring._uncapped) == expected, name
+    # x*y -> 0 caps no power of the level-0 generator x
+    w = PresentedRing.define("w", [("x", 0, EQ, 0), ("y", 1, EQ, 0)], [({"x": 1, "y": 1}, [])])
+    assert (w._slice_slack, w._uncapped) == (0, "x")
+    # the least of two caps on one generator counts
+    v = PresentedRing.define("v", [("x", 0, EQ, 0)], [({"x": 3}, []), ({"x": 2}, [])])
+    assert (v._slice_slack, v._uncapped) == (1, None)
 
 
 def test_normal_monomials_match_brute_force():

@@ -6,9 +6,10 @@ takes without building the kernels are compared with the kernel groups
 built by separate Smith forms (see conftest.py).  The
 normal-form checks at the end compare `PresentedRing.element` with a
 reference that rewrites by re-sorting and scanning every rule, over drawn,
-exhaustive and high-power inputs.  Degree slices of generated rings are
-compared with brute force past the bound that `PresentedRing.define`
-proves.
+exhaustive and high-power inputs.  On generated rings, the rule chosen to
+rewrite a monomial is compared with a scan of every exponent of every
+rule, and degree slices with brute force past the bound that
+`PresentedRing.define` proves.
 """
 
 from collections import Counter
@@ -38,7 +39,7 @@ from kdual.graded_algebra import (
 )
 from kdual.paper_rings import RING_NAMES, build_ring
 
-from helpers import inverse_unimodular, rmodule_from_multiset
+from helpers import first_dividing_rule, inverse_unimodular, rmodule_from_multiset
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -220,6 +221,13 @@ def monomial_rings(draw):
     rules = [({name: a}, []) for name, a in zip(names, powers) if a]
     rules += [(lhs, []) for lhs in draw(st.lists(monomials, max_size=3))]
     return PresentedRing.define("generated", generators, rules, draw(st.sampled_from((None, 2))))
+
+
+@PROPERTY
+@given(monomial_rings())
+def test_the_dividing_rule_of_a_generated_ring_is_the_first_that_divides(ring):
+    for exps in product(range(5), repeat=len(ring.generators)):
+        assert ring._rule_dividing(exps) is first_dividing_rule(ring, exps), exps
 
 
 @PROPERTY

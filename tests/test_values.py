@@ -227,6 +227,7 @@ def _circle_ring():
     (lambda: PresentedRing.define("w", [("x", 1, EQ, 0), ("x", 1, PM, 2)], [({"x": 2}, [])]),
      ValueError, "^w: generator 'x' is given more than once$"),
     (lambda: _circle_ring().gen("t") ** -1, ValueError, "exponents must be nonnegative integers"),
+    (lambda: _circle_ring().gen("t") ** 2.0, ValueError, "exponents must be nonnegative integers"),
     (lambda: degree_component(build_ring("hh_point"), Degree(2, EQ)).coords(
         build_ring("hh_circle_trivial").one()), ValueError, "element of a different ring"),
     (lambda: gysin_cohomology(build_ring("hh_point"), build_ring("hh_circle_trivial").zero()),
@@ -258,8 +259,8 @@ def _circle_ring():
 ], ids=["from-rows-ragged", "from-rows-width", "from-columns-ragged", "from-columns-height",
         "hstack", "vstack", "nonequivariant-ring-name", "forgetful-map-name", "suite-name",
         "oracle-tori", "oracle-tori-product", "oracle-table-dimension", "rule-exponent",
-        "duplicate-generator", "element-power", "slice-coords-ring", "euler-class-ring",
-        "apply-ring-hom", "verify-ring-hom", "oracle-fixed-point-count",
+        "duplicate-generator", "element-power", "element-power-float", "slice-coords-ring",
+        "euler-class-ring", "apply-ring-hom", "verify-ring-hom", "oracle-fixed-point-count",
         "oracle-index", "oracle-index-zero", "rule-coefficient-float",
         "rule-coefficient-string", "rule-exponent-float", "rule-exponent-bool",
         "generator-level-float", "generator-level-bool", "generator-order-float"])
